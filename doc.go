@@ -295,13 +295,15 @@
 //     literals. Encoding is on demand: a layer is pending at its
 //     branch point, encoded on first need — a candidate check or a
 //     worker fork below it — and frozen once encoded, so the windows
-//     of subtrees that reach neither are never encoded. One CDCL SAT solver
-//     instance (internal/sat: solve-under-assumptions leaving clauses
-//     intact, first-UIP clause learning, Clone for worker forks)
-//     serves every model emitted beneath a branch; the per-model
-//     conditions — which homomorphisms are unblocked in M, each
-//     clause's latest witness set, and the proper-subset requirement —
-//     are assumptions and activation literals, never rebuilt formulas.
+//     of subtrees that reach neither are never encoded. A check loads
+//     the clauses of its own root-to-leaf chain into the worker's
+//     reusable CDCL SAT solver (internal/sat: solve-under-assumptions,
+//     first-UIP clause learning, Reset for the next formula); the
+//     per-model conditions — which homomorphisms are unblocked in M and
+//     each clause's latest witness set — are assumptions, and the
+//     proper-subset requirement is one added clause, so no layer is
+//     ever re-encoded. Worker forks share the frozen layers and copy
+//     nothing.
 //
 // The pre-index code paths are retained package-privately
 // (logic.naiveFindHoms, chase.runNaive, asp.gammaNaive, the naive

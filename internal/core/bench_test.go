@@ -143,13 +143,14 @@ func BenchmarkStableSearchDisjunctiveExistential(b *testing.B) {
 // very large relative to its per-branch deltas (few choices over a big
 // inert prefix): pre-session, every emitted model re-encoded the whole
 // prefix for its stability check; the session encodes it once at the
-// root and each model pays only its delta window plus one
-// solve-under-assumptions. wide-choice is branch-heavy (2^10 models
-// over a small prefix), stressing per-branch window encoding, arena
-// sharing down the tree, and the dead-encoding pinning that keeps each
-// solve confined to its own path. Workers=8 additionally exercises
-// session forks, which encode the pending chain and clone the arena
-// (on a multi-core runner it also spreads the per-model solves).
+// root and each model pays only its delta window plus reloading its
+// chain's clauses into the worker's solver. wide-choice is branch-heavy
+// (2^10 models over a small prefix), stressing per-branch window
+// encoding and the per-check reload of a chain whose layers are shared
+// down the tree. Workers=2 forks whenever the single pool token frees,
+// and Workers=8 forks more often; forks encode the pending chain and
+// copy nothing (on a multi-core runner they also spread the per-model
+// solves).
 func BenchmarkStabilitySession(b *testing.B) {
 	shapes := []struct {
 		name       string
@@ -165,7 +166,7 @@ func BenchmarkStabilitySession(b *testing.B) {
 			b.Fatal(err)
 		}
 		db := prog.Database()
-		for _, workers := range []int{1, 8} {
+		for _, workers := range []int{1, 2, 8} {
 			opt := core.Options{MaxAtoms: 8192, Workers: workers}
 			b.Run(fmt.Sprintf("%s/workers=%d", shape.name, workers), func(b *testing.B) {
 				b.ReportAllocs()

@@ -95,7 +95,9 @@ type Options struct {
 	// interned tuples (0 = unbounded): every fact added on any branch
 	// is charged at its packed-tuple size — 4 bytes for the predicate
 	// id plus 4 per argument id (see logic.FactStore.TupleBytes) — and
-	// every stability-clause literal at the size of its arena slot.
+	// every stability-clause literal at the size of its slot in the
+	// session layer that encodes it. A check's SAT solver is scratch,
+	// reused by the next check, and is not charged.
 	// Unlike MaxAtoms — a per-branch candidate bound whose overflow
 	// only kills the branch — the watermark measures cumulative growth
 	// across the whole run, and tripping it stops the run with
@@ -114,14 +116,26 @@ type Options struct {
 	// only the differential tests set it.
 	stabOracle *atomic.Int64
 	// stabCounts, when non-nil, receives the number of stability
-	// session windows the run encoded and of session forks it made,
-	// merged per worker on exit. Package-private: only the on-demand
-	// encoding tests set it.
+	// session windows the run encoded, of session forks it made, and
+	// the most variables any check's solver held, merged per worker on
+	// exit. Package-private: only the session tests set it.
 	stabCounts *stabCounts
 }
 
 // stabCounts is the tally behind Options.stabCounts.
-type stabCounts struct{ windows, forks atomic.Int64 }
+type stabCounts struct{ windows, forks, maxVars atomic.Int64 }
+
+// add merges one worker's tally.
+func (c *stabCounts) add(windows, forks, maxVars int64) {
+	c.windows.Add(windows)
+	c.forks.Add(forks)
+	for {
+		cur := c.maxVars.Load()
+		if maxVars <= cur || c.maxVars.CompareAndSwap(cur, maxVars) {
+			return
+		}
+	}
+}
 
 // Stats reports search effort. It is the engine-uniform report shared
 // with the other semantics (see internal/engine).
@@ -492,9 +506,10 @@ type searcher struct {
 	// session encoder and solver (stability.go).
 	stab stabScratch
 	// stabWindows and stabForks count the session windows this worker
-	// encoded and the session forks it made, reported through
+	// encoded and the session forks it made, and stabMaxVars is the most
+	// variables one of its checks loaded, reported through
 	// Options.stabCounts when the worker exits.
-	stabWindows, stabForks int64
+	stabWindows, stabForks, stabMaxVars int64
 }
 
 // initRules precomputes the per-rule facts the hot trigger paths need.

@@ -217,8 +217,7 @@ func (r *run) runWorker(st *state) {
 		}
 		r.mergeStats(w.stats)
 		if c := r.opt.stabCounts; c != nil {
-			c.windows.Add(w.stabWindows)
-			c.forks.Add(w.stabForks)
+			c.add(w.stabWindows, w.stabForks, w.stabMaxVars)
 		}
 	}()
 	failpoint.Inject(failpoint.CoreFork)
@@ -324,15 +323,12 @@ func (r *run) consume(visit func(*logic.FactStore) bool) {
 // its siblings. Forked subtrees report failure through the shared
 // stop flag rather than the return value.
 //
-// A forked child takes a clone of the stability-session arena
-// (copy-on-extend): the parent worker keeps encoding and solving its
-// own arena for the remaining siblings, so the two goroutines must not
-// share the mutable solver. The pending ancestor layers are encoded
-// first, in the parent's arena, so the ancestor chain both goroutines
-// share is frozen — its variable and homomorphism identities are valid
-// in the clone, which copies the arena as a prefix. The encoding and
-// the clone happen before the goroutine spawn, on the parent's
-// goroutine, so the spawn's happens-before edge covers them.
+// Before a fork, the forking state's pending session layers are
+// encoded, so the ancestor chain both goroutines share is frozen: each
+// worker then only reads it, loading the chain's clauses into its own
+// solver for its checks, and the fork copies nothing. The encoding
+// happens before the goroutine spawn, on the parent's goroutine, so
+// the spawn's happens-before edge covers it.
 func (s *searcher) explore(child *state) bool {
 	r := s.run
 	if r.stop.Load() {
@@ -343,7 +339,6 @@ func (s *searcher) explore(child *state) bool {
 		case r.tokens <- struct{}{}:
 			if child.sess != nil {
 				s.encodePending(child.sess.parent)
-				child.sess.arena = child.sess.arena.clone()
 				s.stabForks++
 			}
 			r.wg.Add(1)

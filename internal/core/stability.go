@@ -8,16 +8,17 @@ package core
 //   - stableAgainstSubsetsNaive re-encodes the condition from scratch
 //     for one candidate model, exactly as the pre-session engine did. It
 //     is kept verbatim as the differential-test oracle.
-//   - The stability session (stabSession/stabArena) builds the same
-//     encoding incrementally along the search tree, mirroring the
-//     copy-on-write store snapshots of PR 2: a session layer owns the
-//     clauses and variables derived from its state's store delta, and a
-//     child layer extends the chain by encoding only the new index
-//     window. One SAT solver instance per branch then serves every
-//     model emitted beneath it; the per-model conditions (which body
-//     homomorphisms are unblocked in M, the latest witness set of each
-//     homomorphism, and the proper-subset requirement) are expressed as
-//     assumptions and activation literals, never as rebuilt clauses.
+//   - The stability session (stabSession) builds the same encoding
+//     incrementally along the search tree, mirroring the copy-on-write
+//     store snapshots (logic.FactStore.Snapshot): a session layer owns
+//     the clauses and variables derived from its state's store window,
+//     and a child layer extends the chain by encoding only the new index
+//     window. A check decides its candidate on the clauses of its own
+//     root-to-leaf chain alone, loaded into the worker's reusable SAT
+//     solver; the per-model conditions (which body homomorphisms are
+//     unblocked in M, and the latest witness set of each homomorphism)
+//     are assumptions, and the proper-subset requirement is one more
+//     clause, so no layer clause is ever rebuilt.
 //
 // Encoding invariants of the session (see also the package docs):
 //
@@ -26,6 +27,11 @@ package core
 //     index comparison, not a key-map lookup. Every non-database atom
 //     of the prefix has one subset variable, registered in the layer
 //     that encoded its window.
+//   - An encoded layer owns three things, all immutable: a flat list of
+//     its clauses, a variable range that continues its parent's, and
+//     the homomorphisms it registered. Sibling layers reuse the same
+//     variable numbers; a check's formula is one chain's clauses, so
+//     only the numbering along a chain must be consistent.
 //   - Each body homomorphism h of a rule into the prefix (negative
 //     instances absent at discovery time — permanent, since stores only
 //     grow) becomes one clause ¬act ∨ ¬pos ∨ w₁ ∨ … ∨ wₖ ∨ e₀: act is
@@ -36,25 +42,25 @@ package core
 //     layer's window completes h with new witnesses w', it adds
 //     ¬e ∨ w' ∨ e' and records e' as the path-latest tail; assuming
 //     ¬e_latest at solve time enforces the full accumulated clause,
-//     while stale tails from sibling subtrees stay free and neutralize
-//     their links. Constraints (no heads) carry no tail: their clauses
-//     are valid for every candidate sharing the prefix.
-//   - A solve asserts one fresh guarded proper-subset clause
-//     (¬g ∨ ⋁ ¬xᵢ over the path's non-database atoms) and assumes g;
-//     retired guards are never assumed again, so the clause database
-//     only grows. UNSAT under the assumptions means M is stable.
+//     while the interior tails stay free. Constraints (no heads) carry
+//     no tail: their clauses are valid for every candidate sharing the
+//     prefix.
+//   - A check assumes act and ¬e_latest of every unblocked homomorphism
+//     of its chain and ¬act of every blocked one, adds the clause
+//     ⋁ ¬xᵢ over the chain's non-database atoms (J is a proper subset),
+//     and solves: UNSAT means M is stable. Learnt clauses last for that
+//     one check.
 //
 // Sessions respect the search's freeze discipline, with encoding
 // deferred to first need: a state's layer is pending at its branch
 // point (it records the frozen store whose window it owes), is encoded
 // on first need — a fixpoint candidate's check below it, or a fork of
-// a subtree below it — top-down along the chain in the owning worker's
-// arena, and is frozen once encoded. Windows that no candidate solves
-// and no fork hands off are never encoded. A subtree handed to another
-// goroutine has its pending chain encoded and then clones the arena
-// (copy-on-extend, see searcher.explore), so every layer reachable
-// from two goroutines is encoded and frozen, and arenas are always
-// single-goroutine.
+// a subtree below it — top-down along the chain, and is frozen once
+// encoded. Windows that no candidate solves and no fork hands off are
+// never encoded. A subtree handed to another goroutine has its pending
+// chain encoded before the spawn (see searcher.explore), so every layer
+// reachable from two goroutines is encoded and frozen, and only read:
+// forks copy nothing.
 
 import (
 	"sort"
@@ -71,94 +77,9 @@ import (
 // snapshots.
 const maxStabSessionDepth = 32
 
-// stabArena owns the mutable substrate of a session tree: the SAT
-// solver holding every clause encoded so far and the homomorphism
-// registry. An arena is single-goroutine by construction — a worker
-// that forks a subtree hands the child a clone (see searcher.explore),
-// so no lock guards it.
-//
-// The arena also registers every activation, extension-tail and
-// subset-guard variable ever allocated: a solve pins all of them that
-// are not live on the current path (activations false, tails true,
-// retired guards false), so clauses encoded for sibling subtrees are
-// satisfied outright and the DPLL search never branches — let alone
-// conflicts — inside dead encoding. Without this, chronological
-// backtracking interleaves irrelevant flips with the real conflict and
-// goes exponential in the amount of dead encoding.
-type stabArena struct {
-	dbLen int
-	sat   *sat.Solver
-	homs  []stabHom
-	// falseVar is a constant-false variable (pinned by a top-level unit
-	// clause) used to pad single-literal session clauses: the solver
-	// stores 1-literal clauses as global facts enqueued at every solve,
-	// which would turn an assumption-switchable literal — an extension
-	// tail meant to be assumed false — into a permanent truth and
-	// poison every later query on the arena.
-	falseVar int
-	// actVars, extVars and guardVars list every allocated activation,
-	// extension-tail and proper-subset-guard variable, for the
-	// dead-encoding pinning described above.
-	actVars   []int
-	extVars   []int
-	guardVars []int
-	// lits counts the literals of every clause added to the arena — its
-	// share of the run's memory watermark proxy. The encoders charge
-	// deltas of this counter against run.chargeMem; clones inherit the
-	// count so a fork measures only its own growth.
-	lits int64
-}
-
-func newStabArena(dbLen int) *stabArena {
-	a := &stabArena{dbLen: dbLen, sat: sat.New()}
-	a.falseVar = a.sat.NewVar()
-	a.sat.AddClause(-a.falseVar)
-	return a
-}
-
-// addClause inserts a session clause, padding single-literal clauses
-// with the constant-false variable so they stay ordinary watched
-// clauses (see falseVar). Empty clauses pass through: they mark the
-// instance genuinely unsatisfiable.
-func (a *stabArena) addClause(lits ...int) {
-	a.lits += int64(len(lits))
-	if len(lits) == 1 {
-		a.sat.AddClause(lits[0], a.falseVar)
-		return
-	}
-	a.sat.AddClause(lits...)
-}
-
-// clone returns an independent copy for a subtree explored on another
-// goroutine. Homomorphism entries are immutable after registration, so
-// the registry is a shallow slice copy; variable and homomorphism
-// identities carry over unchanged, which is what lets the frozen
-// ancestor layers of the forked session chain serve both arenas.
-func (a *stabArena) clone() *stabArena {
-	return &stabArena{
-		dbLen:     a.dbLen,
-		falseVar:  a.falseVar,
-		sat:       a.sat.Clone(),
-		homs:      append([]stabHom(nil), a.homs...),
-		actVars:   append([]int(nil), a.actVars...),
-		extVars:   append([]int(nil), a.extVars...),
-		guardVars: append([]int(nil), a.guardVars...),
-		lits:      a.lits,
-	}
-}
-
-// oversized reports whether the arena has accumulated so much dead
-// sibling encoding relative to the live prefix that a rebuild is
-// cheaper than dragging it along.
-func (a *stabArena) oversized(storeLen int) bool {
-	n := a.sat.NVars()
-	return n > 4096 && n > 8*storeLen
-}
-
 // stabHom is one registered body homomorphism of a rule into the store
-// prefix. Entries are immutable once registered (arenas clone the
-// registry shallowly); all per-path mutable state lives in the session
-// layers.
+// prefix. Entries are immutable once registered and are held by
+// pointer; all per-path mutable state lives in the session layers.
 type stabHom struct {
 	rule *logic.Rule
 	hom  logic.Subst
@@ -174,11 +95,22 @@ type stabHom struct {
 	ext int
 }
 
+// blockedIn reports whether one of the homomorphism's negative-body
+// instances is in m, which switches its clause off.
+func (hm *stabHom) blockedIn(m *logic.FactStore) bool {
+	for _, k := range hm.negKeys {
+		if m.HasFactKey(k) {
+			return true
+		}
+	}
+	return false
+}
+
 // headOcc locates one head disjunct of a registered homomorphism for
 // the completion joins: when a window introduces atoms of pred, every
 // (hom, disjunct) occurrence under pred is re-joined against the delta.
 type headOcc struct {
-	hom      int
+	hom      *stabHom
 	disjunct int
 	// groundKey, when non-empty, marks a single-atom disjunct fully
 	// ground under the homomorphism: its only possible witness is the
@@ -188,14 +120,13 @@ type headOcc struct {
 }
 
 // stabSession is one layer of a session chain, mirroring a search
-// state's store layer: it records the subset variables, homomorphisms
-// and head occurrences its window introduced, plus the path-latest
-// extension tails it overrode. A layer is live while its state grows,
-// pending from its state's branch point, encoded on first need, and
-// frozen once encoded; every read merges the chain.
+// state's store layer: it records the clauses, subset variables,
+// homomorphisms and head occurrences its window introduced, plus the
+// path-latest extension tails it overrode. A layer is live while its
+// state grows, pending from its state's branch point, encoded on first
+// need, and frozen once encoded; every read merges the chain.
 type stabSession struct {
 	parent *stabSession
-	arena  *stabArena
 	depth  int
 	// hi is the store prefix [0, hi) encoded by the chain up to and
 	// including this layer; for a live or pending layer, the start of
@@ -205,20 +136,20 @@ type stabSession struct {
 	// point: the layer owes the window [hi, pending.Len()), which
 	// encodePending fills on first need.
 	pending *logic.FactStore
+	// nv is the number of variables of the chain up to and including
+	// this layer: the layer's own variables are (parent.nv, nv].
+	nv int
+	// clauses lists this layer's clauses flat, each ended by a 0.
+	clauses []int
 	// vars maps global store index -> subset variable for the
 	// non-database atoms of this layer's window.
 	vars map[int]int
-	// ext maps homomorphism id -> latest extension tail var for chains
+	// ext maps homomorphism -> latest extension tail var for chains
 	// this layer extended (0 marks a homomorphism permanently satisfied
 	// along this path).
-	ext map[int]int
-	// links lists every extension tail this layer allocated — including
-	// interior tails superseded within the same window when several
-	// disjuncts of one homomorphism completed — so a solve can keep the
-	// whole path chain free instead of pinning interior links.
-	links []int
-	// homs lists the homomorphism ids this layer registered.
-	homs []int
+	ext map[*stabHom]int
+	// homs lists the homomorphisms this layer registered.
+	homs []*stabHom
 	// occ indexes this layer's registered head occurrences by head
 	// predicate, for the completion joins of deeper windows.
 	occ map[string][]headOcc
@@ -232,7 +163,18 @@ func (ss *stabSession) child() *stabSession {
 	if ss.pending != nil {
 		hi = ss.pending.Len()
 	}
-	return &stabSession{parent: ss, arena: ss.arena, depth: ss.depth + 1, hi: hi}
+	return &stabSession{parent: ss, depth: ss.depth + 1, hi: hi}
+}
+
+// newVar allocates the layer's next variable.
+func (ss *stabSession) newVar() int {
+	ss.nv++
+	return ss.nv
+}
+
+// addClause appends one clause to the layer's list.
+func (ss *stabSession) addClause(lits ...int) {
+	ss.clauses = append(append(ss.clauses, lits...), 0)
 }
 
 // varOf resolves a non-database store index to its subset variable
@@ -248,38 +190,39 @@ func (ss *stabSession) varOf(idx int) int {
 
 // latestExt resolves a homomorphism's path-latest extension tail
 // through the chain, defaulting to its registration tail.
-func (ss *stabSession) latestExt(hid int) (int, bool) {
+func (ss *stabSession) latestExt(hm *stabHom) (int, bool) {
 	for s := ss; s != nil; s = s.parent {
-		if e, ok := s.ext[hid]; ok {
+		if e, ok := s.ext[hm]; ok {
 			return e, true
 		}
 	}
-	return ss.arena.homs[hid].ext, false
+	return hm.ext, false
 }
 
 // stabScratch holds the reusable buffers of session encoding and
-// solving; each searcher owns one.
+// solving; each searcher owns one. solver is the worker's one SAT
+// solver: every check resets it and loads its own chain.
 type stabScratch struct {
+	solver   *sat.Solver
+	chain    []*stabSession
 	assumps  []int
 	clause   []int
 	conj     []int
-	extSeen  map[int]int
-	liveVars map[int]bool
+	extSeen  map[*stabHom]int
 	predSeen map[string]bool
 	preds    []string
 	occSeen  map[headOcc]bool
 }
 
 // sessionFor returns st's session layer, first replacing a missing
-// chain, one past maxStabSessionDepth, or one whose arena is dominated
-// by dead sibling encodings with a fresh root layer that owes the whole
-// prefix. It is called at a branch point, which marks the layer
-// pending, and at a fixpoint candidate, which encodes it.
+// chain or one past maxStabSessionDepth with a fresh root layer that
+// owes the whole prefix. It is called at a branch point, which marks
+// the layer pending, and at a fixpoint candidate, which encodes it.
 func (s *searcher) sessionFor(st *state) *stabSession {
-	if ss := st.sess; ss != nil && ss.depth < maxStabSessionDepth && !ss.arena.oversized(st.A.Len()) {
+	if ss := st.sess; ss != nil && ss.depth < maxStabSessionDepth {
 		return ss
 	}
-	st.sess = &stabSession{arena: newStabArena(s.db.Len())}
+	st.sess = &stabSession{}
 	return st.sess
 }
 
@@ -306,20 +249,20 @@ func (s *searcher) encodePending(ss *stabSession) {
 }
 
 // encodeWindow encodes ss's window up to store's length and counts it.
-// Arena growth counts against the run's memory watermark alongside the
-// facts themselves (see run.chargeMem), at litBytes per literal.
+// The layer's clause list counts against the run's memory watermark
+// alongside the facts themselves (see run.chargeMem), at litBytes per
+// entry; a check's solver is scratch and is not charged.
 func (s *searcher) encodeWindow(ss *stabSession, store *logic.FactStore) {
-	before := ss.arena.lits
+	before := len(ss.clauses)
 	s.stabWindows++
 	s.extendSession(ss, store)
-	s.chargeMem((ss.arena.lits - before) * litBytes)
+	s.chargeMem(int64(len(ss.clauses)-before) * litBytes)
 }
 
-// litBytes is the watermark charge per stability-clause literal: the
-// watermark is denominated in retained bytes (see Options.MaxMemory),
-// and a literal occupies roughly an 8-byte arena slot plus its share of
-// clause headers and watch lists.
-const litBytes = 16
+// litBytes is the watermark charge per entry of a layer's clause list
+// (a literal or a clause end): the watermark is denominated in
+// retained bytes (see Options.MaxMemory), and an entry is one int.
+const litBytes = 8
 
 // extendSession encodes the window [ss.hi, store.Len()) into the
 // session: new subset variables, completion joins of ancestor
@@ -328,25 +271,30 @@ const litBytes = 16
 // sweep even over an empty store, because rules with empty positive
 // bodies have homomorphisms no delta would ever cover.
 func (s *searcher) extendSession(ss *stabSession, store *logic.FactStore) {
+	// The layer's variables continue its parent's, which is encoded and
+	// frozen by now.
+	if ss.parent != nil && ss.nv < ss.parent.nv {
+		ss.nv = ss.parent.nv
+	}
 	from, to := ss.hi, store.Len()
 	if from >= to && !(ss.parent == nil && from == 0 && ss.vars == nil) {
 		ss.hi = to
 		return
 	}
-	ar := ss.arena
 	if ss.vars == nil {
 		ss.vars = make(map[int]int)
 	}
 	// New subset variables, and the window's predicate set for the
 	// completion joins.
+	dbLen := s.db.Len()
 	sc := &s.stab
 	sc.preds = sc.preds[:0]
 	if sc.predSeen == nil {
 		sc.predSeen = make(map[string]bool)
 	}
 	store.EachAtomIn(from, to, func(idx int, a logic.Atom) bool {
-		if idx >= ar.dbLen {
-			ss.vars[idx] = ar.sat.NewVar()
+		if idx >= dbLen {
+			ss.vars[idx] = ss.newVar()
 		}
 		if !sc.predSeen[a.Pred] {
 			sc.predSeen[a.Pred] = true
@@ -417,11 +365,11 @@ func (s *searcher) extendSession(ss *stabSession, store *logic.FactStore) {
 // extension lands entirely in the database (the rule instance is then
 // satisfied in every J ⊇ D).
 func (s *searcher) witLit(ss *stabSession, store *logic.FactStore, head []logic.Atom, mu logic.Subst) int {
-	ar := ss.arena
+	dbLen := s.db.Len()
 	conj := s.stab.conj[:0]
 	for _, a := range head {
 		idx, ok := store.IndexUnder(mu, a)
-		if !ok || idx < ar.dbLen {
+		if !ok || idx < dbLen {
 			continue // database atoms are in every candidate J
 		}
 		lit := ss.varOf(idx)
@@ -443,9 +391,9 @@ func (s *searcher) witLit(ss *stabSession, store *logic.FactStore, head []logic.
 	case 1:
 		return conj[0]
 	default:
-		aux := ar.sat.NewVar()
+		aux := ss.newVar()
 		for _, lit := range conj {
-			ar.addClause(-aux, lit)
+			ss.addClause(-aux, lit)
 		}
 		return aux
 	}
@@ -455,17 +403,11 @@ func (s *searcher) witLit(ss *stabSession, store *logic.FactStore, head []logic.
 // witness search over the full prefix, activation and extension
 // variables, and the occurrence index entries for future completions.
 func (s *searcher) registerHom(ss *stabSession, store *logic.FactStore, rule *logic.Rule, pos, neg []logic.Atom, h logic.Subst) {
-	ar := ss.arena
+	dbLen := s.db.Len()
 	sc := &s.stab
 	clause := sc.clause[:0]
-	act := 0
-	if len(neg) > 0 {
-		act = ar.sat.NewVar()
-		ar.actVars = append(ar.actVars, act)
-		clause = append(clause, -act)
-	}
 	for _, b := range pos {
-		if idx, ok := store.IndexUnder(h, b); ok && idx >= ar.dbLen {
+		if idx, ok := store.IndexUnder(h, b); ok && idx >= dbLen {
 			clause = append(clause, -ss.varOf(idx))
 		}
 	}
@@ -476,7 +418,7 @@ func (s *searcher) registerHom(ss *stabSession, store *logic.FactStore, rule *lo
 			// The disjunct's only possible witness is h(head[0]):
 			// one index probe replaces the homomorphism search.
 			if idx, ok := store.IndexUnder(h, head[0]); ok {
-				if idx < ar.dbLen {
+				if idx < dbLen {
 					trivial = true
 					break
 				}
@@ -501,18 +443,17 @@ func (s *searcher) registerHom(ss *stabSession, store *logic.FactStore, rule *lo
 		sc.clause = clause[:0]
 		return // satisfied in every J ⊇ D, for every descendant
 	}
-	hid := len(ar.homs)
-	hm := stabHom{rule: rule, hom: h.Clone()}
+	hm := &stabHom{rule: rule, hom: h.Clone()}
 	if len(neg) > 0 {
 		hm.negKeys = make([]logic.FactKey, 0, len(neg))
 		for _, n := range neg {
 			hm.negKeys = append(hm.negKeys, store.InternKey(h.ApplyAtom(n)))
 		}
-		hm.act = act
+		hm.act = ss.newVar()
+		clause = append(clause, -hm.act)
 	}
 	if !rule.IsConstraint() {
-		hm.ext = ar.sat.NewVar()
-		ar.extVars = append(ar.extVars, hm.ext)
+		hm.ext = ss.newVar()
 		clause = append(clause, hm.ext)
 		if ss.occ == nil {
 			ss.occ = make(map[string][]headOcc)
@@ -526,7 +467,7 @@ func (s *searcher) registerHom(ss *stabSession, store *logic.FactStore, rule *lo
 			for _, a := range rule.Heads[d] {
 				if !seen[a.Pred] {
 					seen[a.Pred] = true
-					ss.occ[a.Pred] = append(ss.occ[a.Pred], headOcc{hom: hid, disjunct: d, groundKey: groundKey})
+					ss.occ[a.Pred] = append(ss.occ[a.Pred], headOcc{hom: hm, disjunct: d, groundKey: groundKey})
 				}
 			}
 			for _, a := range rule.Heads[d] {
@@ -534,9 +475,8 @@ func (s *searcher) registerHom(ss *stabSession, store *logic.FactStore, rule *lo
 			}
 		}
 	}
-	ar.homs = append(ar.homs, hm)
-	ss.homs = append(ss.homs, hid)
-	ar.addClause(clause...)
+	ss.homs = append(ss.homs, hm)
+	ss.addClause(clause...)
 	sc.clause = clause[:0]
 }
 
@@ -545,9 +485,8 @@ func (s *searcher) registerHom(ss *stabSession, store *logic.FactStore, rule *lo
 // from are chained onto the homomorphism's path-latest extension tail
 // as ¬e ∨ w₁ ∨ … ∨ wₖ ∨ e'.
 func (s *searcher) completeHom(ss *stabSession, store *logic.FactStore, from int, oc headOcc) {
-	ar := ss.arena
-	hm := &ar.homs[oc.hom]
-	eOld, overridden := ss.latestExt(oc.hom)
+	hm := oc.hom
+	eOld, overridden := ss.latestExt(hm)
 	if overridden && eOld == 0 {
 		return // permanently satisfied along this path
 	}
@@ -560,14 +499,12 @@ func (s *searcher) completeHom(ss *stabSession, store *logic.FactStore, from int
 		if !ok || idx < from {
 			return // absent, or already encoded by an earlier window
 		}
-		eNew := ar.sat.NewVar()
-		ar.extVars = append(ar.extVars, eNew)
-		ss.links = append(ss.links, eNew)
-		ar.addClause(-eOld, ss.varOf(idx), eNew)
+		eNew := ss.newVar()
+		ss.addClause(-eOld, ss.varOf(idx), eNew)
 		if ss.ext == nil {
-			ss.ext = make(map[int]int)
+			ss.ext = make(map[*stabHom]int)
 		}
-		ss.ext[oc.hom] = eNew
+		ss.ext[hm] = eNew
 		return
 	}
 	satisfied := false
@@ -585,9 +522,9 @@ func (s *searcher) completeHom(ss *stabSession, store *logic.FactStore, from int
 	})
 	if satisfied {
 		if ss.ext == nil {
-			ss.ext = make(map[int]int)
+			ss.ext = make(map[*stabHom]int)
 		}
-		ss.ext[oc.hom] = 0
+		ss.ext[hm] = 0
 		sc.clause = clause[:0]
 		return
 	}
@@ -595,130 +532,97 @@ func (s *searcher) completeHom(ss *stabSession, store *logic.FactStore, from int
 		sc.clause = clause
 		return // no new witnesses in the window
 	}
-	eNew := ar.sat.NewVar()
-	ar.extVars = append(ar.extVars, eNew)
-	ss.links = append(ss.links, eNew)
+	eNew := ss.newVar()
 	clause = append(clause, -eOld, eNew)
-	ar.addClause(clause...)
+	ss.addClause(clause...)
 	sc.clause = clause[:0]
 	if ss.ext == nil {
-		ss.ext = make(map[int]int)
+		ss.ext = make(map[*stabHom]int)
 	}
-	ss.ext[oc.hom] = eNew
+	ss.ext[hm] = eNew
 }
 
-// stableSession decides the stability of the fixpoint candidate st.A
-// against its session chain. Enforced path homomorphisms — registered
-// along the path and with every negative instance still absent from M
-// — get their activation literal assumed and their path-latest
-// extension tail assumed false, which switches the full accumulated
-// clause on. Everything else in the arena is pinned to its satisfying
-// polarity (activations false, tails true, retired subset guards
-// false): dead encoding from sibling subtrees and earlier solves is
-// then satisfied by the assumptions alone, so the DPLL search never
-// branches inside it. One fresh guarded proper-subset clause over the
-// path's non-database atoms completes the query; UNSAT means no J with
-// D ⊆ J ⊊ M⁺ satisfies the τ-translation — M is stable.
+// stableSession decides the stability of the fixpoint candidate st.A on
+// the clauses of its session chain alone. The worker's solver is reset
+// and loaded with the chain's clause lists, root first. Enforced
+// homomorphisms of the chain — those with every negative instance
+// absent from M — get their activation literal assumed and their
+// path-latest extension tail assumed false, which switches the full
+// accumulated clause on; blocked ones get their activation assumed
+// false. One proper-subset clause over the chain's non-database atoms
+// completes the query; UNSAT means no J with D ⊆ J ⊊ M⁺ satisfies the
+// τ-translation — M is stable.
 func (s *searcher) stableSession(st *state) bool {
 	failpoint.Inject(failpoint.CoreStability)
 	ss := st.sess
-	ar := ss.arena
-	litsBefore := ar.lits
 	sc := &s.stab
-	if sc.extSeen == nil {
-		sc.extSeen = make(map[int]int)
-		sc.liveVars = make(map[int]bool)
+	if sc.solver == nil {
+		sc.solver = sat.New()
+		sc.extSeen = make(map[*stabHom]int)
 	}
-	ext := sc.extSeen   // homID -> path-latest extension tail
-	live := sc.liveVars // act/ext vars that must not be pinned to junk polarity
+	sv := sc.solver
+	sv.Reset()
+	for sv.NVars() < ss.nv {
+		sv.NewVar()
+	}
+	chain := sc.chain[:0]
 	for layer := ss; layer != nil; layer = layer.parent {
-		for hid, e := range layer.ext {
-			if _, ok := ext[hid]; !ok {
-				ext[hid] = e
+		chain = append(chain, layer)
+	}
+	ext := sc.extSeen // hom -> path-latest extension tail
+	subset := sc.clause[:0]
+	for i := len(chain) - 1; i >= 0; i-- {
+		layer := chain[i]
+		for cls := layer.clauses; len(cls) > 0; {
+			end := 0
+			for cls[end] != 0 {
+				end++
 			}
+			sv.AddClause(cls[:end]...)
+			cls = cls[end+1:]
 		}
-		// Every chain link allocated along the path stays free —
-		// including interior links superseded within their own window:
-		// the solver walks them to reach the enforced tail, and a free
-		// link can always satisfy its own clause through its successor.
-		for _, e := range layer.links {
-			live[e] = true
+		for _, v := range layer.vars {
+			subset = append(subset, -v)
+		}
+		// Deeper layers override shallower ones.
+		for hm, e := range layer.ext {
+			ext[hm] = e
 		}
 	}
 	assumps := sc.assumps[:0]
-	for layer := ss; layer != nil; layer = layer.parent {
-		for _, hid := range layer.homs {
-			hm := &ar.homs[hid]
-			e, overridden := ext[hid]
+	for _, layer := range chain {
+		for _, hm := range layer.homs {
+			e, overridden := ext[hm]
 			if !overridden {
 				e = hm.ext
-			}
-			if overridden && e == 0 {
+			} else if e == 0 {
 				continue // permanently satisfied along this path
 			}
-			blocked := false
-			for _, k := range hm.negKeys {
-				if st.A.HasFactKey(k) {
-					blocked = true
-					break
+			if hm.blockedIn(st.A) {
+				// Negatives are fixed to M: the clause is off.
+				if hm.act != 0 {
+					assumps = append(assumps, -hm.act)
 				}
-			}
-			if blocked {
-				continue // negatives are fixed to M: the clause is off
+				continue
 			}
 			if hm.act != 0 {
 				assumps = append(assumps, hm.act)
-				live[hm.act] = true
 			}
 			if e != 0 {
 				assumps = append(assumps, -e)
-				live[e] = true // assumed false: exempt from the true-pin
-				if hm.ext != e {
-					live[hm.ext] = true // first link of the enforced chain
-				}
 			}
 		}
 	}
-	for hid := range ext {
-		delete(ext, hid)
-	}
-	// Pin the dead encoding: inactive activations false, non-live
-	// extension tails true, every earlier solve's subset guard false.
-	for _, v := range ar.actVars {
-		if !live[v] {
-			assumps = append(assumps, -v)
-		}
-	}
-	for _, v := range ar.extVars {
-		if !live[v] {
-			assumps = append(assumps, v)
-		}
-	}
-	for _, v := range ar.guardVars {
-		assumps = append(assumps, -v)
-	}
-	for v := range live {
-		delete(live, v)
-	}
+	clear(ext)
 	// Proper subset: at least one non-database atom of M is dropped.
-	// The clause is guarded by a fresh variable assumed only now; later
-	// solves pin the guard false, so the clause goes permanently inert.
-	guard := ar.sat.NewVar()
-	clause := append(sc.clause[:0], -guard)
-	for layer := ss; layer != nil; layer = layer.parent {
-		for _, v := range layer.vars {
-			clause = append(clause, -v)
-		}
+	sv.AddClause(subset...)
+	if n := int64(sv.NVars()); n > s.stabMaxVars {
+		s.stabMaxVars = n
 	}
-	ar.addClause(clause...)
-	sc.clause = clause[:0]
-	ar.guardVars = append(ar.guardVars, guard)
-	assumps = append(assumps, guard)
-	sc.assumps = assumps[:0]
-	// Each solve retires one guarded subset clause into the arena for
-	// good; charge it against the memory watermark.
-	s.chargeMem((ar.lits - litsBefore) * litBytes)
-	return !ar.sat.Solve(assumps...)
+	stable := !sv.Solve(assumps...)
+	clear(chain)
+	sc.chain, sc.assumps, sc.clause = chain[:0], assumps[:0], subset[:0]
+	return stable
 }
 
 // stableAgainstSubsets decides the stability condition for one
@@ -732,7 +636,7 @@ func stableAgainstSubsets(db *logic.FactStore, rules []*logic.Rule, m *logic.Fac
 		store.Add(a)
 	}
 	s := &searcher{run: &run{rules: rules, db: db}}
-	sess := &stabSession{arena: newStabArena(db.Len())}
+	sess := &stabSession{}
 	s.extendSession(sess, store)
 	return s.stableSession(&state{A: store, sess: sess})
 }

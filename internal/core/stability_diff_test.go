@@ -204,10 +204,10 @@ func guardedChoiceProgram(t *testing.T, n, free int, poison bool) *logic.Program
 	return mustParseInternal(t, b.String())
 }
 
-// sessionWindows runs the session search and returns its stats, the
-// number of session windows it encoded, and the number of session
-// forks it made.
-func sessionWindows(t *testing.T, prog *logic.Program, workers int) (st Stats, windows, forks int64) {
+// sessionCounts runs the session search and returns its stats and its
+// session tally: windows encoded, forks made, and the most variables
+// one check's solver held.
+func sessionCounts(t *testing.T, prog *logic.Program, workers int) (Stats, *stabCounts) {
 	t.Helper()
 	var counts stabCounts
 	opt := Options{MaxAtoms: 256, Workers: workers, stabCounts: &counts}
@@ -215,7 +215,7 @@ func sessionWindows(t *testing.T, prog *logic.Program, workers int) (st Stats, w
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
-	return st, counts.windows.Load(), counts.forks.Load()
+	return st, &counts
 }
 
 // TestStabilitySessionEncodesOnDemand pins on-demand session encoding:
@@ -230,7 +230,8 @@ func TestStabilitySessionEncodesOnDemand(t *testing.T) {
 	const pathLayers = 2*n + 1
 	for _, workers := range []int{1, 8} {
 		// Poisoned: every leaf dies, so no candidate is ever checked.
-		st, windows, forks := sessionWindows(t, guardedChoiceProgram(t, n, n, true), workers)
+		st, c := sessionCounts(t, guardedChoiceProgram(t, n, n, true), workers)
+		windows, forks := c.windows.Load(), c.forks.Load()
 		if st.Branches < 100 || st.StabilityChecks != 0 {
 			t.Fatalf("workers=%d: poisoned choice made %d branches and %d checks, want >= 100 and 0",
 				workers, st.Branches, st.StabilityChecks)
@@ -241,7 +242,8 @@ func TestStabilitySessionEncodesOnDemand(t *testing.T) {
 		}
 
 		// Two free items: four candidate checks.
-		st, windows, forks = sessionWindows(t, guardedChoiceProgram(t, n, 2, false), workers)
+		st, c = sessionCounts(t, guardedChoiceProgram(t, n, 2, false), workers)
+		windows, forks = c.windows.Load(), c.forks.Load()
 		if st.ModelsEmitted != 4 || st.StabilityChecks != 4 {
 			t.Fatalf("workers=%d: %d models after %d checks, want 4 and 4", workers, st.ModelsEmitted, st.StabilityChecks)
 		}
@@ -252,6 +254,33 @@ func TestStabilitySessionEncodesOnDemand(t *testing.T) {
 		if windows == 0 || windows > bound {
 			t.Fatalf("workers=%d: %d windows encoded for %d checks and %d forks, want 1..%d",
 				workers, windows, st.StabilityChecks, forks, bound)
+		}
+	}
+}
+
+// TestStabilitySessionChecksLoadOnlyThePath pins that a check decides
+// its candidate on the clauses of its own root-to-leaf session chain:
+// the most variables any check's solver held depends on the path, not
+// on how many sibling subtrees were encoded or checked before it. Every
+// candidate of the guarded choice lies on a path of the same shape (one
+// in/out choice per item), so four checks (two free items) and
+// sixty-four checks (six free items) must load the same maximum, at
+// every worker count. A solver shared across the checks would grow
+// with every sibling subtree's encoding.
+func TestStabilitySessionChecksLoadOnlyThePath(t *testing.T) {
+	const n = 6
+	for _, workers := range []int{1, 2, 8} {
+		st, few := sessionCounts(t, guardedChoiceProgram(t, n, 2, false), workers)
+		if st.StabilityChecks != 4 {
+			t.Fatalf("workers=%d: %d checks with two free items, want 4", workers, st.StabilityChecks)
+		}
+		st, many := sessionCounts(t, guardedChoiceProgram(t, n, n, false), workers)
+		if st.StabilityChecks != 64 {
+			t.Fatalf("workers=%d: %d checks with six free items, want 64", workers, st.StabilityChecks)
+		}
+		if f, m := few.maxVars.Load(), many.maxVars.Load(); f == 0 || m != f {
+			t.Fatalf("workers=%d: checks held up to %d variables after 4 checks and %d after 64, want equal and nonzero",
+				workers, f, m)
 		}
 	}
 }

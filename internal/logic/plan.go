@@ -158,11 +158,22 @@ func (bp *BodyPlans) maskOf(init Subst) (mask uint64, ok bool) {
 	return mask, true
 }
 
+// predCounts appends the store's fact count of every positive body
+// atom's predicate to buf. A FindHoms or FindHomsFrom call takes the
+// counts once and checks every seed's plan against them: the store
+// does not change during a call.
+func (bp *BodyPlans) predCounts(store *FactStore, buf []int) []int {
+	for _, a := range bp.pos {
+		buf = append(buf, store.CountPred(a.Pred))
+	}
+	return buf
+}
+
 // valid reports whether a cached plan is still inside its re-plan
-// thresholds against the given store.
-func (bp *BodyPlans) valid(p *bodyPlan, store *FactStore) bool {
-	for i, a := range bp.pos {
-		if store.CountPred(a.Pred) > replanGrowth*p.predCnt[i]+replanSlack {
+// thresholds against the body's current predicate counts.
+func (p *bodyPlan) valid(counts []int) bool {
+	for i, n := range counts {
+		if n > replanGrowth*p.predCnt[i]+replanSlack {
 			return false
 		}
 	}
@@ -173,7 +184,8 @@ func (bp *BodyPlans) valid(p *bodyPlan, store *FactStore) bool {
 // positions, with the first `pinned` entries fixed (the delta seed) —
 // into the cached plan order for (seed, binding pattern of init),
 // computing and caching a fresh plan on miss or threshold crossing.
-func (bp *BodyPlans) applyPlan(seed, pinned int, pats []pat, idxs []int, init Subst, store *FactStore) {
+// counts are the store's body predicate counts (see predCounts).
+func (bp *BodyPlans) applyPlan(seed, pinned int, pats []pat, idxs []int, init Subst, store *FactStore, counts []int) {
 	mask, cacheable := bp.maskOf(init)
 	if !cacheable {
 		planOrder(pats, nil, pinned, init, store)
@@ -181,7 +193,7 @@ func (bp *BodyPlans) applyPlan(seed, pinned int, pats []pat, idxs []int, init Su
 	}
 	key := planKey{seed: seed, mask: mask}
 	if m := bp.plans.Load(); m != nil {
-		if p := (*m)[key]; p != nil && bp.valid(p, store) {
+		if p := (*m)[key]; p != nil && p.valid(counts) {
 			bp.hits.Add(1)
 			// Permute pats into the cached order in place: idxs names the
 			// original body position each slot holds, so every target slot
@@ -203,10 +215,7 @@ func (bp *BodyPlans) applyPlan(seed, pinned int, pats []pat, idxs []int, init Su
 	planOrder(pats, idxs, pinned, init, store)
 	plan := &bodyPlan{
 		order:   append([]int(nil), idxs...),
-		predCnt: make([]int, len(bp.pos)),
-	}
-	for i, a := range bp.pos {
-		plan.predCnt[i] = store.CountPred(a.Pred)
+		predCnt: append([]int(nil), counts...),
 	}
 	bp.mu.Lock()
 	old := bp.plans.Load()
@@ -243,7 +252,8 @@ func (bp *BodyPlans) FindHoms(store *FactStore, init Subst, fn HomVisitor) bool 
 		idxs[i] = i
 	}
 	if !joinPlanningOff.Load() && len(pats) > 1 {
-		bp.applyPlan(-1, 0, pats, idxs, init, store)
+		var buf [16]int
+		bp.applyPlan(-1, 0, pats, idxs, init, store, bp.predCounts(store, buf[:0]))
 	}
 	hs := &homSearch{store: store, neg: bp.neg, fn: fn, pats: pats}
 	return hs.extend(0, h)
@@ -261,7 +271,12 @@ func (bp *BodyPlans) FindHomsFrom(store *FactStore, from int, init Subst, fn Hom
 	if from >= n || len(bp.pos) == 0 {
 		return true
 	}
-	planning := !joinPlanningOff.Load()
+	// Every seed's plan is checked against the same predicate counts.
+	var buf [16]int
+	var counts []int
+	if !joinPlanningOff.Load() && len(bp.pos) > 2 {
+		counts = bp.predCounts(store, buf[:0])
+	}
 	// One buffer pair serves every seed: each seed's search finishes
 	// before the next seed rebuilds the arrangement.
 	pats := make([]pat, 0, len(bp.pos))
@@ -280,8 +295,8 @@ func (bp *BodyPlans) FindHomsFrom(store *FactStore, from int, init Subst, fn Hom
 				idxs = append(idxs, k)
 			}
 		}
-		if planning && len(pats) > 2 {
-			bp.applyPlan(j, 1, pats, idxs, init, store)
+		if counts != nil {
+			bp.applyPlan(j, 1, pats, idxs, init, store, counts)
 		}
 		h := init.Clone()
 		hs := &homSearch{store: store, neg: bp.neg, fn: fn, pats: pats}

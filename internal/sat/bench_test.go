@@ -77,35 +77,40 @@ func BenchmarkUnitPropagationChain(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveAssumptions pins the incremental-session usage pattern
-// of the stability checker: one solver instance, clauses built once
-// (guarded PHP(5,4) — every pigeon's placement clause carries an
-// activation literal), then many Solve calls whose assumptions select
-// which guards are active. reuse solves the same instance under
-// rotating assumption sets; rebuild re-encodes the formula per query,
-// the cost the session API exists to avoid.
+// BenchmarkSolveAssumptions pins the query patterns of the stability
+// checker over one formula, guarded PHP(5,4) (every pigeon's placement
+// clause carries an activation literal), whose queries' assumptions
+// select which guards are active. reuse solves one instance, built
+// once, under rotating assumption sets; reset is the checker's pattern,
+// one solver that Reset empties and the formula is re-added to for
+// every query; rebuild builds a new solver per query, the allocation
+// cost that Reset exists to avoid.
 func BenchmarkSolveAssumptions(b *testing.B) {
 	const holes, pigeons = 4, 5
 	v := func(i, h int) int { return i*holes + h + 1 }
 	act := func(i int) int { return pigeons*holes + i + 1 }
-	build := func() *Solver {
-		s := New()
-		for i := 0; i < pigeons; i++ {
-			cl := []int{-act(i)}
-			for h := 0; h < holes; h++ {
-				cl = append(cl, v(i, h))
-			}
-			s.AddClause(cl...)
-		}
+	var formula [][]int
+	for i := 0; i < pigeons; i++ {
+		cl := []int{-act(i)}
 		for h := 0; h < holes; h++ {
-			for i := 0; i < pigeons; i++ {
-				for j := i + 1; j < pigeons; j++ {
-					s.AddClause(-v(i, h), -v(j, h))
-				}
+			cl = append(cl, v(i, h))
+		}
+		formula = append(formula, cl)
+	}
+	for h := 0; h < holes; h++ {
+		for i := 0; i < pigeons; i++ {
+			for j := i + 1; j < pigeons; j++ {
+				formula = append(formula, []int{-v(i, h), -v(j, h)})
 			}
+		}
+	}
+	load := func(s *Solver) *Solver {
+		for _, cl := range formula {
+			s.AddClause(cl...)
 		}
 		return s
 	}
+	build := func() *Solver { return load(New()) }
 	queries := make([][]int, pigeons+1)
 	for skip := 0; skip < pigeons; skip++ {
 		for i := 0; i < pigeons; i++ {
@@ -124,6 +129,18 @@ func BenchmarkSolveAssumptions(b *testing.B) {
 			q := queries[i%len(queries)]
 			want := i%len(queries) < pigeons
 			if s.Solve(q...) != want {
+				b.Fatalf("query %d: want sat=%v", i%len(queries), want)
+			}
+		}
+	})
+	b.Run("reset", func(b *testing.B) {
+		s := build()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.Reset()
+			q := queries[i%len(queries)]
+			want := i%len(queries) < pigeons
+			if load(s).Solve(q...) != want {
 				b.Fatalf("query %d: want sat=%v", i%len(queries), want)
 			}
 		}

@@ -7,20 +7,16 @@
 // a smaller τ-model) and for the direct 2-QBF evaluator used as an
 // experimental baseline.
 //
-// The solver is designed for incremental sessions: Solve accepts
-// assumption literals and leaves the clause database intact, so one
-// instance can answer a long sequence of queries over a growing
-// formula — clauses are only ever added, and per-query conditions are
-// expressed as assumptions or activation literals instead of rebuilt
-// clauses. Assumptions are posted as decisions, so learnt clauses
-// mention them negatively where relevant and are implied by the clause
-// database alone: they remain valid for every later query. Clause
-// learning is what makes the sessions viable — a query typically
-// touches a small live slice of a much larger accumulated formula, and
-// learning confines the search to the connected conflict structure
-// instead of enumerating the dead parts. Clone produces an independent
-// copy for callers that branch a session across goroutines
-// (copy-on-extend).
+// Solve accepts assumption literals and leaves the clause database
+// intact, so one formula can answer several queries that differ only
+// in their assumptions. Assumptions are posted as decisions, so learnt
+// clauses mention them negatively where relevant and are implied by
+// the clause database alone: they stay valid for every later query on
+// the same formula. Reset empties the solver for the next formula but
+// keeps its storage: clauses live in one flat literal array and watch
+// lists are truncated rather than dropped, so a caller that builds one
+// formula per query — the stability checker loads each check's clauses
+// afresh — allocates only when a formula outgrows every earlier one.
 //
 // The encoding of literals in the public API follows the DIMACS
 // convention: variables are positive integers 1..n, a positive literal
@@ -38,21 +34,26 @@ const unassigned int8 = -1
 // noReason marks a decision, assumption or top-level fact on the trail.
 const noReason = -1
 
-// Solver is a reusable, incremental CNF solver. Add variables with
-// NewVar, clauses with AddClause, then call Solve — with or without
-// assumptions — any number of times, interleaving further NewVar and
-// AddClause calls freely. After a satisfiable call, Value reports the
-// model. The zero value is ready to use.
+// Solver is a reusable CNF solver. Add variables with NewVar, clauses
+// with AddClause, then call Solve — with or without assumptions — any
+// number of times, interleaving further NewVar and AddClause calls
+// freely; Reset starts the next formula on the same storage. After a
+// satisfiable call, Value reports the model. The zero value is ready
+// to use.
 type Solver struct {
-	nVars   int
-	clauses [][]int // internal literals; first two are watched (original + learnt)
-	watches [][]int // internal literal -> clause indexes watching it
-	units   []int   // internal literals from unit clauses (original + learnt)
-	unsat   bool    // an empty clause was added
+	nVars int
+	// lits is the flat clause store, original and learnt clauses alike:
+	// each clause is its length followed by its internal literals, the
+	// first two watched. A clause reference is the offset of the length.
+	lits     []int
+	nClauses int
+	watches  [][]int // internal literal -> references of clauses watching it
+	units    []int   // internal literals from unit clauses (original + learnt)
+	unsat    bool    // an empty clause was added
 
 	assign   []int8 // per-variable: unassigned, 0 (false), 1 (true)
 	level    []int  // per-variable decision level of the assignment
-	reason   []int  // per-variable antecedent clause index, or noReason
+	reason   []int  // per-variable antecedent clause reference, or noReason
 	phase    []int8 // per-variable saved phase (1 = try true first)
 	trail    []int
 	trailLim []int // trail length at each decision level
@@ -61,8 +62,9 @@ type Solver struct {
 	activity []float64 // per-variable branching activity (bumped on conflicts)
 	actInc   float64
 	seen     []bool // conflict-analysis scratch
+	learnt   []int  // conflict-analysis scratch: the clause being learnt
 
-	// Stats
+	// Stats, cumulative across Reset.
 	Decisions    int64
 	Propagations int64
 	Conflicts    int64
@@ -72,10 +74,39 @@ type Solver struct {
 // New returns an empty solver.
 func New() *Solver { return &Solver{} }
 
+// Reset empties the solver — variables, clauses (learnt ones
+// included), assignment and activities — while keeping its storage for
+// the next formula. Statistics keep accumulating.
+func (s *Solver) Reset() {
+	for i := range s.watches {
+		s.watches[i] = s.watches[i][:0]
+	}
+	s.watches = s.watches[:0]
+	s.nVars, s.nClauses = 0, 0
+	s.lits = s.lits[:0]
+	s.units = s.units[:0]
+	s.unsat = false
+	s.assign = s.assign[:0]
+	s.level = s.level[:0]
+	s.reason = s.reason[:0]
+	s.phase = s.phase[:0]
+	s.trail = s.trail[:0]
+	s.trailLim = s.trailLim[:0]
+	s.qhead = 0
+	s.activity = s.activity[:0]
+	s.actInc = 0
+	s.seen = s.seen[:0]
+}
+
 // NewVar allocates a fresh variable and returns its (1-based) index.
 func (s *Solver) NewVar() int {
 	s.nVars++
-	s.watches = append(s.watches, nil, nil)
+	if n := 2 * s.nVars; n <= cap(s.watches) {
+		// Reuse watch lists kept by Reset; they are already empty.
+		s.watches = s.watches[:n]
+	} else {
+		s.watches = append(s.watches, nil, nil)
+	}
 	s.assign = append(s.assign, unassigned)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, noReason)
@@ -90,7 +121,7 @@ func (s *Solver) NVars() int { return s.nVars }
 
 // NClauses returns the number of stored (non-unit, non-empty) clauses,
 // including learnt clauses.
-func (s *Solver) NClauses() int { return len(s.clauses) }
+func (s *Solver) NClauses() int { return s.nClauses }
 
 // intern converts a DIMACS literal to the internal encoding
 // (2*var for positive, 2*var+1 for negative, 0-based var).
@@ -105,10 +136,15 @@ func neg(l int) int     { return l ^ 1 }
 func litVar(l int) int  { return l >> 1 }
 func litSign(l int) int { return l & 1 } // 1 = negated
 
+// clause returns the literals of the clause stored at reference cr.
+func (s *Solver) clause(cr int) []int {
+	return s.lits[cr+1 : cr+1+s.lits[cr]]
+}
+
 // AddClause adds a clause given as DIMACS literals. Duplicate literals
 // are removed and tautological clauses dropped. Adding an empty clause
 // makes the instance trivially unsatisfiable. Variables are allocated
-// implicitly if needed.
+// implicitly if needed. The literals are copied; the caller keeps lits.
 func (s *Solver) AddClause(lits ...int) {
 	for _, l := range lits {
 		v := l
@@ -119,10 +155,14 @@ func (s *Solver) AddClause(lits ...int) {
 			s.NewVar()
 		}
 	}
-	cl := make([]int, 0, len(lits))
+	// Normalize in place at the end of the store: a clause that is
+	// dropped or kept as a unit is truncated away again.
+	cr := len(s.lits)
+	s.lits = append(s.lits, 0)
 	for _, l := range lits {
-		cl = append(cl, intern(l))
+		s.lits = append(s.lits, intern(l))
 	}
+	cl := s.lits[cr+1:]
 	sort.Ints(cl)
 	out := cl[:0]
 	for i, l := range cl {
@@ -130,33 +170,35 @@ func (s *Solver) AddClause(lits ...int) {
 			continue
 		}
 		if i > 0 && l == neg(cl[i-1]) {
+			s.lits = s.lits[:cr]
 			return // tautology
 		}
 		out = append(out, l)
 	}
-	cl = out
-	switch len(cl) {
+	switch len(out) {
 	case 0:
+		s.lits = s.lits[:cr]
 		s.unsat = true
 	case 1:
-		s.units = append(s.units, cl[0])
-		s.activity[litVar(cl[0])] += 4
+		s.lits = s.lits[:cr]
+		s.units = append(s.units, out[0])
+		s.activity[litVar(out[0])] += 4
 	default:
-		s.attachClause(cl)
-		for _, l := range cl {
+		s.lits = s.lits[:cr+1+len(out)]
+		s.lits[cr] = len(out)
+		s.watchClause(cr)
+		for _, l := range out {
 			s.activity[litVar(l)]++
 		}
 	}
 }
 
-// attachClause stores an internal clause and watches its first two
-// literals.
-func (s *Solver) attachClause(cl []int) int {
-	idx := len(s.clauses)
-	s.clauses = append(s.clauses, cl)
-	s.watches[cl[0]] = append(s.watches[cl[0]], idx)
-	s.watches[cl[1]] = append(s.watches[cl[1]], idx)
-	return idx
+// watchClause watches the first two literals of the stored clause cr.
+func (s *Solver) watchClause(cr int) {
+	cl := s.clause(cr)
+	s.watches[cl[0]] = append(s.watches[cl[0]], cr)
+	s.watches[cl[1]] = append(s.watches[cl[1]], cr)
+	s.nClauses++
 }
 
 // value returns the truth value of an internal literal under the
@@ -189,10 +231,11 @@ func (s *Solver) enqueue(l, from int) bool {
 	return true
 }
 
-// propagate performs unit propagation, returning the index of a
+// propagate performs unit propagation, returning the reference of a
 // conflicting clause or noReason when the queue drains cleanly.
 func (s *Solver) propagate() int {
 	failpoint.Inject(failpoint.SatPropagate)
+	lits := s.lits // propagation moves literals within clauses, never adds any
 	for s.qhead < len(s.trail) {
 		l := s.trail[s.qhead]
 		s.qhead++
@@ -201,15 +244,15 @@ func (s *Solver) propagate() int {
 		ws := s.watches[falsified]
 		kept := ws[:0]
 		for wi := 0; wi < len(ws); wi++ {
-			ci := ws[wi]
-			cl := s.clauses[ci]
+			cr := ws[wi]
+			cl := lits[cr+1 : cr+1+lits[cr]]
 			// Ensure the falsified literal is at position 1.
 			if cl[0] == falsified {
 				cl[0], cl[1] = cl[1], cl[0]
 			}
 			// If the other watch is true, the clause is satisfied.
 			if s.value(cl[0]) == 1 {
-				kept = append(kept, ci)
+				kept = append(kept, cr)
 				continue
 			}
 			// Look for a new literal to watch.
@@ -217,7 +260,7 @@ func (s *Solver) propagate() int {
 			for k := 2; k < len(cl); k++ {
 				if s.value(cl[k]) != 0 {
 					cl[1], cl[k] = cl[k], cl[1]
-					s.watches[cl[1]] = append(s.watches[cl[1]], ci)
+					s.watches[cl[1]] = append(s.watches[cl[1]], cr)
 					moved = true
 					break
 				}
@@ -226,13 +269,13 @@ func (s *Solver) propagate() int {
 				continue
 			}
 			// Clause is unit or conflicting.
-			kept = append(kept, ci)
-			if !s.enqueue(cl[0], ci) {
+			kept = append(kept, cr)
+			if !s.enqueue(cl[0], cr) {
 				// Conflict: keep remaining watches intact.
 				kept = append(kept, ws[wi+1:]...)
 				s.watches[falsified] = kept
 				s.Conflicts++
-				return ci
+				return cr
 			}
 		}
 		s.watches[falsified] = kept
@@ -261,9 +304,9 @@ func (s *Solver) cancelUntil(lvl int) {
 	s.trailLim = s.trailLim[:lvl]
 }
 
-// reset clears the assignment (clauses, learnt clauses and activities
-// are kept).
-func (s *Solver) reset() {
+// unassignAll clears the assignment, saving phases (clauses, learnt
+// clauses and activities are kept).
+func (s *Solver) unassignAll() {
 	for i := len(s.trail) - 1; i >= 0; i-- {
 		v := litVar(s.trail[i])
 		s.phase[v] = s.assign[v]
@@ -320,8 +363,7 @@ func (s *Solver) analyze(confl int, learnt []int) ([]int, int) {
 	index := len(s.trail) - 1
 	backLevel := 0
 	for {
-		cl := s.clauses[confl]
-		for _, q := range cl {
+		for _, q := range s.clause(confl) {
 			if q == p {
 				continue
 			}
@@ -361,65 +403,20 @@ func (s *Solver) analyze(confl int, learnt []int) ([]int, int) {
 	return learnt, backLevel
 }
 
-// Clone returns an independent deep copy of the solver: same
-// variables, clauses (learnt clauses included) and statistics, with
-// the assignment cleared. The copy and the original may afterwards
-// grow and solve independently — the hook for branching an incremental
-// session across goroutines.
-func (s *Solver) Clone() *Solver {
-	c := &Solver{
-		nVars:        s.nVars,
-		unsat:        s.unsat,
-		actInc:       s.actInc,
-		Decisions:    s.Decisions,
-		Propagations: s.Propagations,
-		Conflicts:    s.Conflicts,
-		Learnt:       s.Learnt,
-	}
-	c.clauses = make([][]int, len(s.clauses))
-	for i, cl := range s.clauses {
-		c.clauses[i] = append([]int(nil), cl...)
-	}
-	c.watches = make([][]int, len(s.watches))
-	for i, w := range s.watches {
-		if len(w) > 0 {
-			c.watches[i] = append([]int(nil), w...)
-		}
-	}
-	c.units = append([]int(nil), s.units...)
-	c.activity = append([]float64(nil), s.activity...)
-	c.phase = append([]int8(nil), s.phase...)
-	c.assign = make([]int8, s.nVars)
-	for i := range c.assign {
-		c.assign[i] = unassigned
-	}
-	c.level = make([]int, s.nVars)
-	c.reason = make([]int, s.nVars)
-	for i := range c.reason {
-		c.reason[i] = noReason
-	}
-	c.seen = make([]bool, s.nVars)
-	return c
-}
-
 // Solve reports whether the clause set is satisfiable under the given
 // assumption literals (DIMACS encoding). The clause database — learnt
 // clauses included — is left intact: callers may interleave
 // AddClause/NewVar with Solve calls, expressing per-query conditions
 // as assumptions rather than rebuilt formulas. With no assumptions it
 // decides plain satisfiability.
-func (s *Solver) Solve(assumptions ...int) bool { return s.SolveAssuming(assumptions...) }
-
-// SolveAssuming reports satisfiability under the given assumption
-// literals (DIMACS encoding). It is equivalent to Solve.
-func (s *Solver) SolveAssuming(assumptions ...int) bool {
+func (s *Solver) Solve(assumptions ...int) bool {
 	if s.unsat {
 		return false
 	}
 	if s.actInc == 0 {
 		s.actInc = 1
 	}
-	s.reset()
+	s.unassignAll()
 	// Top-level facts (original and learnt units).
 	for _, u := range s.units {
 		if !s.enqueue(u, noReason) {
@@ -447,15 +444,14 @@ func (s *Solver) SolveAssuming(assumptions ...int) bool {
 		}
 	}
 	rootLevel := s.decisionLevel()
-	var learnt []int
 	for {
 		confl := s.propagate()
 		if confl != noReason {
 			if s.decisionLevel() <= rootLevel {
 				return false
 			}
-			var backLevel int
-			learnt, backLevel = s.analyze(confl, learnt)
+			learnt, backLevel := s.analyze(confl, s.learnt)
+			s.learnt = learnt
 			if backLevel < rootLevel {
 				backLevel = rootLevel
 			}
@@ -480,9 +476,11 @@ func (s *Solver) SolveAssuming(assumptions ...int) bool {
 					learnt[1], learnt[k] = learnt[k], learnt[1]
 				}
 			}
-			cl := append([]int(nil), learnt...)
-			ci := s.attachClause(cl)
-			if !s.enqueue(cl[0], ci) {
+			cr := len(s.lits)
+			s.lits = append(s.lits, len(learnt))
+			s.lits = append(s.lits, learnt...)
+			s.watchClause(cr)
+			if !s.enqueue(learnt[0], cr) {
 				return false
 			}
 			continue
@@ -500,13 +498,3 @@ func (s *Solver) SolveAssuming(assumptions ...int) bool {
 // Value reports the truth value of variable v (1-based) in the model
 // found by the last successful Solve call.
 func (s *Solver) Value(v int) bool { return s.assign[v-1] == 1 }
-
-// Model returns the model as a slice indexed by variable (entry 0
-// unused).
-func (s *Solver) Model() []bool {
-	m := make([]bool, s.nVars+1)
-	for v := 1; v <= s.nVars; v++ {
-		m[v] = s.Value(v)
-	}
-	return m
-}

@@ -90,13 +90,13 @@ func TestPigeonhole32(t *testing.T) {
 func TestSolveAssuming(t *testing.T) {
 	s := New()
 	s.AddClause(1, 2)
-	if !s.SolveAssuming(-1) || !s.Value(2) {
+	if !s.Solve(-1) || !s.Value(2) {
 		t.Fatalf("assuming ¬x1 forces x2")
 	}
-	if !s.SolveAssuming(-2) || !s.Value(1) {
+	if !s.Solve(-2) || !s.Value(1) {
 		t.Fatalf("assuming ¬x2 forces x1")
 	}
-	if s.SolveAssuming(-1, -2) {
+	if s.Solve(-1, -2) {
 		t.Fatalf("assuming both false is UNSAT")
 	}
 	// Solver remains reusable after assumption calls.
@@ -135,14 +135,18 @@ func bruteSat(nVars int, clauses [][]int) bool {
 }
 
 // TestRandomAgainstBrute (property): the DPLL verdict matches brute
-// force on random 3-CNF instances.
+// force on random 3-CNF instances. Every instance is solved twice: on a
+// fresh solver, and on one solver reused through Reset across all
+// instances, whose verdict and model must be just as good.
 func TestRandomAgainstBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	reused := New()
 	for iter := 0; iter < 300; iter++ {
 		nVars := 2 + rng.Intn(8)
 		nClauses := 1 + rng.Intn(4*nVars)
 		var clauses [][]int
 		s := New()
+		reused.Reset()
 		for i := 0; i < nClauses; i++ {
 			width := 1 + rng.Intn(3)
 			cl := make([]int, 0, width)
@@ -155,30 +159,42 @@ func TestRandomAgainstBrute(t *testing.T) {
 			}
 			clauses = append(clauses, cl)
 			s.AddClause(cl...)
+			reused.AddClause(cl...)
 		}
 		want := bruteSat(nVars, clauses)
-		got := s.Solve()
-		if got != want {
-			t.Fatalf("iter %d: solver=%v brute=%v clauses=%v", iter, got, want, clauses)
-		}
-		if got {
-			// Verify the model actually satisfies every clause.
-			for _, cl := range clauses {
-				ok := false
-				for _, lit := range cl {
-					v := lit
-					if v < 0 {
-						v = -v
-					}
-					if s.Value(v) == (lit > 0) {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					t.Fatalf("iter %d: returned model violates clause %v", iter, cl)
-				}
+		for _, c := range []struct {
+			name string
+			s    *Solver
+		}{{"fresh", s}, {"reset", reused}} {
+			got := c.s.Solve()
+			if got != want {
+				t.Fatalf("iter %d (%s): solver=%v brute=%v clauses=%v", iter, c.name, got, want, clauses)
 			}
+			if got {
+				checkModel(t, c.s, clauses, iter, c.name)
+			}
+		}
+	}
+}
+
+// checkModel fails unless the solver's last model satisfies every
+// clause.
+func checkModel(t *testing.T, s *Solver, clauses [][]int, iter int, name string) {
+	t.Helper()
+	for _, cl := range clauses {
+		ok := false
+		for _, lit := range cl {
+			v := lit
+			if v < 0 {
+				v = -v
+			}
+			if s.Value(v) == (lit > 0) {
+				ok = true
+				break
+			}
+		}
+		if !ok {
+			t.Fatalf("iter %d (%s): returned model violates clause %v", iter, name, cl)
 		}
 	}
 }
@@ -328,54 +344,23 @@ func TestDuplicateAndTautologyClauses(t *testing.T) {
 	}
 }
 
-// TestCloneIndependence pins Clone: the copy answers like the original
-// and the two instances diverge independently afterwards.
-func TestCloneIndependence(t *testing.T) {
-	s := New()
-	s.AddClause(1, 2)
-	s.AddClause(-1, 3)
-	if !s.Solve(1) || !s.Value(3) {
-		t.Fatalf("original must be SAT with x1→x3")
-	}
-	c := s.Clone()
-	if c.NVars() != s.NVars() || c.NClauses() != s.NClauses() {
-		t.Fatalf("clone shape mismatch: vars %d/%d clauses %d/%d",
-			c.NVars(), s.NVars(), c.NClauses(), s.NClauses())
-	}
-	if !c.Solve(1) || !c.Value(3) {
-		t.Fatalf("clone must reproduce the original's verdict")
-	}
-	// Diverge: contradiction in the clone only.
-	c.AddClause(-3)
-	if c.Solve(1) {
-		t.Fatalf("clone with ¬x3 must be UNSAT under x1")
-	}
-	if !s.Solve(1) || !s.Value(3) {
-		t.Fatalf("original must be unaffected by the clone's clauses")
-	}
-	// Diverge the other way: new variable and clause in the original.
-	v := s.NewVar()
-	s.AddClause(-v)
-	if !s.Solve(1) || s.Value(v) {
-		t.Fatalf("original must absorb new clauses after cloning")
-	}
-	if c.NVars() != 3 {
-		t.Fatalf("clone must not see the original's new variable")
-	}
-}
-
 // TestAssumptionsMatchBrute (property): Solve under random assumptions
 // agrees with brute force over the clause set extended by the
-// assumption units.
+// assumption units. Every query is answered twice: by a fresh solver
+// per instance, and by one solver reused through Reset across all
+// instances.
 func TestAssumptionsMatchBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(977))
+	reused := New()
 	for iter := 0; iter < 200; iter++ {
 		nVars := 2 + rng.Intn(7)
 		nClauses := 1 + rng.Intn(3*nVars)
 		var clauses [][]int
 		s := New()
+		reused.Reset()
 		for s.NVars() < nVars {
 			s.NewVar()
+			reused.NewVar()
 		}
 		for i := 0; i < nClauses; i++ {
 			width := 1 + rng.Intn(3)
@@ -389,6 +374,7 @@ func TestAssumptionsMatchBrute(t *testing.T) {
 			}
 			clauses = append(clauses, cl)
 			s.AddClause(cl...)
+			reused.AddClause(cl...)
 		}
 		// Several assumption queries against the same instance.
 		for q := 0; q < 4; q++ {
@@ -413,6 +399,10 @@ func TestAssumptionsMatchBrute(t *testing.T) {
 			want := bruteSat(nVars, ext)
 			if got := s.Solve(assumps...); got != want {
 				t.Fatalf("iter %d q %d: solver=%v brute=%v assumps=%v clauses=%v",
+					iter, q, got, want, assumps, clauses)
+			}
+			if got := reused.Solve(assumps...); got != want {
+				t.Fatalf("iter %d q %d (reset): solver=%v brute=%v assumps=%v clauses=%v",
 					iter, q, got, want, assumps, clauses)
 			}
 		}
