@@ -451,9 +451,9 @@ func BenchmarkE16IndexedChaseScale(b *testing.B) {
 
 // BenchmarkSolverReuse pins the compile-once amortization of the
 // Solver session API: N enumerations on one compiled Solver versus N
-// one-shot StableModels calls (each of which re-validates,
-// re-classifies, re-derives the chase budget, and recompiles the
-// search metadata).
+// one-shot runs, each compiling a throwaway Solver (re-validating,
+// re-classifying, re-deriving the chase budget, and recompiling the
+// search metadata) and collecting its models.
 func BenchmarkSolverReuse(b *testing.B) {
 	src := ""
 	for i := 0; i < 24; i++ {
@@ -495,12 +495,16 @@ func BenchmarkSolverReuse(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for r := 0; r < runs; r++ {
-				res, err := ntgd.StableModels(prog, opt)
+				s, err := ntgd.Compile(prog, ntgd.CompileOptions{Options: opt})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(res.Models) != 1 {
-					b.Fatalf("models = %d, want 1", len(res.Models))
+				models, err := collectModels(context.Background(), s)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(models) != 1 {
+					b.Fatalf("models = %d, want 1", len(models))
 				}
 			}
 		}

@@ -34,16 +34,9 @@ type Database struct {
 	frozen bool
 }
 
-// NewDatabase returns an empty fact base backed by the default
-// in-memory storage.
+// NewDatabase returns an empty fact base.
 func NewDatabase() *Database {
 	return &Database{store: logic.NewFactStore()}
-}
-
-// NewDatabaseOn returns a fact base backed by the given Storage, which
-// may already contain facts (they count toward Len after Freeze).
-func NewDatabaseOn(st Storage) *Database {
-	return &Database{store: logic.NewFactStoreOn(st)}
 }
 
 // AddFacts appends facts to the pending batch. Facts must be ground
@@ -108,24 +101,15 @@ func (d *Database) snapshot() *FactStore {
 	return d.store.Snapshot()
 }
 
-// rootDatabase resolves CompileOptions' storage seam: a pre-loaded
-// Database or a caller-supplied Storage backs the root, with the
-// program's own facts added on a private snapshot layer; by default
-// the program's facts become a fresh root of their own (the legacy
-// path, which the seam generalizes).
-func rootDatabase(p *Program, opt CompileOptions) (*FactStore, error) {
-	switch {
-	case opt.Database != nil && opt.Store != nil:
-		return nil, fmt.Errorf("ntgd: CompileOptions.Database and CompileOptions.Store are mutually exclusive")
-	case opt.Database != nil:
-		db := opt.Database.snapshot()
-		db.AddAll(p.Facts)
-		return db, nil
-	case opt.Store != nil:
-		db := logic.NewFactStoreOn(opt.Store).Snapshot()
-		db.AddAll(p.Facts)
-		return db, nil
-	default:
-		return p.Database(), nil
+// rootDatabase returns the compiled program's root database: with a
+// pre-loaded Database, a snapshot of it carrying the program's own
+// facts on its private layer; otherwise the program's facts as a fresh
+// root of their own.
+func rootDatabase(p *Program, opt CompileOptions) *FactStore {
+	if opt.Database == nil {
+		return p.Database()
 	}
+	db := opt.Database.snapshot()
+	db.AddAll(p.Facts)
+	return db
 }

@@ -11,10 +11,10 @@ import (
 
 // TestDatabaseMatchesLegacyCompile pins the PR 9 wrapper-equivalence
 // contract: compiling a program whose facts live in a pre-loaded
-// Database (or a caller-supplied Storage) yields exactly the canonical
-// model set of the legacy path that carries the facts inside the
-// Program — under every semantics, including when the facts are split
-// between the Database and the Program.
+// Database yields exactly the canonical model set of the legacy path
+// that carries the facts inside the Program — under every semantics,
+// including when the facts are split between the Database and the
+// Program.
 func TestDatabaseMatchesLegacyCompile(t *testing.T) {
 	progs := []string{
 		"e(a,b). e(b,c). e(c,a). u(a). e(X,Y), not u(Y) -> r(X,Y).",
@@ -57,18 +57,6 @@ func TestDatabaseMatchesLegacyCompile(t *testing.T) {
 					t.Fatalf("program %d: database path differs:\n%v\nwant %v", pi, canonicalSet(got), wantSet)
 				}
 
-				// Storage path: facts pre-loaded into a raw backend.
-				st := ntgd.NewStorage()
-				ntgd.NewFactStoreOn(st).AddAll(prog.Facts)
-				sst := ntgd.MustCompile(rulesOnly, ntgd.CompileOptions{Semantics: sem, Options: opt, Store: st})
-				got, err = collectModels(context.Background(), sst)
-				if err != nil {
-					t.Fatalf("storage-path models: %v", err)
-				}
-				if !equalStringSlices(canonicalSet(got), wantSet) {
-					t.Fatalf("program %d: storage path differs:\n%v\nwant %v", pi, canonicalSet(got), wantSet)
-				}
-
 				// Split path: half the facts in the Database, half still in
 				// the Program (layered on the snapshot at compile time).
 				half := len(prog.Facts) / 2
@@ -91,8 +79,8 @@ func TestDatabaseMatchesLegacyCompile(t *testing.T) {
 }
 
 // TestDatabaseLifecycle pins the builder contract: validation at
-// AddFacts, idempotent Freeze, the frozen-write error, Len before and
-// after Freeze, and the Database/Store exclusivity check.
+// AddFacts, idempotent Freeze, the frozen-write error, and Len before
+// and after Freeze.
 func TestDatabaseLifecycle(t *testing.T) {
 	db := ntgd.NewDatabase()
 	if err := db.AddFacts(ntgd.A("p", ntgd.C("a")), ntgd.A("p", ntgd.C("b")), ntgd.A("p", ntgd.C("a"))); err != nil {
@@ -118,11 +106,6 @@ func TestDatabaseLifecycle(t *testing.T) {
 	}
 	if got := db.Len(); got != 2 {
 		t.Fatalf("frozen Len = %d, want 2", got)
-	}
-
-	prog := ntgd.MustParse("p(X) -> q(X).")
-	if _, err := ntgd.Compile(prog, ntgd.CompileOptions{Database: db, Store: ntgd.NewStorage()}); err == nil {
-		t.Fatalf("Database and Store together must be rejected")
 	}
 }
 

@@ -81,12 +81,6 @@
 // extension (the query's constants, Example 2's bob) is handled
 // automatically by Entails and Answers.
 //
-// The package-level one-shot functions (StableModels, Entails,
-// Answers, and their ...Under variants) are retained as deprecated
-// wrappers: each compiles a throwaway Solver per call and delegates,
-// so existing callers keep working but pay the compile cost every
-// time.
-//
 // # Robustness
 //
 // A Solver is built for long-lived concurrent hosts. It is safe for
@@ -190,22 +184,20 @@
 // integer comparisons, and the memory watermark charges exactly the
 // packed bytes (TupleBytes).
 //
-// The root of every snapshot chain sits behind the logic.Storage
-// interface. The default in-memory implementation keeps the packed
-// keys in one contiguous blob under an open-addressed index. It has
-// exactly one write path: AddAll renders and interns the whole batch
-// under a single interner lock, deduplicates against the
-// pre-reserved key index, and builds the posting lists by counting
-// sort over the dense ids — per-fact Add is the degenerate one-atom
-// batch, paying the per-call setup that bulk loads amortize
-// (BenchmarkBulkLoad pins the ≥5x gap on a 10⁶-fact base). Snapshot
-// layers above the root are unchanged by the storage API: layer
-// reads merge over Storage exactly as they merge over parent layers.
-// Alternative backings plug in through ntgd.CompileOptions.Store or,
-// for reusable pre-loaded fact bases, an ntgd.Database built once
-// and shared across compiles; a randomized differential suite plus
-// FuzzStorage pin any Storage-visible behavior to the per-fact
-// reference build.
+// Every layer of a snapshot chain, root included, keeps its own atoms
+// in one packed index: the keys in one contiguous blob under an
+// open-addressed table, plus open-addressed posting-list and domain
+// tables. A layer allocates its index on its first write, so a
+// snapshot that never writes costs one small struct. Add inserts into
+// the writing layer's index incrementally, and reads merge the layers.
+// AddAll on a root bulk-loads the batch: one interner lock for the
+// whole batch, dedup against the pre-reserved key table, and posting
+// lists built by counting sort over the dense ids. A batch that is
+// small next to the symbol table goes through Add instead.
+// BenchmarkBulkLoad compares the two paths on a 10⁶-fact base.
+// Pre-loaded fact bases are passed as an ntgd.Database, built once and
+// shared across compiles. A randomized differential suite and
+// FuzzStorage pin every build path to the per-fact reference build.
 //
 // # Evaluation engine
 //

@@ -1,6 +1,7 @@
 package ntgd_test
 
 import (
+	"context"
 	"testing"
 
 	"ntgd"
@@ -16,7 +17,8 @@ func TestParseTestdataFiles(t *testing.T) {
 	if len(father.Rules) != 3 || len(father.Queries) != 2 {
 		t.Fatalf("father.ntgd shape wrong: %d rules, %d queries", len(father.Rules), len(father.Queries))
 	}
-	v, err := ntgd.Entails(father, father.Queries[0], ntgd.Cautious, ntgd.Options{})
+	ctx := context.Background()
+	v, err := ntgd.MustCompile(father, ntgd.CompileOptions{}).Entails(ctx, father.Queries[0], ntgd.Cautious)
 	if err != nil || v.Entailed {
 		t.Fatalf("father q1 should not be entailed (err=%v)", err)
 	}
@@ -25,16 +27,16 @@ func TestParseTestdataFiles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("section32.ntgd: %v", err)
 	}
-	res, err := ntgd.StableModels(s32, ntgd.Options{})
-	if err != nil || len(res.Models) != 0 {
-		t.Fatalf("section32 should have no stable models (err=%v, models=%d)", err, len(res.Models))
+	models, err := collectModels(ctx, ntgd.MustCompile(s32, ntgd.CompileOptions{}))
+	if err != nil || len(models) != 0 {
+		t.Fatalf("section32 should have no stable models (err=%v, models=%d)", err, len(models))
 	}
 
 	col, err := ntgd.ParseFile("testdata/coloring.ntgd")
 	if err != nil {
 		t.Fatalf("coloring.ntgd: %v", err)
 	}
-	v, err = ntgd.Entails(col, col.Queries[0], ntgd.Brave, ntgd.Options{})
+	v, err = ntgd.MustCompile(col, ntgd.CompileOptions{}).Entails(ctx, col.Queries[0], ntgd.Brave)
 	if err != nil || !v.Entailed {
 		t.Fatalf("triangle is not 2-colorable; bad should be bravely entailed (err=%v)", err)
 	}

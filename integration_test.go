@@ -1,6 +1,7 @@
 package ntgd_test
 
 import (
+	"context"
 	"testing"
 
 	"ntgd"
@@ -24,18 +25,20 @@ hasFather(X,Y), hasFather(X,Z), not sameAs(Y,Z) -> abnormal(X).
 	if !rep.WeaklyAcyclic {
 		t.Fatalf("father program is weakly acyclic: %s", rep)
 	}
-	res, err := ntgd.StableModels(prog, ntgd.Options{})
+	ctx := context.Background()
+	s := ntgd.MustCompile(prog, ntgd.CompileOptions{})
+	models, err := collectModels(ctx, s)
 	if err != nil {
-		t.Fatalf("StableModels: %v", err)
+		t.Fatalf("Models: %v", err)
 	}
-	if len(res.Models) != 2 {
-		t.Fatalf("models = %d, want 2", len(res.Models))
+	if len(models) != 2 {
+		t.Fatalf("models = %d, want 2", len(models))
 	}
-	v, err := ntgd.Entails(prog, prog.Queries[0], ntgd.Cautious, ntgd.Options{})
+	v, err := s.Entails(ctx, prog.Queries[0], ntgd.Cautious)
 	if err != nil || !v.Entailed {
 		t.Fatalf("q1 should be cautiously entailed (err=%v)", err)
 	}
-	v, err = ntgd.Entails(prog, prog.Queries[1], ntgd.Cautious, ntgd.Options{})
+	v, err = s.Entails(ctx, prog.Queries[1], ntgd.Cautious)
 	if err != nil || v.Entailed {
 		t.Fatalf("q2 must not be entailed under the SO semantics (err=%v)", err)
 	}
@@ -59,7 +62,7 @@ hasFather(X,Y), hasFather(X,Z), not sameAs(Y,Z) -> abnormal(X).
 		ntgd.Operational: true,  // fresh-nulls-only loses it too
 	}
 	for sem, expect := range want {
-		v, err := ntgd.EntailsUnder(prog, q, ntgd.Cautious, sem, ntgd.Options{})
+		v, err := ntgd.MustCompile(prog, ntgd.CompileOptions{Semantics: sem}).Entails(context.Background(), q, ntgd.Cautious)
 		if err != nil {
 			t.Fatalf("%v: %v", sem, err)
 		}
@@ -92,12 +95,14 @@ edge(X,Y), green(X), green(Y) -> clash.
 	if err != nil {
 		t.Fatalf("EliminateDisjunction: %v", err)
 	}
+	orig := ntgd.MustCompile(prog, ntgd.CompileOptions{})
+	elimSolver := ntgd.MustCompile(elim, ntgd.CompileOptions{})
 	for _, mode := range []ntgd.Mode{ntgd.Cautious, ntgd.Brave} {
-		a, err := ntgd.Entails(prog, q, mode, ntgd.Options{})
+		a, err := orig.Entails(context.Background(), q, mode)
 		if err != nil {
 			t.Fatalf("original %v: %v", mode, err)
 		}
-		b, err := ntgd.Entails(elim, q, mode, ntgd.Options{})
+		b, err := elimSolver.Entails(context.Background(), q, mode)
 		if err != nil {
 			t.Fatalf("eliminated %v: %v", mode, err)
 		}

@@ -1,6 +1,9 @@
 package logic
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // This file implements homomorphism search: finding substitutions h such
 // that h(pos) ⊆ store and, for the closed-world reading used throughout
@@ -157,7 +160,7 @@ func (hs *homSearch) probeBound(h Subst, a Atom) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	return hs.store.lookupPacked(key)
+	return hs.store.lookupPacked(key, math.MaxInt)
 }
 
 func (hs *homSearch) extend(i int, h Subst) bool {
@@ -357,7 +360,7 @@ func (s *FactStore) IndexUnder(h Subst, a Atom) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	return s.lookupPacked(key)
+	return s.lookupPacked(key, math.MaxInt)
 }
 
 // clipWindowU32 narrows an ascending index list to [lo, hi) by binary

@@ -42,91 +42,21 @@ type argID struct {
 	term uint32
 }
 
-// Storage is the root layer of a FactStore: an append-only, indexed
-// tuple set addressed by global store index (insertion rank). The
-// copy-on-write snapshot machinery, homomorphism search, chase, and
-// stability sessions all run against this interface, so alternative
-// roots (mmap-backed, columnar, remote) can be swapped in via
-// ntgd.CompileOptions without touching the engine.
-//
-// Contract:
-//   - Indices are dense and stable: the i-th accepted Add (or AddAll
-//     element) has index i forever; Len only grows.
-//   - Atoms must be ground; every symbol of an accepted atom is
-//     interned into Symbols(), and IndexOf/IndexOfKey resolve exactly
-//     the packed keys built from that table.
-//   - Postings and PredIndices return ascending index lists; the slices
-//     are shared with the storage and must not be modified. Callers clip
-//     them to index windows for snapshot visibility, so entries beyond a
-//     reader's bound are harmless.
-//   - Reads must be safe concurrently with each other. Add/AddAll are
-//     called only under the FactStore freeze discipline: one writer, no
-//     concurrent readers on the same chain layer.
-//   - TupleBytes is the retained packed-tuple volume (factKeyBytes per
-//     fact); the engine's MaxMemory watermark charges against it.
-type Storage interface {
-	// Symbols returns the interner all keys and ids refer to.
-	Symbols() *Symbols
-	// Len returns the number of facts.
-	Len() int
-	// TupleBytes returns the total packed size of the stored tuples.
-	TupleBytes() int64
-	// Atoms returns all facts in index order, shared with the storage.
-	Atoms() []Atom
-	// AtomAt returns the fact with the given index.
-	AtomAt(i int) Atom
-	// IndexOf resolves a packed key held in a scratch buffer.
-	IndexOf(key []byte) (int, bool)
-	// IndexOfKey resolves a stored FactKey.
-	IndexOfKey(key FactKey) (int, bool)
-	// Postings returns the ascending indices of facts with predicate
-	// pred whose argument at position pos is the term with id term.
-	Postings(pred uint32, pos int, term uint32) []uint32
-	// PredIndices returns the ascending indices of facts with the given
-	// predicate.
-	PredIndices(pred uint32) []uint32
-	// DomainIndex returns the index of the fact that introduced the
-	// constant or null with id term into the domain, if any.
-	DomainIndex(term uint32) (int, bool)
-	// Add inserts one fact, returning its index and whether it was new.
-	Add(a Atom) (int, bool)
-	// AddAll bulk-inserts facts, building indexes in one pass, and
-	// returns how many were new. Equivalent to Add in a loop.
-	AddAll(atoms []Atom) int
-	// EachFact, EachPred, EachPosting, and EachDomain iterate the
-	// key, per-predicate, posting-list, and domain indexes (in
-	// unspecified order); fn returning false stops the walk and makes
-	// the iterator return false. They exist so snapshot flattening can
-	// merge a root without knowing its concrete type.
-	EachFact(fn func(key FactKey, idx int) bool) bool
-	EachPred(fn func(pred uint32, idxs []uint32) bool) bool
-	EachPosting(fn func(id argID, idxs []uint32) bool) bool
-	EachDomain(fn func(term uint32, idx int) bool) bool
-}
-
-// NewStorage returns an empty in-memory Storage with a fresh Symbols
-// table — the default root used by NewFactStore, exported so callers of
-// ntgd.CompileOptions.Store can pre-load one.
-func NewStorage() Storage { return newMemStorage(NewSymbols()) }
-
-// factIndex is the fact-key index of memStorage: an append-only
-// open-addressed table from packed keys to dense store indices (linear
-// probing, power-of-two slots, no deletions — stores only grow). Three
-// properties beat the general-purpose map for this workload: the hash
-// is integer mixing over the key's id words rather than byte-string
-// hashing; a miss hands back the slot the probe ended on, so
-// dedup-then-insert — the per-fact hot path and the bulk loader's
-// inner loop — costs one traversal instead of two; and the key bytes
-// live in one pointer-free blob (blob + ends), so the index holds no
-// per-key allocation and the garbage collector never scans it.
+// factIndex is the fact-key table of a layerIndex: an append-only
+// open-addressed table from packed keys to the layer's dense local
+// offsets (linear probing, power-of-two slots, no deletions — stores
+// only grow). Three properties beat the general-purpose map for this
+// workload: the hash is integer mixing over the key's id words rather
+// than byte-string hashing; a miss hands back the slot the probe ended
+// on, so dedup-then-insert — the per-fact hot path and the bulk
+// loader's inner loop — costs one traversal instead of two; and the key
+// bytes live in one pointer-free blob (blob + ends), so the index holds
+// no per-key allocation and the garbage collector never scans it.
 type factIndex struct {
-	slots []uint32  // store index + 1; 0 = empty
-	blob  []byte    // all key bytes, concatenated in index order
-	ends  []uint32  // ends[i] = end offset of key i (start = ends[i-1])
-	stage []FactKey // flatten staging; nil outside setAt/rebuild
+	slots []uint32 // local offset + 1; 0 = empty
+	blob  []byte   // all key bytes, concatenated in offset order
+	ends  []uint32 // ends[i] = end offset of key i (start = ends[i-1])
 }
-
-const factIndexMinSlots = 16
 
 // hashWord folds one 4-byte id word into h (FNV-1a step).
 func hashWord(h, w uint64) uint64 { return (h ^ w) * 1099511628211 }
@@ -154,7 +84,7 @@ func hashFactKeyBytes(k []byte) uint32 {
 	return hashMix(h)
 }
 
-// keyBytes returns the packed key of store index i, aliasing the blob.
+// keyBytes returns the packed key of local offset i, aliasing the blob.
 func (fi *factIndex) keyBytes(i int) []byte {
 	lo := uint32(0)
 	if i > 0 {
@@ -163,20 +93,9 @@ func (fi *factIndex) keyBytes(i int) []byte {
 	return fi.blob[lo:fi.ends[i]]
 }
 
-func (fi *factIndex) lookup(k FactKey) (int, bool) {
-	_, idx, ok := fi.findSlot(k)
-	return idx, ok
-}
-
-// lookupBytes resolves a packed key held in a scratch buffer without
-// copying it (the conversions below compile to allocation-free
-// comparisons).
-func (fi *factIndex) lookupBytes(key []byte) (int, bool) {
-	_, idx, ok := fi.findSlotBytes(key)
-	return idx, ok
-}
-
-// findSlotBytes is findSlot for a packed key held in a scratch buffer.
+// findSlotBytes is findSlot for a packed key held in a scratch buffer,
+// resolved without copying it (the conversion below compiles to an
+// allocation-free comparison).
 func (fi *factIndex) findSlotBytes(key []byte) (slot uint32, idx int, ok bool) {
 	mask := uint32(len(fi.slots) - 1)
 	s := hashFactKeyBytes(key) & mask
@@ -192,7 +111,7 @@ func (fi *factIndex) findSlotBytes(key []byte) (slot uint32, idx int, ok bool) {
 	}
 }
 
-// findSlot returns the store index of k if present, or else the empty
+// findSlot returns the local offset of k if present, or else the empty
 // slot where it belongs. The one-writer rule guarantees nothing is
 // inserted between findSlot and the paired insert.
 func (fi *factIndex) findSlot(k FactKey) (slot uint32, idx int, ok bool) {
@@ -210,28 +129,16 @@ func (fi *factIndex) findSlot(k FactKey) (slot uint32, idx int, ok bool) {
 	}
 }
 
-// insertKey records k as the key of the next store index, filling the
-// slot findSlot returned and growing past 3/4 load (growth invalidates
-// outstanding slot positions).
-func (fi *factIndex) insertKey(slot uint32, k FactKey) int {
-	fi.blob = append(fi.blob, k...)
-	return fi.finishInsert(slot)
-}
-
-// insertBytes is insertKey for a key held in a scratch buffer.
-func (fi *factIndex) insertBytes(slot uint32, key []byte) int {
+// insert records key as the key of the next local offset, filling the
+// slot findSlotBytes returned and growing past 3/4 load (growth
+// invalidates outstanding slot positions).
+func (fi *factIndex) insert(slot uint32, key []byte) {
 	fi.blob = append(fi.blob, key...)
-	return fi.finishInsert(slot)
-}
-
-func (fi *factIndex) finishInsert(slot uint32) int {
-	idx := len(fi.ends)
 	fi.ends = append(fi.ends, uint32(len(fi.blob)))
-	fi.slots[slot] = uint32(idx + 1)
+	fi.slots[slot] = uint32(len(fi.ends))
 	if 4*len(fi.ends) >= 3*len(fi.slots) {
 		fi.grow(2 * len(fi.slots))
 	}
-	return idx
 }
 
 func (fi *factIndex) grow(size int) {
@@ -277,11 +184,11 @@ func (fi *factIndex) reserve(n, bytes int) {
 	}
 }
 
-// nameMemo is the batch-local constant-name → term-id memo of AddAll:
+// nameMemo is the batch-local constant-name → term-id memo of addBulk:
 // an open-addressed table whose entries keep the name header and id on
 // one cache line, probed with the same miss-returns-the-slot protocol
 // as factIndex. Bulk inputs resolve every argument through it, so the
-// probe is on AddAll's critical path; a general-purpose map costs
+// probe is on addBulk's critical path; a general-purpose map costs
 // roughly twice as much per probe here.
 type nameMemo struct {
 	slots   []uint32 // entry index + 1; 0 = empty
@@ -293,9 +200,9 @@ type nameEntry struct {
 	id   uint32
 }
 
-// newNameMemo sizes the initial table for a batch of n atoms: tiny
-// batches get a tiny table (Add routes through here per call), bulk
-// loads start at 1024 slots and grow with their vocabulary.
+// newNameMemo sizes the initial table for a batch of n atoms: small
+// batches get a small table, bulk loads start at 1024 slots and grow
+// with their vocabulary.
 func newNameMemo(n int) *nameMemo {
 	size := 16
 	for size < 4*n && size < 1024 {
@@ -347,45 +254,19 @@ func (m *nameMemo) insert(slot uint32, name string, id uint32) {
 	}
 }
 
-// setAt records k as the key of store index idx during a bulk rebuild
-// (snapshot flattening): the caller covers every dense index exactly
-// once, in any order, then calls rebuild to construct the table.
-func (fi *factIndex) setAt(k FactKey, idx int) {
-	for len(fi.stage) <= idx {
-		fi.stage = append(fi.stage, "")
-	}
-	fi.stage[idx] = k
-}
-
-// rebuild packs the staged keys and reconstructs the slot table.
-func (fi *factIndex) rebuild() {
-	total := 0
-	for _, k := range fi.stage {
-		total += len(k)
-	}
-	fi.blob = make([]byte, 0, total)
-	fi.ends = make([]uint32, 0, len(fi.stage))
-	for _, k := range fi.stage {
-		fi.blob = append(fi.blob, k...)
-		fi.ends = append(fi.ends, uint32(len(fi.blob)))
-	}
-	fi.stage = nil
-	size := factIndexMinSlots
-	for 4*len(fi.ends) >= 3*size {
-		size *= 2
-	}
-	fi.grow(size)
-}
-
-// argTable is the posting-list index of memStorage: argID → ascending
+// argTable is the posting-list table of a layerIndex: argID → ascending
 // store indices, open-addressed like factIndex. The three-word key
 // hashes with plain integer mixing, and bulk construction probes each
 // distinct list exactly once — both several times cheaper than a
 // general-purpose map keyed by a struct.
 type argTable struct {
-	slots []uint32 // entry index + 1; 0 = empty
-	ids   []argID
-	lists [][]uint32
+	slots   []uint32 // entry index + 1; 0 = empty
+	entries []argEntry
+}
+
+type argEntry struct {
+	id   argID
+	list []uint32
 }
 
 func hashArgID(id argID) uint32 {
@@ -395,14 +276,11 @@ func hashArgID(id argID) uint32 {
 }
 
 func (at *argTable) get(id argID) []uint32 {
-	if at.slots == nil {
-		return nil
-	}
 	_, i, ok := at.findSlot(id)
 	if !ok {
 		return nil
 	}
-	return at.lists[i]
+	return at.entries[i].list
 }
 
 // findSlot returns the entry index of id if present, or else the empty
@@ -415,7 +293,7 @@ func (at *argTable) findSlot(id argID) (slot uint32, idx int, ok bool) {
 		if v == 0 {
 			return s, 0, false
 		}
-		if at.ids[v-1] == id {
+		if at.entries[v-1].id == id {
 			return s, int(v - 1), true
 		}
 		s = (s + 1) & mask
@@ -425,10 +303,9 @@ func (at *argTable) findSlot(id argID) (slot uint32, idx int, ok bool) {
 // setList records list as the postings of a new id, filling the slot
 // findSlot returned (growth invalidates outstanding slots).
 func (at *argTable) setList(slot uint32, id argID, list []uint32) {
-	at.ids = append(at.ids, id)
-	at.lists = append(at.lists, list)
-	at.slots[slot] = uint32(len(at.ids))
-	if 4*len(at.ids) >= 3*len(at.slots) {
+	at.entries = append(at.entries, argEntry{id: id, list: list})
+	at.slots[slot] = uint32(len(at.entries))
+	if 4*len(at.entries) >= 3*len(at.slots) {
 		at.grow(2 * len(at.slots))
 	}
 }
@@ -436,8 +313,8 @@ func (at *argTable) setList(slot uint32, id argID, list []uint32) {
 func (at *argTable) grow(size int) {
 	slots := make([]uint32, size)
 	mask := uint32(size - 1)
-	for i := range at.ids {
-		s := hashArgID(at.ids[i]) & mask
+	for i := range at.entries {
+		s := hashArgID(at.entries[i].id) & mask
 		for slots[s] != 0 {
 			s = (s + 1) & mask
 		}
@@ -449,7 +326,7 @@ func (at *argTable) grow(size int) {
 // reserve sizes the table so n further inserts never rehash.
 func (at *argTable) reserve(n int) {
 	size := len(at.slots)
-	for 4*(len(at.ids)+n) >= 3*size {
+	for 4*(len(at.entries)+n) >= 3*size {
 		size *= 2
 	}
 	if size != len(at.slots) {
@@ -462,7 +339,7 @@ func (at *argTable) reserve(n int) {
 func (at *argTable) appendTo(id argID, w ...uint32) {
 	slot, i, ok := at.findSlot(id)
 	if ok {
-		at.lists[i] = append(at.lists[i], w...)
+		at.entries[i].list = append(at.entries[i].list, w...)
 		return
 	}
 	at.setList(slot, id, append([]uint32(nil), w...))
@@ -471,9 +348,13 @@ func (at *argTable) appendTo(id argID, w ...uint32) {
 // domTable maps a constant/null term id to the store index that
 // introduced it (first-wins), open-addressed like factIndex.
 type domTable struct {
-	slots []uint32 // entry index + 1; 0 = empty
-	terms []uint32
-	idxs  []int32
+	slots   []uint32 // entry index + 1; 0 = empty
+	entries []domEntry
+}
+
+type domEntry struct {
+	term uint32
+	idx  int32
 }
 
 func (dt *domTable) find(term uint32) (int, bool) {
@@ -481,7 +362,7 @@ func (dt *domTable) find(term uint32) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	return int(dt.idxs[i]), true
+	return int(dt.entries[i].idx), true
 }
 
 func (dt *domTable) findSlot(term uint32) (slot uint32, idx int, ok bool) {
@@ -492,7 +373,7 @@ func (dt *domTable) findSlot(term uint32) (slot uint32, idx int, ok bool) {
 		if v == 0 {
 			return s, 0, false
 		}
-		if dt.terms[v-1] == term {
+		if dt.entries[v-1].term == term {
 			return s, int(v - 1), true
 		}
 		s = (s + 1) & mask
@@ -506,10 +387,9 @@ func (dt *domTable) setIfAbsent(term uint32, idx int) {
 	if ok {
 		return
 	}
-	dt.terms = append(dt.terms, term)
-	dt.idxs = append(dt.idxs, int32(idx))
-	dt.slots[slot] = uint32(len(dt.terms))
-	if 4*len(dt.terms) >= 3*len(dt.slots) {
+	dt.entries = append(dt.entries, domEntry{term: term, idx: int32(idx)})
+	dt.slots[slot] = uint32(len(dt.entries))
+	if 4*len(dt.entries) >= 3*len(dt.slots) {
 		dt.grow(2 * len(dt.slots))
 	}
 }
@@ -517,8 +397,8 @@ func (dt *domTable) setIfAbsent(term uint32, idx int) {
 func (dt *domTable) grow(size int) {
 	slots := make([]uint32, size)
 	mask := uint32(size - 1)
-	for i, t := range dt.terms {
-		s := hashMix(hashWord(14695981039346656037, uint64(t))) & mask
+	for i := range dt.entries {
+		s := hashMix(hashWord(14695981039346656037, uint64(dt.entries[i].term))) & mask
 		for slots[s] != 0 {
 			s = (s + 1) & mask
 		}
@@ -527,101 +407,110 @@ func (dt *domTable) grow(size int) {
 	dt.slots = slots
 }
 
-// memStorage is the default in-memory Storage.
-type memStorage struct {
-	syms   *Symbols
-	atoms  []Atom
+// layerIndex is the packed index over one snapshot-chain layer's own
+// atoms — the root's as much as any snapshot's: the fact-key table
+// (keys at local offsets, store index = layer base + offset), the
+// per-predicate lists, the posting lists, and the domain. A layer
+// allocates its index on its first write, so a snapshot that never
+// writes stays one small struct. The read accessors accept a nil index
+// and report a miss.
+type layerIndex struct {
 	keys   factIndex
-	byPred map[uint32][]uint32
-	byArg  argTable
-	dom    domTable
-	tb     int64
+	byPred map[uint32][]uint32 // store indices per predicate id, ascending
+	byArg  argTable            // posting lists, ascending store indices
+	dom    domTable            // domain term id -> index of introducing atom
 }
 
-func newMemStorage(syms *Symbols) *memStorage {
-	return &memStorage{
-		syms:   syms,
-		keys:   factIndex{slots: make([]uint32, factIndexMinSlots)},
+const layerIndexMinSlots = 16
+
+func newLayerIndex() *layerIndex {
+	// One allocation backs the three initial slot arrays; a table
+	// replaces its share when it first grows.
+	const n = layerIndexMinSlots
+	slots := make([]uint32, 3*n)
+	return &layerIndex{
+		keys:   factIndex{slots: slots[:n:n]},
 		byPred: make(map[uint32][]uint32),
-		byArg:  argTable{slots: make([]uint32, 64)},
-		dom:    domTable{slots: make([]uint32, 64)},
+		byArg:  argTable{slots: slots[n : 2*n : 2*n]},
+		dom:    domTable{slots: slots[2*n:]},
 	}
 }
 
-func (ms *memStorage) Symbols() *Symbols { return ms.syms }
-func (ms *memStorage) Len() int          { return len(ms.atoms) }
-func (ms *memStorage) TupleBytes() int64 { return ms.tb }
-func (ms *memStorage) Atoms() []Atom     { return ms.atoms }
-func (ms *memStorage) AtomAt(i int) Atom { return ms.atoms[i] }
-
-func (ms *memStorage) IndexOf(key []byte) (int, bool) {
-	return ms.keys.lookupBytes(key)
-}
-
-func (ms *memStorage) IndexOfKey(key FactKey) (int, bool) {
-	return ms.keys.lookup(key)
-}
-
-func (ms *memStorage) Postings(pred uint32, pos int, term uint32) []uint32 {
-	return ms.byArg.get(argID{pred: pred, pos: int32(pos), term: term})
-}
-
-func (ms *memStorage) PredIndices(pred uint32) []uint32 { return ms.byPred[pred] }
-
-func (ms *memStorage) DomainIndex(term uint32) (int, bool) {
-	return ms.dom.find(term)
-}
-
-// Add inserts one atom as a degenerate one-atom batch. The packed
-// store has exactly one write path — AddAll — so the index invariants
-// live in one place; a per-fact caller pays the batch setup (scratch
-// buffers, a memo, per-call map grouping) that bulk loads amortize
-// over the whole input. That overhead lands only on root stores built
-// fact by fact; the engines' per-fact writes (chase heads, search
-// branches) go to snapshot layers, which have their own incremental
-// path.
-func (ms *memStorage) Add(a Atom) (int, bool) {
-	pre := len(ms.atoms)
-	one := [1]Atom{a}
-	if ms.AddAll(one[:]) == 1 {
-		return pre, true
+// offsetOf returns the local offset of the packed key held in a scratch
+// buffer.
+func (ix *layerIndex) offsetOf(key []byte) (int, bool) {
+	if ix == nil {
+		return 0, false
 	}
-	var kb [64]byte
-	key, _ := ms.syms.appendAtomKey(a, kb[:0], true)
-	_, idx, _ := ms.keys.findSlotBytes(key)
-	return idx, false
+	_, off, ok := ix.keys.findSlotBytes(key)
+	return off, ok
 }
 
-// AddAll interns and renders every packed key under a single interner
-// lock, deduplicates the batch against the pre-reserved key index, and
-// then constructs the posting lists by counting sort over the dense
-// term and predicate ids: grouping touches no maps at all, and each
-// distinct posting list costs exactly one (pre-sized) table insert.
-// These are the levers behind the bulk-load speedup over per-fact Add,
-// whose cost is per-call locking, batch setup, and incremental index
-// growth.
-func (ms *memStorage) AddAll(atoms []Atom) int {
+// offsetOfKey is offsetOf for a stored FactKey.
+func (ix *layerIndex) offsetOfKey(key FactKey) (int, bool) {
+	if ix == nil {
+		return 0, false
+	}
+	_, off, ok := ix.keys.findSlot(key)
+	return off, ok
+}
+
+// pred returns the layer's store indices of atoms with predicate pid.
+func (ix *layerIndex) pred(pid uint32) []uint32 {
+	if ix == nil {
+		return nil
+	}
+	return ix.byPred[pid]
+}
+
+// postings returns the layer's posting list for (pid, pos, tid).
+func (ix *layerIndex) postings(pid uint32, pos int, tid uint32) []uint32 {
+	if ix == nil {
+		return nil
+	}
+	return ix.byArg.get(argID{pred: pid, pos: int32(pos), term: tid})
+}
+
+// domainIndex returns the index of the layer's atom that introduced the
+// constant or null with id term into the domain.
+func (ix *layerIndex) domainIndex(term uint32) (int, bool) {
+	if ix == nil {
+		return 0, false
+	}
+	return ix.dom.find(term)
+}
+
+// addBulk is the root bulk loader behind AddAll. It interns and renders
+// every packed key under a single interner lock, deduplicates the batch
+// against the pre-reserved key table, and then constructs the posting
+// lists by counting sort over the dense term and predicate ids:
+// grouping touches no maps at all, and each distinct posting list
+// costs exactly one (pre-sized) table insert. The counting arrays are
+// O(symbol table), which is why AddAll routes batches that are small
+// next to the table through per-fact Add instead.
+func (s *FactStore) addBulk(atoms []Atom) int {
 	if len(atoms) == 0 {
 		return 0
 	}
+	ix := s.index()
 	total := 0
 	for _, a := range atoms {
 		total += int(factKeyBytes(len(a.Args)))
 	}
 	// Reserve everything up front: no insert below ever rehashes the
-	// key index or regrows the atom slice or key blob.
-	base := len(ms.atoms)
-	ms.keys.reserve(len(atoms), total)
-	if cap(ms.atoms)-len(ms.atoms) < len(atoms) {
-		// Doubling keeps repeated small batches amortized O(1) per
-		// atom; a bulk load into a fresh store sizes exactly once.
-		newCap := len(ms.atoms) + len(atoms)
-		if c := 2 * cap(ms.atoms); c > newCap {
+	// key table or regrows the atom slice or key blob.
+	base := len(s.atoms)
+	ix.keys.reserve(len(atoms), total)
+	if cap(s.atoms)-len(s.atoms) < len(atoms) {
+		// Doubling keeps repeated batches amortized O(1) per atom; a
+		// bulk load into a fresh store sizes exactly once.
+		newCap := len(s.atoms) + len(atoms)
+		if c := 2 * cap(s.atoms); c > newCap {
 			newCap = c
 		}
-		grown := make([]Atom, len(ms.atoms), newCap)
-		copy(grown, ms.atoms)
-		ms.atoms = grown
+		grown := make([]Atom, len(s.atoms), newCap)
+		copy(grown, s.atoms)
+		s.atoms = grown
 	}
 	// Phase 1: intern everything and render every packed key into one
 	// shared buffer, holding the exclusive interner lock once for the
@@ -650,7 +539,7 @@ func (ms *memStorage) AddAll(atoms []Atom) int {
 	}
 	var lastArg [8]lastID
 	var lastPred lastID
-	ms.syms.mu.Lock()
+	s.syms.mu.Lock()
 	for i, a := range atoms {
 		var pid uint32
 		if a.Pred != "" && a.Pred == lastPred.name {
@@ -660,7 +549,7 @@ func (ms *memStorage) AddAll(atoms []Atom) int {
 			if ok {
 				pid = hit
 			} else {
-				pid = ms.syms.internPredLocked(a.Pred)
+				pid = s.syms.internPredLocked(a.Pred)
 				predMemo.insert(slot, a.Pred, pid)
 			}
 			lastPred = lastID{name: a.Pred, id: pid}
@@ -679,7 +568,7 @@ func (ms *memStorage) AddAll(atoms []Atom) int {
 					if ok {
 						id = hit
 					} else {
-						id = ms.syms.internLocked(t)
+						id = s.syms.internLocked(t)
 						constMemo.insert(slot, t.Name, id)
 					}
 					if p < len(lastArg) {
@@ -691,7 +580,7 @@ func (ms *memStorage) AddAll(atoms []Atom) int {
 			case Null:
 				id, ok := nullMemo[t.Name]
 				if !ok {
-					id = ms.syms.internLocked(t)
+					id = s.syms.internLocked(t)
 					if nullMemo == nil {
 						nullMemo = make(map[string]uint32, 16)
 					}
@@ -700,19 +589,19 @@ func (ms *memStorage) AddAll(atoms []Atom) int {
 				keys = binary.LittleEndian.AppendUint32(keys, id)
 				domFlat = append(domFlat, id)
 			default:
-				id := ms.syms.internLocked(t)
+				id := s.syms.internLocked(t)
 				keys = binary.LittleEndian.AppendUint32(keys, id)
-				domFlat = ms.syms.appendDomainIDsRLocked(t, domFlat)
+				domFlat = s.syms.appendDomainIDsRLocked(t, domFlat)
 			}
 		}
 		offs[i+1] = int32(len(keys))
 		domOffs[i+1] = int32(len(domFlat))
 	}
-	numTerms := len(ms.syms.terms)
-	numPreds := len(ms.syms.predNames)
-	ms.syms.mu.Unlock()
+	numTerms := len(s.syms.terms)
+	numPreds := len(s.syms.predNames)
+	s.syms.mu.Unlock()
 
-	// Phase 2: dedup against the key index, assigning dense indices.
+	// Phase 2: dedup against the key table, assigning dense indices.
 	// Every new fact costs exactly one hash-and-probe traversal: the
 	// miss hands back the slot the insert fills, and no insert ever
 	// rehashes. srcOf maps the j-th accepted atom (store index base+j)
@@ -721,271 +610,130 @@ func (ms *memStorage) AddAll(atoms []Atom) int {
 	nPairs := 0
 	for i := range atoms {
 		k := keys[offs[i]:offs[i+1]]
-		slot, _, dup := ms.keys.findSlotBytes(k)
+		slot, _, dup := ix.keys.findSlotBytes(k)
 		if dup {
 			continue
 		}
-		ms.keys.insertBytes(slot, k)
-		ms.atoms = append(ms.atoms, atoms[i])
+		ix.keys.insert(slot, k)
+		s.atoms = append(s.atoms, atoms[i])
 		srcOf = append(srcOf, int32(i))
-		ms.tb += factKeyBytes(len(atoms[i].Args))
+		s.tb += factKeyBytes(len(atoms[i].Args))
 		nPairs += len(atoms[i].Args)
 	}
 
 	// The accepted atoms are exactly store indices base..base+added;
-	// their packed keys are read back, zero-copy, from the index blob.
-	added := len(ms.atoms) - base
-	key := func(j int) []byte { return ms.keys.keyBytes(base + j) }
+	// their packed keys are read back, zero-copy, from the key blob.
+	added := len(s.atoms) - base
+	key := func(j int) []byte { return ix.keys.keyBytes(base + j) }
 
-	// Phase 3: index construction. The counting arrays are O(symbol
-	// table); for a batch much smaller than the table they would dwarf
-	// the real work, so small batches take the map-grouped path
-	// instead.
-	useCounting := numTerms <= 4*nPairs+1024
-	if !useCounting {
-		ms.addAllMapIndexes(added, nPairs,
-			func(i int) int { return base + i },
-			key)
-	} else {
-		// byPred: counting sort over dense predicate ids. One backing
-		// array holds every new entry; iterating in index order keeps
-		// each list ascending.
-		predOff := make([]int32, numPreds+1)
-		for j := 0; j < added; j++ {
-			predOff[binary.LittleEndian.Uint32(key(j))+1]++
+	// Phase 3: index construction. byPred: counting sort over dense
+	// predicate ids. One backing array holds every new entry; iterating
+	// in index order keeps each list ascending.
+	predOff := make([]int32, numPreds+1)
+	for j := 0; j < added; j++ {
+		predOff[binary.LittleEndian.Uint32(key(j))+1]++
+	}
+	for p := 0; p < numPreds; p++ {
+		predOff[p+1] += predOff[p]
+	}
+	predBack := make([]uint32, added)
+	predCur := make([]int32, numPreds)
+	copy(predCur, predOff)
+	for j := 0; j < added; j++ {
+		pid := binary.LittleEndian.Uint32(key(j))
+		predBack[predCur[pid]] = uint32(base + j)
+		predCur[pid]++
+	}
+	for p := 0; p < numPreds; p++ {
+		lo, hi := predOff[p], predOff[p+1]
+		if lo == hi {
+			continue
 		}
-		for p := 0; p < numPreds; p++ {
-			predOff[p+1] += predOff[p]
+		pid := uint32(p)
+		ix.byPred[pid] = append(ix.byPred[pid], predBack[lo:hi]...)
+	}
+
+	// byArg: counting sort over dense term ids buckets every
+	// (pred, pos, term, idx) pair; within a bucket, stable sweeps split
+	// the few (pred, pos) groups, each becoming one ascending run of
+	// the shared output array and one table insert.
+	type pairEntry struct {
+		pred uint32
+		idx  uint32
+		pos  int32
+	}
+	bkt := make([]int32, numTerms+1)
+	for j := 0; j < added; j++ {
+		k := key(j)
+		for o := 4; o < len(k); o += 4 {
+			bkt[binary.LittleEndian.Uint32(k[o:])+1]++
 		}
-		predBack := make([]uint32, added)
-		predCur := make([]int32, numPreds)
-		copy(predCur, predOff)
-		for j := 0; j < added; j++ {
-			pid := binary.LittleEndian.Uint32(key(j))
-			predBack[predCur[pid]] = uint32(base + j)
-			predCur[pid]++
+	}
+	for t := 0; t < numTerms; t++ {
+		bkt[t+1] += bkt[t]
+	}
+	entries := make([]pairEntry, nPairs)
+	cur := make([]int32, numTerms)
+	copy(cur, bkt)
+	for j := 0; j < added; j++ {
+		k := key(j)
+		pid := binary.LittleEndian.Uint32(k)
+		for p := 0; 4+4*p < len(k); p++ {
+			tid := binary.LittleEndian.Uint32(k[4+4*p:])
+			entries[cur[tid]] = pairEntry{pred: pid, idx: uint32(base + j), pos: int32(p)}
+			cur[tid]++
 		}
-		for p := 0; p < numPreds; p++ {
-			lo, hi := predOff[p], predOff[p+1]
-			if lo == hi {
+	}
+	type run struct {
+		id     argID
+		lo, hi int32
+	}
+	idxOut := make([]uint32, nPairs)
+	out := int32(0)
+	runs := make([]run, 0, nPairs/4+16)
+	const consumed = ^uint32(0)
+	for t := 0; t < numTerms; t++ {
+		b := entries[bkt[t]:bkt[t+1]]
+		for i := range b {
+			if b[i].pred == consumed {
 				continue
 			}
-			pid := uint32(p)
-			ms.byPred[pid] = append(ms.byPred[pid], predBack[lo:hi]...)
-		}
-
-		// byArg: counting sort over dense term ids buckets every
-		// (pred, pos, term, idx) pair; within a bucket, stable sweeps
-		// split the few (pred, pos) groups, each becoming one ascending
-		// run of the shared output array and one map insert.
-		type pairEntry struct {
-			pred uint32
-			idx  uint32
-			pos  int32
-		}
-		bkt := make([]int32, numTerms+1)
-		for j := 0; j < added; j++ {
-			k := key(j)
-			for o := 4; o < len(k); o += 4 {
-				bkt[binary.LittleEndian.Uint32(k[o:])+1]++
-			}
-		}
-		for t := 0; t < numTerms; t++ {
-			bkt[t+1] += bkt[t]
-		}
-		entries := make([]pairEntry, nPairs)
-		cur := make([]int32, numTerms)
-		copy(cur, bkt)
-		for j := 0; j < added; j++ {
-			k := key(j)
-			pid := binary.LittleEndian.Uint32(k)
-			for p := 0; 4+4*p < len(k); p++ {
-				tid := binary.LittleEndian.Uint32(k[4+4*p:])
-				entries[cur[tid]] = pairEntry{pred: pid, idx: uint32(base + j), pos: int32(p)}
-				cur[tid]++
-			}
-		}
-		type run struct {
-			id     argID
-			lo, hi int32
-		}
-		idxOut := make([]uint32, nPairs)
-		out := int32(0)
-		runs := make([]run, 0, nPairs/4+16)
-		const consumed = ^uint32(0)
-		for t := 0; t < numTerms; t++ {
-			b := entries[bkt[t]:bkt[t+1]]
-			for i := range b {
-				if b[i].pred == consumed {
-					continue
+			pid, pos := b[i].pred, b[i].pos
+			lo := out
+			for j := i; j < len(b); j++ {
+				if b[j].pred == pid && b[j].pos == pos {
+					idxOut[out] = b[j].idx
+					out++
+					b[j].pred = consumed
 				}
-				pid, pos := b[i].pred, b[i].pos
-				lo := out
-				for j := i; j < len(b); j++ {
-					if b[j].pred == pid && b[j].pos == pos {
-						idxOut[out] = b[j].idx
-						out++
-						b[j].pred = consumed
-					}
-				}
-				runs = append(runs, run{id: argID{pred: pid, pos: pos, term: uint32(t)}, lo: lo, hi: out})
 			}
+			runs = append(runs, run{id: argID{pred: pid, pos: pos, term: uint32(t)}, lo: lo, hi: out})
 		}
-		ms.byArg.reserve(len(runs))
-		for _, r := range runs {
-			seg := idxOut[r.lo:r.hi:r.hi]
-			slot, i, ok := ms.byArg.findSlot(r.id)
-			if ok {
-				old := ms.byArg.lists[i]
-				ms.byArg.lists[i] = append(append(make([]uint32, 0, len(old)+len(seg)), old...), seg...)
-				continue
-			}
-			ms.byArg.setList(slot, r.id, seg)
+	}
+	ix.byArg.reserve(len(runs))
+	for _, r := range runs {
+		seg := idxOut[r.lo:r.hi:r.hi]
+		slot, i, ok := ix.byArg.findSlot(r.id)
+		if ok {
+			e := &ix.byArg.entries[i]
+			e.list = append(append(make([]uint32, 0, len(e.list)+len(seg)), e.list...), seg...)
+			continue
 		}
+		ix.byArg.setList(slot, r.id, seg)
 	}
 
 	// Domain: first-wins inserts, iterating accepted atoms in index
-	// order. On the counting path a dense seen array short-circuits the
-	// repeats, so the map is probed once per distinct term.
-	if useCounting {
-		seen := make([]bool, numTerms)
-		for j := 0; j < added; j++ {
-			src := srcOf[j]
-			for _, d := range domFlat[domOffs[src]:domOffs[src+1]] {
-				if !seen[d] {
-					seen[d] = true
-					ms.dom.setIfAbsent(d, base+j)
-				}
-			}
-		}
-	} else {
-		for j := 0; j < added; j++ {
-			src := srcOf[j]
-			for _, d := range domFlat[domOffs[src]:domOffs[src+1]] {
-				ms.dom.setIfAbsent(d, base+j)
+	// order; a dense seen array short-circuits the repeats, so the
+	// table is probed once per distinct term.
+	seen := make([]bool, numTerms)
+	for j := 0; j < added; j++ {
+		src := srcOf[j]
+		for _, d := range domFlat[domOffs[src]:domOffs[src+1]] {
+			if !seen[d] {
+				seen[d] = true
+				ix.dom.setIfAbsent(d, base+j)
 			}
 		}
 	}
 	return added
-}
-
-// addAllMapIndexes is the index-construction fallback for batches much
-// smaller than the symbol table, where the counting arrays would cost
-// more than the batch: count posting-list growth per key in small maps,
-// carve each list from a shared backing array, and fill in index order.
-// idxOf and key report the assigned store index and packed key of the
-// i-th accepted atom, 0 <= i < n.
-func (ms *memStorage) addAllMapIndexes(n, nPairs int, idxOf func(i int) int, key func(i int) []byte) {
-	predCount := make(map[uint32]int)
-	argCount := make(map[argID]int, nPairs)
-	for i := 0; i < n; i++ {
-		k := key(i)
-		pid := binary.LittleEndian.Uint32(k)
-		predCount[pid]++
-		for p := 0; 4+4*p < len(k); p++ {
-			argCount[argID{pred: pid, pos: int32(p), term: binary.LittleEndian.Uint32(k[4+4*p:])}]++
-		}
-	}
-	carve(ms.byPred, predCount)
-	// Extend or create each touched posting list once, with exact
-	// capacity, so the fill loop's appends never reallocate.
-	ms.byArg.reserve(len(argCount))
-	for ak, c := range argCount {
-		slot, i, ok := ms.byArg.findSlot(ak)
-		if ok {
-			old := ms.byArg.lists[i]
-			if cap(old)-len(old) >= c {
-				continue
-			}
-			newCap := len(old) + c
-			if d := 2 * cap(old); d > newCap {
-				newCap = d
-			}
-			grown := make([]uint32, len(old), newCap)
-			copy(grown, old)
-			ms.byArg.lists[i] = grown
-		} else {
-			ms.byArg.setList(slot, ak, make([]uint32, 0, c))
-		}
-	}
-	for i := 0; i < n; i++ {
-		k := key(i)
-		pid := binary.LittleEndian.Uint32(k)
-		ms.byPred[pid] = append(ms.byPred[pid], uint32(idxOf(i)))
-		for p := 0; 4+4*p < len(k); p++ {
-			ak := argID{pred: pid, pos: int32(p), term: binary.LittleEndian.Uint32(k[4+4*p:])}
-			_, li, _ := ms.byArg.findSlot(ak)
-			ms.byArg.lists[li] = append(ms.byArg.lists[li], uint32(idxOf(i)))
-		}
-	}
-}
-
-// carve re-slices every list that grow will touch onto one shared
-// backing array with exactly the needed capacity, so the fill loop's
-// appends never reallocate and small lists don't each hold a
-// power-of-two spare.
-func carve[K comparable](m map[K][]uint32, grow map[K]int) {
-	total := 0
-	for k, c := range grow {
-		if cur := m[k]; cap(cur)-len(cur) < c {
-			// Regrown lists at least double, so repeated small batches
-			// extending the same list stay amortized O(1) per entry.
-			need := len(cur) + c
-			if d := 2 * cap(cur); d > need {
-				need = d
-			}
-			total += need
-		}
-	}
-	back := make([]uint32, 0, total)
-	for k, c := range grow {
-		cur := m[k]
-		if cap(cur)-len(cur) >= c {
-			continue
-		}
-		need := len(cur) + c
-		if d := 2 * cap(cur); d > need {
-			need = d
-		}
-		off := len(back)
-		back = append(back, cur...)
-		m[k] = back[off : off+len(cur) : off+need]
-		back = back[:off+need]
-	}
-}
-
-func (ms *memStorage) EachFact(fn func(key FactKey, idx int) bool) bool {
-	for idx := range ms.keys.ends {
-		if !fn(FactKey(ms.keys.keyBytes(idx)), idx) {
-			return false
-		}
-	}
-	return true
-}
-
-func (ms *memStorage) EachPred(fn func(pred uint32, idxs []uint32) bool) bool {
-	for p, idxs := range ms.byPred {
-		if !fn(p, idxs) {
-			return false
-		}
-	}
-	return true
-}
-
-func (ms *memStorage) EachPosting(fn func(id argID, idxs []uint32) bool) bool {
-	for i := range ms.byArg.ids {
-		if !fn(ms.byArg.ids[i], ms.byArg.lists[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func (ms *memStorage) EachDomain(fn func(term uint32, idx int) bool) bool {
-	for i := range ms.dom.terms {
-		if !fn(ms.dom.terms[i], int(ms.dom.idxs[i])) {
-			return false
-		}
-	}
-	return true
 }

@@ -5,8 +5,9 @@ package logic
 // observationally identical to a reference built fact by fact, across
 // every read surface the engines use (Len, Equal, CanonicalString,
 // Domain, Preds, IndexOfAtom/AtomAt, FindHoms/FindHomsFrom with
-// negation and repeated variables). FuzzStorage extends the same pin
-// to arbitrary byte-derived inputs using the PR 6 fuzz vocabulary.
+// negation and repeated variables), also when the symbol table is large
+// next to the writes. FuzzStorage extends the same pin to arbitrary
+// byte-derived inputs using the join-planner fuzz vocabulary.
 
 import (
 	"fmt"
@@ -67,10 +68,54 @@ func buildThreeWays(rng *rand.Rand, atoms []Atom) (perFact, bulk, chain *FactSto
 	return perFact, bulk, chain
 }
 
-// checkStoresAgree pins every read surface across the three builds.
-func checkStoresAgree(t *testing.T, iter int, atoms []Atom, perFact, bulk, chain *FactStore) {
+// padSymbols interns more than 1,024 constants that no fact uses into
+// the store's symbol table, making the table large next to any later
+// batch of the differential vocabulary.
+func padSymbols(s *FactStore) {
+	for i := 0; i < 1100; i++ {
+		s.syms.Intern(C(fmt.Sprintf("pad%d", i)))
+	}
+}
+
+// buildPadded materializes the atom sequence three more ways, each over
+// a symbol table padded past 1,024 terms, where AddAll hands small
+// batches to per-fact Add: (1) a root grown by per-fact Add, (2) a
+// root bulk-loaded with the first half (before padding) that takes the
+// rest in AddAll batches of one to three atoms, and (3) a chain with
+// one atom per layer until Snapshot flattens it, the remaining atoms
+// added fact by fact on the flattened root.
+func buildPadded(rng *rand.Rand, atoms []Atom) (perFact, batches, flat *FactStore) {
+	perFact = NewFactStore()
+	padSymbols(perFact)
+	for _, a := range atoms {
+		perFact.Add(a)
+	}
+	batches = NewFactStore()
+	half := len(atoms) / 2
+	batches.AddAll(atoms[:half])
+	padSymbols(batches)
+	for i := half; i < len(atoms); {
+		j := min(len(atoms), i+1+rng.Intn(3))
+		batches.AddAll(atoms[i:j])
+		i = j
+	}
+	flat = NewFactStore()
+	padSymbols(flat)
+	flattened := false
+	for _, a := range atoms {
+		flat.Add(a)
+		if !flattened {
+			flat = flat.Snapshot()
+			flattened = flat.parent == nil
+		}
+	}
+	return perFact, batches, flat
+}
+
+// checkStoresAgree pins every read surface of each store against the
+// per-fact reference build.
+func checkStoresAgree(t *testing.T, iter int, atoms []Atom, perFact *FactStore, stores map[string]*FactStore) {
 	t.Helper()
-	stores := map[string]*FactStore{"bulk": bulk, "chain": chain}
 	for name, s := range stores {
 		if s.Len() != perFact.Len() {
 			t.Fatalf("iter %d: %s Len = %d, per-fact = %d", iter, name, s.Len(), perFact.Len())
@@ -167,18 +212,42 @@ func collectHomSet(pos, neg []Atom, s *FactStore, from int, init Subst) []string
 }
 
 // TestStorageDifferential is the randomized pin: N random fact sets,
-// each built three ways and probed across every read surface plus the
-// hom search (full and delta windows) against the naive oracle.
+// each built several ways and probed across every read surface plus
+// the hom search (full and delta windows) against the naive oracle.
+// The last iterations take the padded builds, whose writes land on a
+// symbol table of more than 1,024 terms.
 func TestStorageDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for iter := 0; iter < 60; iter++ {
+	flattened := 0
+	for iter := 0; iter < 80; iter++ {
+		padded := iter >= 60
 		n := 1 + rng.Intn(40)
+		if padded {
+			n = 60 + rng.Intn(40)
+		}
 		atoms := make([]Atom, 0, n)
 		for i := 0; i < n; i++ {
 			atoms = append(atoms, randPackedAtom(rng))
 		}
-		perFact, bulk, chain := buildThreeWays(rng, atoms)
-		checkStoresAgree(t, iter, atoms, perFact, bulk, chain)
+		var perFact *FactStore
+		var stores map[string]*FactStore
+		if padded {
+			perFact = NewFactStore()
+			for _, a := range atoms {
+				perFact.Add(a)
+			}
+			pf, batches, flat := buildPadded(rng, atoms)
+			if flat.parent == nil {
+				flattened++
+			}
+			stores = map[string]*FactStore{"padded per-fact": pf, "padded batches": batches, "padded flattened": flat}
+		} else {
+			var bulk, chain *FactStore
+			perFact, bulk, chain = buildThreeWays(rng, atoms)
+			stores = map[string]*FactStore{"bulk": bulk, "chain": chain}
+		}
+		stores["per-fact"] = perFact
+		checkStoresAgree(t, iter, atoms, perFact, stores)
 
 		for bi := 0; bi < 3; bi++ {
 			pos, neg, init := randBody(rng)
@@ -188,14 +257,14 @@ func TestStorageDifferential(t *testing.T) {
 				return true
 			})
 			sort.Strings(want)
-			for name, s := range map[string]*FactStore{"per-fact": perFact, "bulk": bulk, "chain": chain} {
+			for name, s := range stores {
 				if got := collectHomSet(pos, neg, s, 0, init); fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("iter %d: %s FindHoms differs for %v not %v init %v:\ngot  %v\nwant %v",
 						iter, name, pos, neg, init, got, want)
 				}
 			}
-			// Delta windows against the per-index oracle, on the chain
-			// (the layered path) and the bulk root (the packed path).
+			// Delta windows against the per-index oracle, on every build
+			// (layered and root paths alike).
 			from := rng.Intn(perFact.Len() + 1)
 			var dwant []string
 			naiveFindHoms(pos, neg, perFact, init, func(h Subst) bool {
@@ -208,12 +277,15 @@ func TestStorageDifferential(t *testing.T) {
 				return true
 			})
 			sort.Strings(dwant)
-			for name, s := range map[string]*FactStore{"bulk": bulk, "chain": chain} {
+			for name, s := range stores {
 				if got := collectHomSet(pos, neg, s, from, init); fmt.Sprint(got) != fmt.Sprint(dwant) {
 					t.Fatalf("iter %d: %s FindHomsFrom(%d) differs:\ngot  %v\nwant %v", iter, name, from, got, dwant)
 				}
 			}
 		}
+	}
+	if flattened == 0 {
+		t.Fatal("no padded chain flattened: the per-fact path on a flattened root went untested")
 	}
 }
 

@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"encoding/binary"
 	"math"
 	"sort"
 	"strings"
@@ -19,11 +20,11 @@ import (
 //
 // Ground terms and predicates are interned into a Symbols table shared
 // by the whole snapshot chain, facts are addressed by packed FactKey
-// tuples, and the posting lists are []uint32 of store indices. The root
-// of every chain is a Storage implementation (see storage.go) — the
-// default in-memory one, or whatever the caller plugged in — while
-// snapshot layers keep their own additions in layer-local id-based
-// maps.
+// tuples, and the posting lists are []uint32 of store indices. Every
+// layer of a chain, root included, holds its own atoms in one packed
+// index (see layerIndex in storage.go), allocated on the layer's first
+// write: Add inserts into it incrementally, and AddAll on a root
+// bulk-loads large batches by counting sort.
 //
 // A store may be a copy-on-write snapshot layer (see Snapshot): it then
 // holds a pointer to its parent chain plus only its own additions, and
@@ -48,9 +49,6 @@ import (
 // TestSnapshotConcurrentBranchReaders pins the discipline under -race.
 type FactStore struct {
 	syms *Symbols
-	// storage backs a root store (parent == nil); nil on snapshot
-	// layers, whose additions live in the layer-local fields below.
-	storage Storage
 
 	// parent is the layer below in a copy-on-write snapshot chain; nil
 	// for a root store. This layer sees exactly the first base atoms of
@@ -62,12 +60,9 @@ type FactStore struct {
 	base   int // number of ancestor atoms visible to this layer
 	depth  int // number of ancestors, bounded by maxSnapshotDepth
 
-	byKey  map[FactKey]int     // packed key -> store index (this layer's atoms only)
-	byPred map[uint32][]uint32 // this layer's indices per predicate id, ascending
-	byArg  map[argID][]uint32  // posting lists, ascending store indices
-	dom    map[uint32]int      // domain term id -> index of introducing atom
-	atoms  []Atom              // this layer's atoms; local offset i has store index base+i
-	tb     int64               // packed bytes of this layer's atoms
+	atoms []Atom      // this layer's atoms; local offset i has store index base+i
+	ix    *layerIndex // this layer's packed index; nil until the first write
+	tb    int64       // packed bytes of this layer's atoms
 
 	domBuf []uint32 // Add scratch; safe under the one-writer rule
 }
@@ -78,18 +73,9 @@ type FactStore struct {
 // search) still share almost all layers.
 const maxSnapshotDepth = 32
 
-// NewFactStore returns an empty root store backed by the default
-// in-memory Storage with a fresh Symbols table.
+// NewFactStore returns an empty root store with a fresh Symbols table.
 func NewFactStore() *FactStore {
-	ms := newMemStorage(NewSymbols())
-	return &FactStore{syms: ms.syms, storage: ms}
-}
-
-// NewFactStoreOn returns a root store backed by the given Storage,
-// which may already contain facts. The store shares the storage's
-// Symbols table.
-func NewFactStoreOn(st Storage) *FactStore {
-	return &FactStore{syms: st.Symbols(), storage: st}
+	return &FactStore{syms: NewSymbols()}
 }
 
 // StoreOf returns a store containing the given atoms.
@@ -99,16 +85,13 @@ func StoreOf(atoms ...Atom) *FactStore {
 	return s
 }
 
-// Symbols returns the interner shared by this store's snapshot chain.
-func (s *FactStore) Symbols() *Symbols { return s.syms }
-
-// Storage returns the Storage backing the chain's root.
-func (s *FactStore) Storage() Storage {
-	st := s
-	for st.parent != nil {
-		st = st.parent
+// index returns this layer's packed index, allocating it on the first
+// write.
+func (s *FactStore) index() *layerIndex {
+	if s.ix == nil {
+		s.ix = newLayerIndex()
 	}
-	return st.storage
+	return s.ix
 }
 
 // Snapshot returns a copy-on-write child of s: the child sees every
@@ -134,22 +117,23 @@ func (s *FactStore) Snapshot() *FactStore {
 	if parent.depth+1 > maxSnapshotDepth {
 		return s.flatten(base)
 	}
-	// Index maps are materialized lazily on the first Add, so snapshots
-	// that never write (e.g. deferral branches) cost one struct.
+	// The index is allocated on the first Add, so snapshots that never
+	// write (e.g. deferral branches) cost one struct.
 	return &FactStore{syms: s.syms, parent: parent, base: base, depth: parent.depth + 1}
 }
 
 // flatten deep-copies the first bound atoms of the chain into a fresh
 // root store (sharing the chain's Symbols table) by merging the layers'
-// already-materialized indices — global indices and packed keys carry
-// over unchanged, so no atom or term is ever re-interned.
+// already-built indexes — global indices and packed keys carry over
+// unchanged, so no atom or term is ever re-interned.
 func (s *FactStore) flatten(bound int) *FactStore {
 	failpoint.Inject(failpoint.StoreFlatten)
-	ms := newMemStorage(s.syms)
-	ms.atoms = s.appendAtomsBelow(bound, make([]Atom, 0, bound))
-	for _, a := range ms.atoms {
-		ms.tb += factKeyBytes(len(a.Args))
+	out := &FactStore{syms: s.syms, atoms: s.appendAtomsBelow(bound, make([]Atom, 0, bound))}
+	for _, a := range out.atoms {
+		out.tb += factKeyBytes(len(a.Args))
 	}
+	ix := out.index()
+	ix.keys.reserve(len(out.atoms), int(out.tb))
 	var layers []*FactStore
 	var bounds []int
 	s.forEachLayer(bound, func(st *FactStore, b int) bool {
@@ -157,68 +141,46 @@ func (s *FactStore) flatten(bound int) *FactStore {
 		bounds = append(bounds, b)
 		return true
 	})
-	// Bottom-up (root first) so merged posting lists stay ascending.
+	// Bottom-up (root first), so keys arrive in store-index order and
+	// merged posting lists stay ascending. A layer's visible atoms are
+	// a prefix of its own: local offsets below b - base.
 	for i := len(layers) - 1; i >= 0; i-- {
 		st, b := layers[i], bounds[i]
-		if st.parent == nil {
-			st.storage.EachFact(func(k FactKey, idx int) bool {
-				if idx < b {
-					ms.keys.setAt(k, idx)
-				}
-				return true
-			})
-			st.storage.EachPred(func(p uint32, idxs []uint32) bool {
-				if w := clipWindowU32(idxs, 0, b); len(w) > 0 {
-					ms.byPred[p] = append(ms.byPred[p], w...)
-				}
-				return true
-			})
-			st.storage.EachPosting(func(id argID, idxs []uint32) bool {
-				if w := clipWindowU32(idxs, 0, b); len(w) > 0 {
-					ms.byArg.appendTo(id, w...)
-				}
-				return true
-			})
-			st.storage.EachDomain(func(t uint32, idx int) bool {
-				if idx < b {
-					ms.dom.setIfAbsent(t, idx)
-				}
-				return true
-			})
+		n := min(len(st.atoms), b-st.base)
+		if n <= 0 {
 			continue
 		}
-		for k, idx := range st.byKey {
-			if idx < b {
-				ms.keys.setAt(k, idx)
-			}
+		for j := 0; j < n; j++ {
+			k := st.ix.keys.keyBytes(j)
+			slot, _, _ := ix.keys.findSlotBytes(k)
+			ix.keys.insert(slot, k)
 		}
-		for p, idxs := range st.byPred {
+		for p, idxs := range st.ix.byPred {
 			if w := clipWindowU32(idxs, 0, b); len(w) > 0 {
-				ms.byPred[p] = append(ms.byPred[p], w...)
+				ix.byPred[p] = append(ix.byPred[p], w...)
 			}
 		}
-		for k, idxs := range st.byArg {
-			if w := clipWindowU32(idxs, 0, b); len(w) > 0 {
-				ms.byArg.appendTo(k, w...)
+		for _, e := range st.ix.byArg.entries {
+			if w := clipWindowU32(e.list, 0, b); len(w) > 0 {
+				ix.byArg.appendTo(e.id, w...)
 			}
 		}
-		for t, idx := range st.dom {
-			if idx < b {
-				ms.dom.setIfAbsent(t, idx)
+		for _, e := range st.ix.dom.entries {
+			if int(e.idx) < b {
+				ix.dom.setIfAbsent(e.term, int(e.idx))
 			}
 		}
 	}
-	ms.keys.rebuild()
-	return &FactStore{syms: s.syms, storage: ms}
+	return out
 }
 
 // forEachLayer walks the snapshot chain from this layer toward the
 // root, invoking fn with each layer and the bound on the store indices
 // visible there: a layer's own entries count only when their index is
 // below the bound, and descending past a layer shrinks the bound to its
-// base. Every chain-merging read goes through this iterator so the
-// check-before-shrink invariant lives in one place. fn returning false
-// stops the walk.
+// base. The chain-merging reads go through this iterator; the point
+// probes (lookupPacked, lookupFactKey, hasDomainID) inline the same
+// check-before-shrink walk. fn returning false stops the walk.
 func (s *FactStore) forEachLayer(bound int, fn func(st *FactStore, bound int) bool) {
 	for st := s; st != nil; st = st.parent {
 		if !fn(st, bound) {
@@ -230,85 +192,80 @@ func (s *FactStore) forEachLayer(bound int, fn func(st *FactStore, bound int) bo
 	}
 }
 
-// Add inserts the atom, reporting whether it was new.
+// Add inserts the atom, reporting whether it was new: one probe per
+// chain layer, then one incremental insert into this layer's index.
 func (s *FactStore) Add(a Atom) bool {
-	if s.parent == nil {
-		_, added := s.storage.Add(a)
-		return added
-	}
 	var kb [64]byte
 	key, _ := s.syms.appendAtomKey(a, kb[:0], true)
-	if _, ok := s.lookupPacked(key); ok {
+	// Ancestors first, under this layer's visibility bound; this
+	// layer's own table last, so its miss hands back the insert slot.
+	if _, ok := s.parent.lookupPacked(key, s.base); ok {
 		return false
 	}
-	if s.byKey == nil {
-		s.byKey = make(map[FactKey]int)
-		s.byPred = make(map[uint32][]uint32)
-		s.byArg = make(map[argID][]uint32)
-		s.dom = make(map[uint32]int)
+	ix := s.index()
+	slot, _, dup := ix.keys.findSlotBytes(key)
+	if dup {
+		return false
 	}
 	idx := s.Len()
-	k := FactKey(key) // retained: one allocation
+	ix.keys.insert(slot, key)
 	s.atoms = append(s.atoms, a)
-	s.byKey[k] = idx
-	pid := k.Pred()
-	s.byPred[pid] = append(s.byPred[pid], uint32(idx))
+	pid := binary.LittleEndian.Uint32(key)
+	ix.byPred[pid] = append(ix.byPred[pid], uint32(idx))
 	for i, t := range a.Args {
-		ak := argID{pred: pid, pos: int32(i), term: k.Arg(i)}
-		s.byArg[ak] = append(s.byArg[ak], uint32(idx))
-		s.addDomainTerms(t, idx)
+		tid := binary.LittleEndian.Uint32(key[4+4*i:])
+		ix.byArg.appendTo(argID{pred: pid, pos: int32(i), term: tid}, uint32(idx))
+		// A constant or null is its own domain term; only function
+		// terms need the recursive walk.
+		if t.Kind == Func {
+			s.domBuf = s.syms.appendDomainIDs(t, s.domBuf[:0])
+		} else {
+			s.domBuf = append(s.domBuf[:0], tid)
+		}
+		for _, d := range s.domBuf {
+			if !s.parent.hasDomainID(d, s.base) {
+				ix.dom.setIfAbsent(d, idx)
+			}
+		}
 	}
 	s.tb += factKeyBytes(len(a.Args))
 	return true
 }
 
-// addDomainTerms records the constants and nulls of t (recursing into
-// function terms) that are not yet visible in the store's domain,
-// keeping Domain incremental instead of re-walking all atoms per call.
-func (s *FactStore) addDomainTerms(t Term, idx int) {
-	s.domBuf = s.syms.appendDomainIDs(t, s.domBuf[:0])
-	for _, d := range s.domBuf {
-		if !s.hasDomainID(d) {
-			s.dom[d] = idx
+// hasDomainID reports whether the chain from s down introduced the
+// domain term id at a store index below bound. A nil s has no domain.
+func (s *FactStore) hasDomainID(id uint32, bound int) bool {
+	for st := s; st != nil; st = st.parent {
+		if idx, ok := st.ix.domainIndex(id); ok && idx < bound {
+			return true
 		}
+		bound = min(bound, st.base)
 	}
-}
-
-func (s *FactStore) hasDomainID(id uint32) bool {
-	found := false
-	s.forEachLayer(math.MaxInt, func(st *FactStore, bound int) bool {
-		var idx int
-		var ok bool
-		if st.parent == nil {
-			idx, ok = st.storage.DomainIndex(id)
-		} else {
-			idx, ok = st.dom[id]
-		}
-		if ok && idx < bound {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
+	return false
 }
 
 // HasDomainTerm reports whether the ground term occurs in the store's
-// domain (see Domain), in O(chain) map probes.
+// domain (see Domain), in O(chain) table probes.
 func (s *FactStore) HasDomainTerm(t Term) bool {
 	id, ok := s.syms.Lookup(t)
 	if !ok {
 		return false
 	}
-	return s.hasDomainID(id)
+	return s.hasDomainID(id, math.MaxInt)
 }
 
-// AddAll inserts every atom, returning the number that were new. On a
-// root store with no prior additions this is the bulk-load path: the
-// backing Storage builds its indexes in one pass.
+// AddAll inserts every atom, returning the number that were new. A root
+// store bulk-loads the batch (see addBulk) unless the batch is small
+// next to the chain's symbol table, where the bulk loader's
+// O(symbol table) counting arrays would dwarf the work; such batches,
+// and every batch on a snapshot layer, go through Add.
 func (s *FactStore) AddAll(atoms []Atom) int {
-	if s.parent == nil {
-		return s.storage.AddAll(atoms)
+	pairs := 0
+	for _, a := range atoms {
+		pairs += len(a.Args)
+	}
+	if s.parent == nil && s.syms.NumTerms() <= 4*pairs+1024 {
+		return s.addBulk(atoms)
 	}
 	n := 0
 	for _, a := range atoms {
@@ -320,45 +277,28 @@ func (s *FactStore) AddAll(atoms []Atom) int {
 }
 
 // lookupPacked resolves a packed fact key (in a scratch buffer) through
-// the snapshot chain: each layer's own entries are consulted under the
-// visibility bound imposed by the layers above it.
-func (s *FactStore) lookupPacked(key []byte) (int, bool) {
-	bound := math.MaxInt
+// the snapshot chain from s down, counting only store indices below
+// bound: each layer's own entries are consulted under the visibility
+// bound imposed by the layers above it. A nil s finds nothing.
+func (s *FactStore) lookupPacked(key []byte, bound int) (int, bool) {
 	for st := s; st != nil; st = st.parent {
-		var idx int
-		var ok bool
-		if st.parent == nil {
-			idx, ok = st.storage.IndexOf(key)
-		} else {
-			idx, ok = st.byKey[FactKey(key)]
+		if off, ok := st.ix.offsetOf(key); ok && st.base+off < bound {
+			return st.base + off, true
 		}
-		if ok && idx < bound {
-			return idx, true
-		}
-		if st.base < bound {
-			bound = st.base
-		}
+		bound = min(bound, st.base)
 	}
 	return 0, false
 }
 
-// lookupFactKey is lookupPacked for a stored FactKey.
+// lookupFactKey is lookupPacked for a stored FactKey, over the whole
+// chain.
 func (s *FactStore) lookupFactKey(key FactKey) (int, bool) {
 	bound := math.MaxInt
 	for st := s; st != nil; st = st.parent {
-		var idx int
-		var ok bool
-		if st.parent == nil {
-			idx, ok = st.storage.IndexOfKey(key)
-		} else {
-			idx, ok = st.byKey[key]
+		if off, ok := st.ix.offsetOfKey(key); ok && st.base+off < bound {
+			return st.base + off, true
 		}
-		if ok && idx < bound {
-			return idx, true
-		}
-		if st.base < bound {
-			bound = st.base
-		}
+		bound = min(bound, st.base)
 	}
 	return 0, false
 }
@@ -372,7 +312,7 @@ func (s *FactStore) lookupAtom(a Atom) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	return s.lookupPacked(key)
+	return s.lookupPacked(key, math.MaxInt)
 }
 
 // Has reports whether the atom is in the store.
@@ -423,12 +363,7 @@ func (s *FactStore) IndexOfAtom(a Atom) (int, bool) {
 }
 
 // Len returns the number of atoms.
-func (s *FactStore) Len() int {
-	if s.parent == nil {
-		return s.storage.Len()
-	}
-	return s.base + len(s.atoms)
-}
+func (s *FactStore) Len() int { return s.base + len(s.atoms) }
 
 // TupleBytes returns the total packed size (4 bytes per predicate or
 // argument id) of the tuples retained by this chain — the unit the
@@ -438,11 +373,7 @@ func (s *FactStore) Len() int {
 func (s *FactStore) TupleBytes() int64 {
 	var n int64
 	for st := s; st != nil; st = st.parent {
-		if st.parent == nil {
-			n += st.storage.TupleBytes()
-		} else {
-			n += st.tb
-		}
+		n += st.tb
 	}
 	return n
 }
@@ -452,7 +383,7 @@ func (s *FactStore) TupleBytes() int64 {
 // snapshot layer materializes a fresh slice.
 func (s *FactStore) Atoms() []Atom {
 	if s.parent == nil {
-		return s.storage.Atoms()
+		return s.atoms
 	}
 	return s.appendAtomsBelow(s.Len(), make([]Atom, 0, s.Len()))
 }
@@ -460,22 +391,10 @@ func (s *FactStore) Atoms() []Atom {
 // appendAtomsBelow appends the atoms with store index < bound onto buf,
 // in index order.
 func (s *FactStore) appendAtomsBelow(bound int, buf []Atom) []Atom {
-	if s.parent == nil {
-		all := s.storage.Atoms()
-		if bound > len(all) {
-			bound = len(all)
-		}
-		return append(buf, all[:bound]...)
+	if s.parent != nil {
+		buf = s.parent.appendAtomsBelow(min(bound, s.base), buf)
 	}
-	pb := bound
-	if s.base < pb {
-		pb = s.base
-	}
-	buf = s.parent.appendAtomsBelow(pb, buf)
-	if n := bound - s.base; n > 0 {
-		if n > len(s.atoms) {
-			n = len(s.atoms)
-		}
+	if n := min(bound-s.base, len(s.atoms)); n > 0 {
 		buf = append(buf, s.atoms[:n]...)
 	}
 	return buf
@@ -487,36 +406,15 @@ func (s *FactStore) appendAtomsBelow(bound int, buf []Atom) []Atom {
 // delta-driven encoders use to inspect the new atoms of a growing store
 // (or snapshot chain) without materializing a slice.
 func (s *FactStore) EachAtomIn(lo, hi int, fn func(idx int, a Atom) bool) bool {
-	if n := s.Len(); hi > n {
-		hi = n
-	}
-	if lo < 0 {
-		lo = 0
-	}
+	hi = min(hi, s.Len())
+	lo = max(lo, 0)
 	if lo >= hi {
 		return true
 	}
-	if s.parent == nil {
-		atoms := s.storage.Atoms()
-		for i := lo; i < hi; i++ {
-			if !fn(i, atoms[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	ph := hi
-	if s.base < ph {
-		ph = s.base
-	}
-	if !s.parent.EachAtomIn(lo, ph, fn) {
+	if s.parent != nil && !s.parent.EachAtomIn(lo, min(hi, s.base), fn) {
 		return false
 	}
-	start := lo - s.base
-	if start < 0 {
-		start = 0
-	}
-	for i := start; i < len(s.atoms) && s.base+i < hi; i++ {
+	for i := max(lo-s.base, 0); i < len(s.atoms) && s.base+i < hi; i++ {
 		if !fn(s.base+i, s.atoms[i]) {
 			return false
 		}
@@ -530,15 +428,6 @@ func (s *FactStore) ByPred(pred string) []Atom {
 	pid, ok := s.syms.LookupPred(pred)
 	if !ok {
 		return nil
-	}
-	if s.parent == nil {
-		idxs := s.storage.PredIndices(pid)
-		atoms := s.storage.Atoms()
-		out := make([]Atom, len(idxs))
-		for i, idx := range idxs {
-			out[i] = atoms[idx]
-		}
-		return out
 	}
 	idxs := s.appendPredIndices(pid, 0, s.Len(), nil)
 	out := make([]Atom, len(idxs))
@@ -554,9 +443,6 @@ func (s *FactStore) CountPred(pred string) int {
 	if !ok {
 		return 0
 	}
-	if s.parent == nil {
-		return len(s.storage.PredIndices(pid))
-	}
 	return s.countPredWindow(pid, 0, s.Len())
 }
 
@@ -568,13 +454,7 @@ func (s *FactStore) countPredWindow(pid uint32, lo, hi int) int {
 		if bound <= lo {
 			return false
 		}
-		var idxs []uint32
-		if st.parent == nil {
-			idxs = st.storage.PredIndices(pid)
-		} else {
-			idxs = st.byPred[pid]
-		}
-		n += len(clipWindowU32(idxs, lo, bound))
+		n += len(clipWindowU32(st.ix.pred(pid), lo, bound))
 		return true
 	})
 	return n
@@ -588,9 +468,6 @@ func (s *FactStore) atomAt(i int) Atom {
 	for i < st.base {
 		st = st.parent
 	}
-	if st.parent == nil {
-		return st.storage.AtomAt(i)
-	}
 	return st.atoms[i-st.base]
 }
 
@@ -598,20 +475,15 @@ func (s *FactStore) atomAt(i int) Atom {
 // predicate id, ascending. Shared with the store: callers must not
 // modify. Valid only for root stores; snapshot layers use
 // appendPredIndices.
-func (s *FactStore) predIndices(pid uint32) []uint32 { return s.storage.PredIndices(pid) }
+func (s *FactStore) predIndices(pid uint32) []uint32 { return s.ix.pred(pid) }
 
 // appendPredIndices appends the store indices of atoms with the given
 // predicate id in [lo, hi) onto buf, ascending.
 func (s *FactStore) appendPredIndices(pid uint32, lo, hi int, buf []uint32) []uint32 {
-	if s.parent == nil {
-		return append(buf, clipWindowU32(s.storage.PredIndices(pid), lo, hi)...)
+	if s.parent != nil {
+		buf = s.parent.appendPredIndices(pid, lo, min(hi, s.base), buf)
 	}
-	ph := hi
-	if s.base < ph {
-		ph = s.base
-	}
-	buf = s.parent.appendPredIndices(pid, lo, ph, buf)
-	return append(buf, clipWindowU32(s.byPred[pid], lo, hi)...)
+	return append(buf, clipWindowU32(s.ix.pred(pid), lo, hi)...)
 }
 
 // postings returns the store indices of atoms with predicate id pid
@@ -621,7 +493,7 @@ func (s *FactStore) appendPredIndices(pid uint32, lo, hi int, buf []uint32) []ui
 // layer materializes the merged list.
 func (s *FactStore) postings(pid uint32, pos int, tid uint32) []uint32 {
 	if s.parent == nil {
-		return s.storage.Postings(pid, pos, tid)
+		return s.ix.postings(pid, pos, tid)
 	}
 	return s.appendPostings(pid, pos, tid, 0, s.Len(), nil)
 }
@@ -630,15 +502,10 @@ func (s *FactStore) postings(pid uint32, pos int, tid uint32) []uint32 {
 // ascending across the snapshot chain (ancestor indices always precede
 // this layer's own).
 func (s *FactStore) appendPostings(pid uint32, pos int, tid uint32, lo, hi int, buf []uint32) []uint32 {
-	if s.parent == nil {
-		return append(buf, clipWindowU32(s.storage.Postings(pid, pos, tid), lo, hi)...)
+	if s.parent != nil {
+		buf = s.parent.appendPostings(pid, pos, tid, lo, min(hi, s.base), buf)
 	}
-	ph := hi
-	if s.base < ph {
-		ph = s.base
-	}
-	buf = s.parent.appendPostings(pid, pos, tid, lo, ph, buf)
-	return append(buf, clipWindowU32(s.byArg[argID{pred: pid, pos: int32(pos), term: tid}], lo, hi)...)
+	return append(buf, clipWindowU32(s.ix.postings(pid, pos, tid), lo, hi)...)
 }
 
 // postingsCount returns the number of posting-list entries for
@@ -649,13 +516,7 @@ func (s *FactStore) postingsCount(pid uint32, pos int, tid uint32, lo, hi int) i
 		if bound <= lo {
 			return false
 		}
-		var idxs []uint32
-		if st.parent == nil {
-			idxs = st.storage.Postings(pid, pos, tid)
-		} else {
-			idxs = st.byArg[argID{pred: pid, pos: int32(pos), term: tid}]
-		}
-		n += len(clipWindowU32(idxs, lo, bound))
+		n += len(clipWindowU32(st.ix.postings(pid, pos, tid), lo, bound))
 		return true
 	})
 	return n
@@ -665,17 +526,12 @@ func (s *FactStore) postingsCount(pid uint32, pos int, tid uint32, lo, hi int) i
 func (s *FactStore) Preds() []string {
 	set := make(map[uint32]bool)
 	s.forEachLayer(s.Len(), func(st *FactStore, bound int) bool {
-		mark := func(p uint32, idxs []uint32) bool {
-			if !set[p] && len(clipWindowU32(idxs, 0, bound)) > 0 {
-				set[p] = true
-			}
+		if st.ix == nil {
 			return true
 		}
-		if st.parent == nil {
-			st.storage.EachPred(mark)
-		} else {
-			for p, idxs := range st.byPred {
-				mark(p, idxs)
+		for p, idxs := range st.ix.byPred {
+			if !set[p] && len(clipWindowU32(idxs, 0, bound)) > 0 {
+				set[p] = true
 			}
 		}
 		return true
@@ -690,9 +546,8 @@ func (s *FactStore) Preds() []string {
 
 // Clone returns a deep, independent copy (atoms are immutable and
 // shared, as is the chain's append-only Symbols table). The copy is
-// always a root store backed by a fresh in-memory Storage, even when s
-// is a snapshot layer; use Snapshot for an O(1) copy-on-write child
-// instead.
+// always a root store with its own index, even when s is a snapshot
+// layer; use Snapshot for an O(1) copy-on-write child instead.
 func (s *FactStore) Clone() *FactStore {
 	return s.flatten(s.Len())
 }
@@ -709,18 +564,13 @@ func (s *FactStore) Domain() []Term {
 	seen := make(map[uint32]bool)
 	var entries []entry
 	s.forEachLayer(s.Len(), func(st *FactStore, bound int) bool {
-		collect := func(id uint32, idx int) bool {
-			if idx < bound && !seen[id] {
-				seen[id] = true
-				entries = append(entries, entry{key: s.syms.TermKey(id), term: s.syms.TermOf(id)})
-			}
+		if st.ix == nil {
 			return true
 		}
-		if st.parent == nil {
-			st.storage.EachDomain(collect)
-		} else {
-			for id, idx := range st.dom {
-				collect(id, idx)
+		for _, e := range st.ix.dom.entries {
+			if int(e.idx) < bound && !seen[e.term] {
+				seen[e.term] = true
+				entries = append(entries, entry{key: s.syms.TermKey(e.term), term: s.syms.TermOf(e.term)})
 			}
 		}
 		return true

@@ -135,7 +135,7 @@ func TestPostingsInvariantRandomized(t *testing.T) {
 			terms[k] = term
 		}
 	}
-	if n := len(s.Storage().(*memStorage).byArg.ids); len(want) != n {
+	if n := len(s.ix.byArg.entries); len(want) != n {
 		t.Fatalf("index has %d posting lists, want %d", n, len(want))
 	}
 	for k, idxs := range want {

@@ -247,3 +247,50 @@ func TestHasUnder(t *testing.T) {
 		t.Fatalf("unbound variable must report false (bound-instances-only)")
 	}
 }
+
+// snapshotSink keeps TestStoreAllocations' snapshots escaping, as a
+// caller's would.
+var snapshotSink *FactStore
+
+// TestStoreAllocations pins the allocation profile of the per-layer
+// packed index, which the search pays for on every node: a snapshot of
+// a written store costs only the child struct, and membership probes
+// and duplicate adds through a three-layer chain allocate nothing.
+func TestStoreAllocations(t *testing.T) {
+	inRoot, inMid, inTop := A("e", C("a"), C("b")), A("e", C("b"), C("c")), A("e", C("c"), C("d"))
+	missing := A("e", C("d"), C("a"))
+	root := StoreOf(inRoot, A("p", C("a")))
+	mid := root.Snapshot()
+	mid.Add(inMid)
+	top := mid.Snapshot()
+	top.Add(inTop)
+	h := Subst{"X": C("b")}
+	pat := A("e", V("X"), C("c"))
+	cases := []struct {
+		name string
+		want float64
+		fn   func()
+	}{
+		{"Snapshot", 1, func() { snapshotSink = top.Snapshot() }},
+		{"Has", 0, func() {
+			if !top.Has(inRoot) || !top.Has(inMid) || !top.Has(inTop) || top.Has(missing) {
+				t.Fatal("Has through the chain is wrong")
+			}
+		}},
+		{"IndexUnder", 0, func() {
+			if idx, ok := top.IndexUnder(h, pat); !ok || idx != 2 {
+				t.Fatalf("IndexUnder = %d, %v; want 2, true", idx, ok)
+			}
+		}},
+		{"duplicate Add", 0, func() {
+			if top.Add(inRoot) || top.Add(inMid) || top.Add(inTop) {
+				t.Fatal("duplicate Add reported a new atom")
+			}
+		}},
+	}
+	for _, c := range cases {
+		if got := testing.AllocsPerRun(100, c.fn); got != c.want {
+			t.Errorf("%s: %v allocations per run, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -22,7 +22,7 @@ import (
 // handle and reuses the already-loaded ntgd.Database. The Database is
 // bulk-loaded and frozen at upload time; every program compiled against
 // it layers a copy-on-write snapshot over the one shared, interned,
-// indexed root (the PR 9 storage seam).
+// indexed root.
 
 // canonicalFacts parses a facts-only source and returns the sorted,
 // deduplicated fact set plus the canonical source it is hashed by.

@@ -1,7 +1,6 @@
 package ntgd
 
 import (
-	"context"
 	"fmt"
 
 	"ntgd/internal/chase"
@@ -30,13 +29,6 @@ type (
 	Query = logic.Query
 	// FactStore is a set of ground atoms (databases, models).
 	FactStore = logic.FactStore
-	// Storage is the pluggable backend behind a root FactStore: interned
-	// packed tuples, posting lists, and the bulk loader (see
-	// CompileOptions.Store and the package doc's Storage section).
-	Storage = logic.Storage
-	// Symbols is the per-program term interner every Storage carries;
-	// stores layered over one Storage share its table.
-	Symbols = logic.Symbols
 	// FactKey is a packed ground tuple: the interned predicate id
 	// followed by the interned argument ids, 4 bytes each.
 	FactKey = logic.FactKey
@@ -96,10 +88,6 @@ var (
 	A = logic.A
 	// StoreOf builds a fact store from atoms.
 	StoreOf = logic.StoreOf
-	// NewStorage builds the default in-memory Storage backend.
-	NewStorage = logic.NewStorage
-	// NewFactStoreOn builds a root fact store over a Storage backend.
-	NewFactStoreOn = logic.NewFactStoreOn
 )
 
 // Parse parses a program in the surface syntax (see package doc).
@@ -158,91 +146,6 @@ func (m Mode) String() string {
 		return "brave"
 	}
 	return "cautious"
-}
-
-// StableModels enumerates the stable models of the program under the
-// SO semantics. Use StableModelsUnder to select a different
-// semantics.
-//
-// Deprecated: use Compile and Solver.Models, which compile the program
-// once, stream the models, and support cancellation. This wrapper
-// compiles a fresh Solver per call.
-func StableModels(p *Program, opt Options) (*Result, error) {
-	return StableModelsUnder(p, SO, opt)
-}
-
-// StableModelsUnder enumerates stable models under the chosen
-// semantics. On budget exhaustion the partial Result is returned
-// alongside ErrBudget.
-//
-// Deprecated: use Compile and Solver.Models, which compile the program
-// once, stream the models, and support cancellation. This wrapper
-// compiles a fresh Solver per call.
-func StableModelsUnder(p *Program, sem Semantics, opt Options) (*Result, error) {
-	s, err := Compile(p, CompileOptions{Semantics: sem, Options: opt})
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{}
-	for m, err := range s.Models(context.Background()) {
-		if err != nil {
-			res.Stats = s.Stats()
-			res.Exhausted = s.Exhausted()
-			return res, err
-		}
-		res.Models = append(res.Models, m)
-	}
-	res.Stats = s.Stats()
-	res.Exhausted = s.Exhausted()
-	return res, nil
-}
-
-// Entails answers a Boolean query under the SO semantics.
-//
-// Deprecated: use Compile and Solver.Entails, which compile the
-// program once per Solver and support cancellation. This wrapper
-// compiles a fresh Solver per call.
-func Entails(p *Program, q Query, mode Mode, opt Options) (QAResult, error) {
-	return EntailsUnder(p, q, mode, SO, opt)
-}
-
-// EntailsUnder answers a Boolean query under the chosen semantics and
-// reasoning mode.
-//
-// Deprecated: use Compile and Solver.Entails, which compile the
-// program once per Solver and support cancellation. This wrapper
-// compiles a fresh Solver per call.
-func EntailsUnder(p *Program, q Query, mode Mode, sem Semantics, opt Options) (QAResult, error) {
-	s, err := Compile(p, CompileOptions{Semantics: sem, Options: opt})
-	if err != nil {
-		return QAResult{}, err
-	}
-	return s.Entails(context.Background(), q, mode)
-}
-
-// Answers computes the certain (Cautious) or possible (Brave) answers
-// of an n-ary query under the SO semantics. Use AnswersUnder to select
-// a different semantics.
-//
-// Deprecated: use Compile and Solver.Answers, which compile the
-// program once per Solver and support cancellation. This wrapper
-// compiles a fresh Solver per call.
-func Answers(p *Program, q Query, mode Mode, opt Options) ([]AnswerTuple, bool, error) {
-	return AnswersUnder(p, q, mode, SO, opt)
-}
-
-// AnswersUnder computes the certain (Cautious) or possible (Brave)
-// answers of an n-ary query under the chosen semantics.
-//
-// Deprecated: use Compile and Solver.Answers, which compile the
-// program once per Solver and support cancellation. This wrapper
-// compiles a fresh Solver per call.
-func AnswersUnder(p *Program, q Query, mode Mode, sem Semantics, opt Options) ([]AnswerTuple, bool, error) {
-	s, err := Compile(p, CompileOptions{Semantics: sem, Options: opt})
-	if err != nil {
-		return nil, false, err
-	}
-	return s.Answers(context.Background(), q, mode)
 }
 
 // IsStableModel checks Definition 1 for a candidate interpretation

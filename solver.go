@@ -41,15 +41,9 @@ type CompileOptions struct {
 	// the snapshot layer. Compiling many programs against one Database
 	// shares the interned, packed, indexed root across all of them
 	// instead of rebuilding it per Compile. An unfrozen Database is
-	// frozen by Compile. Mutually exclusive with Store.
+	// frozen by Compile. A Database is the one way to pass pre-loaded
+	// facts; without one, the program's own facts form the root.
 	Database *Database
-	// Store, when non-nil, supplies the storage backend for the root
-	// database: the program's facts are added on a snapshot layered
-	// over whatever the Storage already holds. This is the seam for
-	// alternative root implementations (see Storage and NewStorage);
-	// the backend must not be written concurrently with Compile.
-	// Mutually exclusive with Database.
-	Store Storage
 }
 
 // Gate is a counting admission semaphore bounding concurrent
@@ -140,11 +134,9 @@ func Compile(p *Program, opt CompileOptions) (*Solver, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	db, err := rootDatabase(p, opt)
-	if err != nil {
-		return nil, err
-	}
+	db := rootDatabase(p, opt)
 	var eng engine.Engine
+	var err error
 	switch opt.Semantics {
 	case SO:
 		eng, err = core.Compile(db, p.Rules, opt.Options)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"testing"
@@ -47,63 +46,9 @@ func equalStringSlices(a, b []string) bool {
 	return true
 }
 
-// TestSolverMatchesLegacyWrappers pins the acceptance criterion: on
-// every testdata program and every semantics, the deprecated one-shot
-// wrappers and the compiled Solver produce identical models, verdicts,
-// and errors — the wrappers are thin delegates, not a second code
-// path.
-func TestSolverMatchesLegacyWrappers(t *testing.T) {
-	files, err := filepath.Glob("testdata/*.ntgd")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no testdata programs (err=%v)", err)
-	}
-	sems := []ntgd.Semantics{ntgd.SO, ntgd.LP, ntgd.Operational}
-	opt := ntgd.Options{MaxModels: 16, MaxNodes: 200000}
-	for _, f := range files {
-		prog, err := ntgd.ParseFile(f)
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		for _, sem := range sems {
-			name := filepath.Base(f) + "/" + sem.String()
-			t.Run(name, func(t *testing.T) {
-				wres, werr := ntgd.StableModelsUnder(prog, sem, opt)
-				s, cerr := ntgd.Compile(prog, ntgd.CompileOptions{Semantics: sem, Options: opt})
-				if (cerr != nil) != (werr != nil && wres == nil) {
-					t.Fatalf("compile err %v vs wrapper err %v", cerr, werr)
-				}
-				if cerr != nil {
-					return
-				}
-				models, serr := collectModels(context.Background(), s)
-				if !errors.Is(werr, serr) && !errors.Is(serr, werr) {
-					t.Fatalf("wrapper err %v vs solver err %v", werr, serr)
-				}
-				if wres != nil && !equalStringSlices(canonicalSet(wres.Models), canonicalSet(models)) {
-					t.Fatalf("model sets differ:\nwrapper: %v\nsolver:  %v",
-						canonicalSet(wres.Models), canonicalSet(models))
-				}
-				for qi, q := range prog.Queries {
-					for _, mode := range []ntgd.Mode{ntgd.Cautious, ntgd.Brave} {
-						wv, werr := ntgd.EntailsUnder(prog, q, mode, sem, opt)
-						sv, serr := s.Entails(context.Background(), q, mode)
-						if (werr == nil) != (serr == nil) {
-							t.Fatalf("q%d %s: wrapper err %v vs solver err %v", qi, mode, werr, serr)
-						}
-						if werr == nil && wv.Entailed != sv.Entailed {
-							t.Fatalf("q%d %s: wrapper entailed=%v solver entailed=%v", qi, mode, wv.Entailed, sv.Entailed)
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestSolverAnswersMatchesLegacy pins the n-ary answer path: the
-// deprecated Answers wrapper and Solver.Answers agree, for every
-// semantics (the wrapper previously supported SO only; now all three
-// run through the shared engine).
+// TestSolverAnswersMatchesLegacy pins the n-ary answer path under
+// every semantics: Solver.Answers returns both persons as certain
+// answers.
 func TestSolverAnswersMatchesLegacy(t *testing.T) {
 	prog := ntgd.MustParse(`
 person(ada). person(bo).
@@ -113,22 +58,13 @@ person(X), not grumpy(X) -> happy(X).
 `)
 	q := prog.Queries[0]
 	for _, sem := range []ntgd.Semantics{ntgd.SO, ntgd.LP, ntgd.Operational} {
-		wTuples, wOK, wErr := ntgd.AnswersUnder(prog, q, ntgd.Cautious, sem, ntgd.Options{})
 		s := ntgd.MustCompile(prog, ntgd.CompileOptions{Semantics: sem})
-		sTuples, sOK, sErr := s.Answers(context.Background(), q, ntgd.Cautious)
-		if (wErr == nil) != (sErr == nil) || wOK != sOK {
-			t.Fatalf("%v: wrapper (ok=%v, err=%v) vs solver (ok=%v, err=%v)", sem, wOK, wErr, sOK, sErr)
+		tuples, ok, err := s.Answers(context.Background(), q, ntgd.Cautious)
+		if err != nil || !ok {
+			t.Fatalf("%v: Answers (ok=%v, err=%v)", sem, ok, err)
 		}
-		if len(wTuples) != len(sTuples) {
-			t.Fatalf("%v: wrapper %v vs solver %v", sem, wTuples, sTuples)
-		}
-		for i := range wTuples {
-			if wTuples[i].Key() != sTuples[i].Key() {
-				t.Fatalf("%v: tuple %d differs: %v vs %v", sem, i, wTuples[i], sTuples[i])
-			}
-		}
-		if len(wTuples) != 2 {
-			t.Fatalf("%v: want both persons happy, got %v", sem, wTuples)
+		if len(tuples) != 2 {
+			t.Fatalf("%v: want both persons happy, got %v", sem, tuples)
 		}
 	}
 }
@@ -407,14 +343,16 @@ func TestSolverParallelEarlyBreakReleasesSearch(t *testing.T) {
 	awaitGoroutines(t, baseline)
 }
 
-// TestLegacyLPOptionsRouted pins the satellite bug fix: under LP the
-// wrappers must honor Options.MaxModels and report Stats/Exhausted
-// instead of silently dropping them.
+// TestLegacyLPOptionsRouted pins the LP options plumbing: under LP a
+// Solver honors Options.MaxModels and reports Stats, and a brave query
+// carries its witness model, instead of silently dropping them.
 func TestLegacyLPOptionsRouted(t *testing.T) {
 	prog := subsetProgram(5) // 32 models under every semantics
-	res, err := ntgd.StableModelsUnder(prog, ntgd.LP, ntgd.Options{MaxModels: 2})
+	ctx := context.Background()
+	s := ntgd.MustCompile(prog, ntgd.CompileOptions{Semantics: ntgd.LP, Options: ntgd.Options{MaxModels: 2}})
+	res, err := s.Collect(ctx, 0)
 	if err != nil {
-		t.Fatalf("StableModelsUnder(LP): %v", err)
+		t.Fatalf("Collect(LP): %v", err)
 	}
 	if len(res.Models) != 2 {
 		t.Fatalf("LP MaxModels ignored: got %d models, want 2", len(res.Models))
@@ -422,9 +360,10 @@ func TestLegacyLPOptionsRouted(t *testing.T) {
 	if res.Stats.Nodes == 0 {
 		t.Fatal("LP result dropped Stats")
 	}
-	v, err := ntgd.EntailsUnder(prog, ntgd.MustParse("?- in(i0).").Queries[0], ntgd.Brave, ntgd.LP, ntgd.Options{})
+	s = ntgd.MustCompile(prog, ntgd.CompileOptions{Semantics: ntgd.LP})
+	v, err := s.Entails(ctx, ntgd.MustParse("?- in(i0).").Queries[0], ntgd.Brave)
 	if err != nil {
-		t.Fatalf("EntailsUnder(LP): %v", err)
+		t.Fatalf("Entails(LP): %v", err)
 	}
 	if !v.Entailed || v.Witness == nil || v.Stats.Nodes == 0 {
 		t.Fatalf("LP QAResult incomplete: %+v", v)
