@@ -510,3 +510,37 @@ func BenchmarkSolverReuse(b *testing.B) {
 		}
 	})
 }
+
+// chainQueryProgram is the database-heavy query shape: facts
+// edge(c_i, c_i+1) for i < n, the rule edge(X,Y) -> node(X), and the
+// cautious query ?- node(c5).
+func chainQueryProgram(n int) *ntgd.Program {
+	prog := ntgd.MustParse("edge(X,Y) -> node(X).\n?- node(c5).\n")
+	for i := 0; i < n; i++ {
+		prog.Facts = append(prog.Facts, ntgd.A("edge", ntgd.C(fmt.Sprintf("c%d", i)), ntgd.C(fmt.Sprintf("c%d", i+1))))
+	}
+	return prog
+}
+
+// BenchmarkSolverQueryDB pins that a compiled Solver answers a query
+// over a large database from its per-program artifacts: each call under
+// SO starts from the frozen run root (D plus its deterministic closure)
+// and under LP from the frozen well-founded core, so the per-call cost
+// follows the query, not |D|.
+func BenchmarkSolverQueryDB(b *testing.B) {
+	for _, sem := range []ntgd.Semantics{ntgd.SO, ntgd.LP} {
+		for _, n := range []int{1000, 4000} {
+			b.Run(fmt.Sprintf("%s/N=%d", sem, n), func(b *testing.B) {
+				prog := chainQueryProgram(n)
+				s := ntgd.MustCompile(prog, ntgd.CompileOptions{Semantics: sem, Options: ntgd.Options{Workers: 1}})
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := s.Entails(context.Background(), prog.Queries[0], ntgd.Cautious)
+					if err != nil || !res.Entailed {
+						b.Fatalf("Entails = (%v, %v), want (true, nil)", res.Entailed, err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -34,71 +34,96 @@ func chaosWorkload(t *testing.T, site string) (*ntgd.Program, ntgd.Options) {
 }
 
 // TestChaosEverySite arms each failpoint site in turn and drives a full
-// enumeration through the public Solver: the injected panic must
-// surface as a typed ErrInternal naming the site, with no goroutine
-// leaked and the Solver still able to produce the exact reference
-// model set once the site is disarmed.
+// enumeration through the public Solver, under SO and under LP: the
+// injected panic must surface as a typed ErrInternal naming the site,
+// with no goroutine leaked and the Solver still able to produce the
+// exact reference model set once the site is disarmed. Every site must
+// fire under SO; a site off LP's path must leave the armed LP run
+// correct, and at least one site must fire under LP.
 func TestChaosEverySite(t *testing.T) {
 	defer failpoint.Reset()
-	for _, site := range failpoint.Sites() {
-		t.Run(site, func(t *testing.T) {
-			if site == failpoint.ServerHandler || site == failpoint.ServerShed {
-				// Not reachable through the bare Solver; the
-				// internal/server chaos suite drives these through
-				// HTTP requests.
-				t.Skip("covered by internal/server's chaos suite")
-			}
-			failpoint.Reset()
-			prog, opt := chaosWorkload(t, site)
-			baseline := runtime.NumGoroutine()
-			s := ntgd.MustCompile(prog, ntgd.CompileOptions{Options: opt})
-
-			// Arm before any run: several sites (the budget probe's
-			// chase among them) execute once and are cached, so a prior
-			// reference run would mask them.
-			failpoint.Arm(site, 1)
-			_, err := collectModels(context.Background(), s)
-			if !errors.Is(err, ntgd.ErrInternal) {
-				t.Fatalf("armed run err = %v, want ErrInternal", err)
-			}
-			var ie *engine.InternalError
-			if !errors.As(err, &ie) {
-				t.Fatalf("err %v does not carry *engine.InternalError", err)
-			}
-			if fp, ok := ie.Value.(failpoint.Panic); !ok || fp.Site != site {
-				t.Fatalf("internal error value = %#v, want the %s failpoint", ie.Value, site)
-			}
-			if len(ie.Stack) == 0 {
-				t.Fatal("internal error lost the panic stack")
-			}
-			if failpoint.Fired(site) == 0 {
-				t.Fatalf("site %s never fired", site)
-			}
-			if !s.Exhausted() {
-				t.Fatal("Exhausted() = false after an internal fault")
-			}
-
-			// Disarmed, the same Solver must recover completely: its
-			// enumeration equals a fresh, never-faulted Solver's.
-			failpoint.Disarm(site)
-			got, err := collectModels(context.Background(), s)
-			if err != nil {
-				t.Fatalf("recovery run: %v", err)
-			}
-			ref := ntgd.MustCompile(prog, ntgd.CompileOptions{Options: opt})
-			want, err := collectModels(context.Background(), ref)
-			if err != nil {
-				t.Fatalf("reference run: %v", err)
-			}
-			if len(want) == 0 {
-				t.Fatal("reference workload produced no models; the site was not stressed")
-			}
-			if !equalStringSlices(canonicalSet(got), canonicalSet(want)) {
-				t.Fatalf("recovery diverged: %d models vs reference %d", len(got), len(want))
-			}
-			awaitGoroutines(t, baseline)
-		})
+	lpFired := 0
+	for _, sem := range []ntgd.Semantics{ntgd.SO, ntgd.LP} {
+		for _, site := range failpoint.Sites() {
+			t.Run(sem.String()+"/"+site, func(t *testing.T) {
+				if site == failpoint.ServerHandler || site == failpoint.ServerShed {
+					// Not reachable through the bare Solver; the
+					// internal/server chaos suite drives these through
+					// HTTP requests.
+					t.Skip("covered by internal/server's chaos suite")
+				}
+				if chaosSite(t, sem, site) {
+					lpFired++
+				}
+			})
+		}
 	}
+	if lpFired == 0 {
+		t.Fatal("no failpoint site fired under LP")
+	}
+}
+
+// chaosSite runs one armed site under one semantics (see
+// TestChaosEverySite) and reports whether it fired under LP.
+func chaosSite(t *testing.T, sem ntgd.Semantics, site string) bool {
+	failpoint.Reset()
+	prog, opt := chaosWorkload(t, site)
+	baseline := runtime.NumGoroutine()
+	s := ntgd.MustCompile(prog, ntgd.CompileOptions{Semantics: sem, Options: opt})
+	ref := ntgd.MustCompile(prog, ntgd.CompileOptions{Semantics: sem, Options: opt})
+
+	// Arm before any run: the per-program artifacts (the budget probe,
+	// the frozen run root, LP's well-founded core) are built once and
+	// cached, so a prior reference run on s would mask their sites.
+	failpoint.Arm(site, 1)
+	_, err := collectModels(context.Background(), s)
+	fired := failpoint.Fired(site) > 0
+	failpoint.Disarm(site)
+	want, rerr := collectModels(context.Background(), ref)
+	if rerr != nil {
+		t.Fatalf("reference run: %v", rerr)
+	}
+	if len(want) == 0 {
+		t.Fatal("reference workload produced no models; the site was not stressed")
+	}
+	if !fired && sem == ntgd.LP {
+		// Off LP's path: the armed run was an ordinary one.
+		if err != nil {
+			t.Fatalf("armed run err = %v, want success (site never fired)", err)
+		}
+		return false
+	}
+	if !errors.Is(err, ntgd.ErrInternal) {
+		t.Fatalf("armed run err = %v, want ErrInternal", err)
+	}
+	var ie *engine.InternalError
+	if !errors.As(err, &ie) {
+		t.Fatalf("err %v does not carry *engine.InternalError", err)
+	}
+	if fp, ok := ie.Value.(failpoint.Panic); !ok || fp.Site != site {
+		t.Fatalf("internal error value = %#v, want the %s failpoint", ie.Value, site)
+	}
+	if len(ie.Stack) == 0 {
+		t.Fatal("internal error lost the panic stack")
+	}
+	if !fired {
+		t.Fatalf("site %s never fired", site)
+	}
+	if !s.Exhausted() {
+		t.Fatal("Exhausted() = false after an internal fault")
+	}
+
+	// Disarmed, the same Solver must recover completely: its
+	// enumeration equals a fresh, never-faulted Solver's.
+	got, err := collectModels(context.Background(), s)
+	if err != nil {
+		t.Fatalf("recovery run: %v", err)
+	}
+	if !equalStringSlices(canonicalSet(got), canonicalSet(want)) {
+		t.Fatalf("recovery diverged: %d models vs reference %d", len(got), len(want))
+	}
+	awaitGoroutines(t, baseline)
+	return sem == ntgd.LP
 }
 
 // TestChaosEntailsAndAnswers drives the query paths through an armed

@@ -196,7 +196,7 @@ func cmdSolve(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("solve", stderr)
 	sem := fs.String("sem", "so", "semantics: so, lp, or op")
 	n := fs.Int("n", 0, "stop after N models (0 = all)")
-	maxAtoms := fs.Int("max-atoms", 0, "atom budget (0 = auto)")
+	maxAtoms := fs.Int("max-atoms", 0, "bound on the atoms a search branch derives above the database (0 = auto)")
 	maxMem := fs.Int64("max-mem", 0, "memory watermark in bytes of retained tuples and clause literals (0 = none)")
 	timeout := fs.Duration("timeout", 0, "abort after this long, printing partial results (0 = none)")
 	wall := fs.Duration("wall", 0, "per-run wall-clock budget, reported as a budget rather than a timeout (0 = none)")
@@ -350,6 +350,11 @@ func cmdGround(args []string, stdout, stderr io.Writer) int {
 	g, err := ground.Ground(prog.Database(), sk, ground.Options{})
 	if err != nil {
 		return fail(stderr, err)
+	}
+	// The grounding keeps no atom names; print with the original atoms.
+	g.Prog.Names = make([]string, len(g.Atoms))
+	for i, a := range g.Atoms {
+		g.Prog.Names[i] = a.String()
 	}
 	fmt.Fprint(stdout, g.Prog.String())
 	fmt.Fprintf(stdout, "%% %d atoms, %d ground rules\n", len(g.Atoms), len(g.Prog.Rules))

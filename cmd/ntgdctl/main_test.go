@@ -164,3 +164,24 @@ func TestClassifyAndFormula(t *testing.T) {
 		t.Fatalf("formula: exit %d, out %q", code, out)
 	}
 }
+
+// TestGroundGolden pins `ntgdctl ground` output: the ground program
+// printed with the original atoms, which the command names itself
+// because the grounding keeps no names.
+func TestGroundGolden(t *testing.T) {
+	for _, name := range []string{"father", "coloring"} {
+		t.Run(name, func(t *testing.T) {
+			code, out, errw := runCLI("ground", filepath.Join("..", "..", "testdata", name+".ntgd"))
+			if code != exitOK {
+				t.Fatalf("exit = %d, want %d (stderr: %s)", code, exitOK, errw)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", "ground-"+name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out != string(want) {
+				t.Fatalf("ground output differs from the golden file:\ngot:\n%s\nwant:\n%s", out, want)
+			}
+		})
+	}
+}

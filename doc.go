@@ -64,12 +64,22 @@
 //
 // ntgd.Compile performs everything derivable from the program alone
 // exactly once — validation, syntactic classification, per-rule search
-// metadata and chase-derived atom budgets (SO/Operational), and the
-// Skolemization + grounding pipeline (LP) — and returns a Solver bound
-// to one Semantics. All three semantics run behind one internal engine
-// interface, so Models, Entails, Answers, and Consistent behave
-// uniformly: the same options plumbing, the same Stats and Exhausted
-// reporting, the same budget error (ErrBudget).
+// metadata (SO/Operational), and the Skolemization + grounding pipeline
+// (LP) — and returns a Solver bound to one Semantics. What the program
+// derives from its database is computed once too, by the first run
+// that needs it, and every later run starts from it: under
+// SO/Operational one budget probe (the oblivious chase of Σ⁺ sizing
+// Options.MaxAtoms, a bound on the atoms a branch derives above the
+// database) and the frozen run root, the database plus the closure of
+// its existential-free Horn rules (Lemma 7), which every stable model
+// contains; under LP the store of the well-founded true atoms every
+// model shares. Such an artifact is published only when complete, so a
+// run that is cancelled, panics or hits a budget while building it
+// leaves the next run to build it again. All three semantics run
+// behind one internal engine interface, so Models, Entails, Answers,
+// and Consistent behave uniformly: the same options plumbing, the same
+// Stats and Exhausted reporting, the same budget error (ErrBudget,
+// whose text names the bound that was hit).
 //
 // Solver.Models returns an iter.Seq2 stream: models are delivered as
 // the search finds them, breaking out of the range loop releases the

@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 
 	"ntgd/internal/failpoint"
@@ -286,15 +287,16 @@ func CertainBCQ(db *logic.FactStore, rules []*logic.Rule, q logic.Query, opt Opt
 	return logic.ExistsHom(q.Pos, nil, res.Instance, logic.Subst{}), nil
 }
 
-// BudgetForStableSearch returns the default atom budget the stable
-// model engine uses for a weakly-acyclic set Σ: the size of the
-// oblivious chase of Σ⁺ over the database extended with the query
-// constants, doubled, with a floor of 64. Proposition 9 guarantees that
-// every stable model's positive part is bounded by the size of an
-// induced chase sequence of Σ⁺, which the oblivious chase dominates.
-// For non-weakly-acyclic inputs the oblivious chase itself may not
+// BudgetForStableSearch returns an atom budget for the stable model
+// search of a weakly-acyclic set Σ: the size of the oblivious chase of
+// Σ⁺ over the database extended with the query constants, doubled,
+// with a floor of 64. Proposition 9 guarantees that every stable
+// model's positive part is bounded by the size of an induced chase
+// sequence of Σ⁺, which the oblivious chase dominates. For
+// non-weakly-acyclic inputs the oblivious chase itself may not
 // terminate; the internal budget then caps it and the returned bound is
-// that cap.
+// that cap. The engine itself probes once per compiled program through
+// ProbeStableSearch and bounds derived atoms instead.
 func BudgetForStableSearch(db *logic.FactStore, rules []*logic.Rule, extraConsts []logic.Term, cap int) int {
 	return BudgetForStableSearchCtx(context.Background(), db, rules, extraConsts, cap)
 }
@@ -306,6 +308,22 @@ func BudgetForStableSearchCtx(ctx context.Context, db *logic.FactStore, rules []
 	if cap <= 0 {
 		cap = 1 << 14
 	}
+	size, err := ProbeStableSearch(ctx, db, rules, extraConsts, cap)
+	if err != nil {
+		return cap
+	}
+	return min(max(2*size, 64), cap)
+}
+
+// ProbeStableSearch runs the budget probe of the stable model search:
+// the oblivious chase of Σ⁺ (negation stripped, disjuncts merged into
+// one head, constraints dropped) over the database plus one $qconst
+// atom per extra constant, which no rule body can match. It returns the
+// chased instance's size, or ErrBudget once the instance exceeds
+// maxAtoms (0 = unbounded) and ctx.Err() when ctx ends first. Because
+// the $qconst atoms join nothing, the size with extras is exactly the
+// size without them plus len(extraConsts).
+func ProbeStableSearch(ctx context.Context, db *logic.FactStore, rules []*logic.Rule, extraConsts []logic.Term, maxAtoms int) (int, error) {
 	positive := make([]*logic.Rule, 0, len(rules))
 	for _, r := range rules {
 		if r.IsConstraint() {
@@ -336,16 +354,12 @@ func BudgetForStableSearchCtx(ctx context.Context, db *logic.FactStore, rules []
 		// instance size accounting sees them.
 		ext.Add(logic.A(fmt.Sprintf("$qconst%d", i), c))
 	}
-	res, err := RunCtx(ctx, ext, positive, Options{Variant: Oblivious, MaxAtoms: cap, NullPrefix: "b"})
+	if maxAtoms <= 0 {
+		maxAtoms = math.MaxInt
+	}
+	res, err := RunCtx(ctx, ext, positive, Options{Variant: Oblivious, MaxAtoms: maxAtoms, NullPrefix: "b"})
 	if err != nil {
-		return cap
+		return 0, err
 	}
-	n := 2 * res.Instance.Len()
-	if n < 64 {
-		n = 64
-	}
-	if n > cap {
-		n = cap
-	}
-	return n
+	return res.Instance.Len(), nil
 }

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"ntgd/internal/chase"
+	"ntgd/internal/classify"
 	"ntgd/internal/engine"
 	"ntgd/internal/logic"
 )
@@ -63,9 +64,14 @@ func (w WitnessPolicy) String() string {
 
 // Options configures the stable model search.
 type Options struct {
-	// MaxAtoms bounds the candidate model size. 0 derives a budget
-	// from the oblivious chase of Σ⁺ (sound for weakly-acyclic sets by
-	// Proposition 9).
+	// MaxAtoms bounds the atoms a search branch derives above the
+	// database; the database itself never counts against it. 0 derives
+	// the bound once per compiled program from the oblivious chase of
+	// Σ⁺ (the budget probe): twice the atoms the probe derives above the
+	// database plus twice the run's extra constants, at least 64. This
+	// is sound where Σ is weakly acyclic (Proposition 9), and the probe
+	// then runs to its end; for other programs the probe and the
+	// default stop at 16,384 derived atoms.
 	MaxAtoms int
 	// MaxNodes bounds the number of search nodes (0 = 8M).
 	MaxNodes int64
@@ -97,7 +103,9 @@ type Options struct {
 	// id plus 4 per argument id (see logic.FactStore.TupleBytes) — and
 	// every stability-clause literal at the size of its slot in the
 	// session layer that encodes it. A check's SAT solver is scratch,
-	// reused by the next check, and is not charged.
+	// reused by the next check, and is not charged. The frozen run root
+	// (the database's deterministic closure, see Compiled) is charged
+	// only to the run that builds it; later runs start from it for free.
 	// Unlike MaxAtoms — a per-branch candidate bound whose overflow
 	// only kills the branch — the watermark measures cumulative growth
 	// across the whole run, and tripping it stops the run with
@@ -151,14 +159,24 @@ type Result = engine.Result
 var ErrBudget = engine.ErrBudget
 
 // Compiled is the SO semantics compiled for one program: rules
-// validated, per-rule search metadata precomputed, and chase-derived
-// atom budgets cached per witness-pool extension. It implements the
-// engine.Engine interface and is safe for concurrent use: enumerations
-// share only the immutable compiled artifacts and the mutex-guarded
-// budget cache, while all mutable search state — the run, its store
-// snapshots layered over the frozen root db, trigger agendas, join-plan
-// caches, and stability sessions — is created per call (see enumerate
-// and the freeze discipline in parallel.go).
+// validated and per-rule search metadata precomputed. It implements the
+// engine.Engine interface and is safe for concurrent use.
+//
+// Two artifacts depend only on the program and its database, so the
+// first run that completes each publishes it for every later run: the
+// extras-free budget probe (see Options.MaxAtoms) and the frozen run
+// root — D plus lfp(Det, D), the closure of the deterministic rules
+// (ruleDet), with the agenda that closure left behind. Every stable
+// model contains the root (Lemma 7: the deterministic rules are Horn,
+// so every model of Σ over D is closed under them), and query
+// constants cannot change it because those rules have no existential
+// variables. A run that panics, is cancelled or hits a budget while
+// building either artifact publishes nothing, so the next run builds it
+// again; concurrent first runs may each build one, and the first to
+// finish is kept. Everything else a run mutates — its store snapshots
+// layered over the root, trigger agendas, join-plan caches and
+// stability sessions — is created per call (see enumerate and the
+// freeze discipline in parallel.go).
 type Compiled struct {
 	db    *logic.FactStore
 	rules []*logic.Rule
@@ -176,18 +194,52 @@ type Compiled struct {
 	// the window, because every new homomorphism must seed from a
 	// window atom matching a positive body atom.
 	rulePosPreds [][]string
+	// weaklyAcyclic records classify.IsWeaklyAcyclic(rules): the budget
+	// probe then terminates (Proposition 9) and runs uncapped.
+	weaklyAcyclic bool
+	// dbHasNulls records whether the database holds labeled nulls; the
+	// root closure adds none (deterministic rules have no existentials).
+	dbHasNulls bool
 
 	mu sync.Mutex
-	// budgets caches the chase-derived MaxAtoms budget per canonical
-	// extra-constant set, so repeated runs (and repeated queries with
-	// the same constants) pay the oblivious-chase probe once.
-	budgets map[string]int
+	// probed is the published extras-free budget probe (nil until one
+	// completes).
+	probed *budgetProbe
+	// root is the published frozen run root (nil until one completes).
+	root *frozenRoot
+}
+
+// probeCap bounds the atoms the budget probe may derive above the
+// database when Σ is not weakly acyclic, and with it the default
+// MaxAtoms of such programs.
+const probeCap = 1 << 14
+
+// budgetProbe is the outcome of the extras-free budget probe: the atoms
+// the oblivious chase of Σ⁺ derived above the database, or capped when
+// a program that is not weakly acyclic reached probeCap first.
+type budgetProbe struct {
+	derived int
+	capped  bool
+}
+
+// frozenRoot is the run root every non-naive run starts from: store
+// holds D plus lfp(Det, D) and is never written again, and agenda is
+// what the closure left (no deterministic triggers, the branching
+// triggers it discovered, the store fully swept). derived counts the
+// closure's atoms above D. dead records that a constraint fired during
+// the closure, at derived atoms, so the program has no models.
+type frozenRoot struct {
+	store   *logic.FactStore
+	agenda  agenda
+	derived int
+	dead    bool
 }
 
 // Compile validates the rules and precomputes everything the search
 // needs that does not depend on the individual run: per-rule
-// determinism flags, trigger-key variable orders, and (when
-// opt.MaxAtoms is unset) the default chase-derived atom budget.
+// determinism flags, trigger-key variable orders, and whether Σ is
+// weakly acyclic. The budget probe and the frozen run root are built
+// by the first run that needs them.
 func Compile(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Compiled, error) {
 	for _, r := range rules {
 		if err := r.Validate(); err != nil {
@@ -197,12 +249,12 @@ func Compile(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Compiled, 
 	if opt.MaxNodes <= 0 {
 		opt.MaxNodes = 8 << 20
 	}
-	c := &Compiled{db: db, rules: rules, opt: opt, budgets: make(map[string]int)}
+	c := &Compiled{db: db, rules: rules, opt: opt, weaklyAcyclic: classify.IsWeaklyAcyclic(rules)}
 	c.initRules()
-	// Budgets are derived lazily by budgetFor on first use and cached
-	// per witness-pool extension: queries merge their constants into
-	// the extras, so an eager probe here would only duplicate the
-	// first query's probe under a different cache key.
+	db.EachAtomIn(0, db.Len(), func(_ int, a logic.Atom) bool {
+		c.dbHasNulls = a.HasNull()
+		return !c.dbHasNulls
+	})
 	return c, nil
 }
 
@@ -215,40 +267,65 @@ func (c *Compiled) Semantics() string {
 	return "so"
 }
 
-// extrasKey canonicalizes a witness-pool extension for budget caching.
-func extrasKey(extras []logic.Term) string {
-	if len(extras) == 0 {
-		return ""
+// defaultBudget returns the default MaxAtoms of a run whose witness
+// pool adds extras constants, and the name of that bound for the
+// ErrBudget text. The extras term is exact: a per-run probe would add
+// one $qconst atom per extra constant, and no rule body matches one.
+func (c *Compiled) defaultBudget(ctx context.Context, extras int) (int, string) {
+	p := c.probe(ctx)
+	b := max(2*(p.derived+extras), 64)
+	if p.capped || (!c.weaklyAcyclic && b > probeCap) {
+		return probeCap, "the default cap for programs that are not weakly acyclic"
 	}
-	keys := make([]string, len(extras))
-	for i, c := range extras {
-		keys[i] = c.Key()
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "|")
+	return b, "the default from the budget probe"
 }
 
-// budgetFor returns the chase-derived MaxAtoms budget for the given
-// witness-pool extension, caching per canonical extra-constant set.
-func (c *Compiled) budgetFor(ctx context.Context, extras []logic.Term) int {
-	key := extrasKey(extras)
+// probe returns the extras-free budget probe, running it under
+// the caller's context when none is published. A probe cut short by
+// ctx is used by this run only (it is about to see ctx.Err() itself)
+// and is not published.
+func (c *Compiled) probe(ctx context.Context) budgetProbe {
 	c.mu.Lock()
-	b, ok := c.budgets[key]
+	p := c.probed
 	c.mu.Unlock()
-	if ok {
-		return b
+	if p != nil {
+		return *p
 	}
-	b = chase.BudgetForStableSearchCtx(ctx, c.db, c.rules, extras, 0)
-	if ctx.Err() != nil {
-		// The probe was cut short and returned its fallback cap; use it
-		// for this run but do not poison the cache — the next run with a
-		// healthy context derives the real bound.
-		return b
+	limit := 0 // weakly acyclic: the oblivious chase terminates
+	if !c.weaklyAcyclic {
+		limit = c.db.Len() + probeCap
+	}
+	size, err := chase.ProbeStableSearch(ctx, c.db, c.rules, nil, limit)
+	switch {
+	case ctx.Err() != nil:
+		return budgetProbe{capped: true}
+	case err != nil:
+		p = &budgetProbe{capped: true}
+	default:
+		p = &budgetProbe{derived: size - c.db.Len()}
 	}
 	c.mu.Lock()
-	c.budgets[key] = b
+	if c.probed == nil {
+		c.probed = p
+	}
 	c.mu.Unlock()
-	return b
+	return *p
+}
+
+// frozen returns the published run root, or nil.
+func (c *Compiled) frozen() *frozenRoot {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.root
+}
+
+// publishRoot keeps the first complete run root.
+func (c *Compiled) publishRoot(fr *frozenRoot) {
+	c.mu.Lock()
+	if c.root == nil {
+		c.root = fr
+	}
+	c.mu.Unlock()
 }
 
 // mergeExtras unions the compile-time extra constants with a run's,
@@ -299,41 +376,63 @@ func (c *Compiled) enumerate(ctx context.Context, p engine.Params, visit func(*l
 	}()
 	opt := c.opt
 	opt.ExtraConstants = mergeExtras(c.opt.ExtraConstants, p.ExtraConstants)
+	atomBound := "Options.MaxAtoms"
 	if opt.MaxAtoms <= 0 {
-		opt.MaxAtoms = c.budgetFor(ctx, opt.ExtraConstants)
+		opt.MaxAtoms, atomBound = c.defaultBudget(ctx, len(opt.ExtraConstants))
 	}
 	r := &run{
 		rules:        c.rules,
 		db:           c.db,
+		rootLen:      c.db.Len(),
 		opt:          opt,
+		atomBound:    atomBound,
 		ruleDet:      c.ruleDet,
 		ruleVars:     c.ruleVars,
 		rulePosPreds: c.rulePosPreds,
 		naive:        naive,
 		ctx:          ctx,
 		seen:         make(map[string]bool),
+		hasNulls:     c.dbHasNulls,
 	}
 	// Filled before the pool spawns: the session encoder and the model
 	// keyer read these caches from every worker.
 	r.initRuleBodies()
-	r.dbAtomStr = make([]string, 0, c.db.Len())
-	for _, a := range c.db.Atoms() {
-		r.dbAtomStr = append(r.dbAtomStr, a.String())
-		if a.HasNull() {
-			r.dbHasNulls = true
-		}
-	}
 	for _, t := range opt.ExtraConstants {
 		if t.HasNull() {
-			r.dbHasNulls = true
+			r.hasNulls = true
 		}
 	}
 	root := &state{
-		A:        c.db.Snapshot(),
 		mustIn:   map[logic.FactKey]logic.Atom{},
 		mustOut:  map[logic.FactKey]logic.Atom{},
 		deferred: map[string]bool{},
 		owns:     ownsMustIn | ownsMustOut | ownsDeferred,
+	}
+	// The naive oracle always starts from D; every other run starts from
+	// the frozen root, or builds it in its own root node (dfs).
+	fr := c.frozen()
+	switch {
+	case naive || fr == nil:
+		root.A = c.db.Snapshot()
+		if !naive {
+			r.building, r.publish = root, c.publishRoot
+		}
+	case fr.dead || fr.derived > opt.MaxAtoms:
+		// The closure decides the run at its root node, exactly as
+		// re-deriving it would: no models, or a branch over the budget.
+		rootOnly := Stats{Nodes: 1}
+		if err := ctx.Err(); err != nil {
+			return rootOnly, true, err
+		}
+		if fr.derived > opt.MaxAtoms {
+			r.exhaust(budgetAtoms)
+			return rootOnly, true, r.budgetError()
+		}
+		return rootOnly, false, nil
+	default:
+		root.A = fr.store.Snapshot()
+		root.agenda = fr.agenda.clone()
+		r.rootLen = fr.store.Len()
 	}
 	return r.execute(root, resolveWorkers(opt.Workers, p.Workers, naive), visit)
 }
@@ -599,10 +698,6 @@ func (s *searcher) triggerKey(t *trigger) string {
 	return k
 }
 
-// deterministic reports whether handling the trigger requires no
-// branching.
-func (s *searcher) deterministic(t *trigger) bool { return s.ruleDet[t.ruleIdx] }
-
 // refreshAgenda sweeps the store delta (atoms with index >= scanned)
 // for new triggers of every rule and appends them to the state's
 // queues. FindHomsFrom enumerates exactly the body homomorphisms using
@@ -694,26 +789,15 @@ func (s *searcher) triggerActive(st *state, t *trigger) bool {
 	return true
 }
 
-// nextTrigger returns the next active trigger and removes it from the
-// state's agenda, preferring deterministic triggers; nil means the
-// state reached a fixpoint. In naive mode it delegates to the
+// nextDet pops the next active deterministic trigger from the state's
+// agenda after sweeping the store delta; nil means the deterministic
+// closure is complete. Deterministic triggers pop in discovery order:
+// the closure is confluent (monotone additions, no branching), so their
+// order cannot change the fixpoint. In naive mode it delegates to the
 // full-rescan oracle instead.
-//
-// Deterministic triggers pop in discovery order: the deterministic
-// closure is confluent (monotone additions, no branching), so their
-// order cannot change the fixpoint. Branching triggers are selected by
-// lowest rule index first, ties broken by smallest canonical trigger
-// key — branching order is not neutral, because witness pools are
-// drawn from the domain at branch time, so a different trigger order
-// can reach a different (equally sound) subset of the stable models.
-// The key tie-break (PR 6) makes the selection independent of hom
-// emission order, which the join planner reorders freely: the agenda,
-// the full-rescan oracle, and every planner setting branch on exactly
-// the same trigger at every node, so the canonical model set is
-// invariant across all of them.
-func (s *searcher) nextTrigger(st *state) *trigger {
+func (s *searcher) nextDet(st *state) *trigger {
 	if s.naive {
-		return s.findTriggerNaive(st)
+		return s.findTriggerNaive(st, true)
 	}
 	s.refreshAgenda(st)
 	ag := &st.agenda
@@ -724,6 +808,28 @@ func (s *searcher) nextTrigger(st *state) *trigger {
 			return t
 		}
 	}
+	return nil
+}
+
+// nextBranch selects and removes the branching trigger of a state whose
+// deterministic closure is complete (nextDet returned nil, so the
+// agenda is swept); nil means the state reached a fixpoint. In naive
+// mode it delegates to the full-rescan oracle instead.
+//
+// Branching triggers are selected by lowest rule index first, ties
+// broken by smallest canonical trigger key — branching order is not
+// neutral, because witness pools are drawn from the domain at branch
+// time, so a different trigger order can reach a different (equally
+// sound) subset of the stable models. The key tie-break makes the
+// selection independent of hom emission order, which the join
+// planner reorders freely: the agenda, the full-rescan oracle, and
+// every planner setting branch on exactly the same trigger at every
+// node, so the canonical model set is invariant across all of them.
+func (s *searcher) nextBranch(st *state) *trigger {
+	if s.naive {
+		return s.findTriggerNaive(st, false)
+	}
+	ag := &st.agenda
 	best := -1
 	for i := 0; i < len(ag.ndet); {
 		t := ag.ndet[i]
@@ -752,20 +858,20 @@ func (s *searcher) nextTrigger(st *state) *trigger {
 
 // findTriggerNaive is the pre-agenda trigger detection, kept as the
 // differential-test oracle: it re-runs a full homomorphism sweep of
-// every rule against the whole store on every call, preferring
-// deterministic triggers. Like the agenda it selects the branching
-// trigger by (lowest rule index, smallest canonical trigger key), so
-// its selection is independent of hom emission order — the oracle
+// the deterministic rules (det) or the branching rules (!det) against
+// the whole store on every call. A deterministic pick is the first
+// active trigger in rule order (the closure is confluent); like the
+// agenda, the branching pick is the lowest rule index with an active
+// trigger and, within it, the smallest canonical trigger key, so its
+// selection is independent of hom emission order — the oracle
 // enumerates every active trigger of the winning rule to find the
 // minimum, which the agenda gets for free from its queue scan.
-func (s *searcher) findTriggerNaive(st *state) *trigger {
-	var firstNdet *trigger
+func (s *searcher) findTriggerNaive(st *state, det bool) *trigger {
 	for i, r := range s.rules {
-		rule, idx := r, i
-		det := s.ruleDet[idx]
-		if !det && firstNdet != nil {
-			continue // a lower rule already owns the branching pick
+		if s.ruleDet[i] != det {
+			continue
 		}
+		rule, idx := r, i
 		var found *trigger
 		logic.FindHoms(rule.PosBody(), rule.NegBody(), st.A, logic.Subst{}, func(h logic.Subst) bool {
 			// Satisfied heads need no action.
@@ -787,15 +893,11 @@ func (s *searcher) findTriggerNaive(st *state) *trigger {
 			}
 			return true
 		})
-		if found == nil {
-			continue
-		}
-		if det {
+		if found != nil {
 			return found
 		}
-		firstNdet = found
 	}
-	return firstNdet
+	return nil
 }
 
 // dfs explores the state; returns false if the search should stop
@@ -806,7 +908,7 @@ func (s *searcher) dfs(st *state) bool {
 		return false
 	}
 	if s.nodes.Add(1) > s.opt.MaxNodes {
-		s.exhausted.Store(true)
+		s.exhaust(budgetNodes)
 		s.stop.Store(true)
 		return false
 	}
@@ -829,18 +931,26 @@ func (s *searcher) dfs(st *state) bool {
 				return false
 			}
 		}
-		t := s.nextTrigger(st)
+		t := s.nextDet(st)
 		if t == nil {
-			return s.complete(st)
-		}
-		if !s.deterministic(t) {
-			return s.branch(st, t)
+			break
 		}
 		s.stats.Deterministic++
-		if !s.apply(st, t, 0, t.hom) {
+		if !s.applyTo(st, t, 0, t.hom) {
+			if st == s.building && t.rule.IsConstraint() {
+				s.publishRoot(st, true)
+			}
 			return true // dead branch
 		}
 	}
+	if st == s.building {
+		s.publishRoot(st, false)
+	}
+	t := s.nextBranch(st)
+	if t == nil {
+		return s.complete(st)
+	}
+	return s.branch(st, t)
 }
 
 // branch handles a non-deterministic trigger: one child per
@@ -980,12 +1090,6 @@ func (s *searcher) witnessTuples(st *state, exist []string) []logic.Subst {
 	return out
 }
 
-// apply clones nothing: it fires the trigger on st in place (used for
-// deterministic triggers). Reports false if the branch died.
-func (s *searcher) apply(st *state, t *trigger, disjunct int, full logic.Subst) bool {
-	return s.applyTo(st, t, disjunct, full)
-}
-
 // applyTo fires (rule, hom) choosing the given disjunct under the fully
 // extended substitution: head atoms are added to A and the negative
 // body instances recorded as permanent negative assumptions. It reports
@@ -1026,8 +1130,8 @@ func (s *searcher) applyTo(st *state, t *trigger, disjunct int, full logic.Subst
 		}
 		st.A.Add(g)
 	}
-	if st.A.Len() > s.opt.MaxAtoms {
-		s.exhausted.Store(true)
+	if st.A.Len()-s.db.Len() > s.opt.MaxAtoms {
+		s.exhaust(budgetAtoms)
 		return false
 	}
 	return true
@@ -1065,14 +1169,19 @@ func (s *searcher) complete(st *state) bool {
 	}
 	s.stats.StabilityChecks++
 	var stable bool
-	if s.naive {
+	switch {
+	case s.naive:
 		stable = stableAgainstSubsetsNaive(s.db, s.rules, st.A)
-	} else {
+	case st.A.Len() == s.rootLen:
+		// No J with root ⊆ J ⊊ M exists, and every J the condition
+		// ranges over contains the root (see stability.go).
+		stable = true
+	default:
 		s.extendStability(st)
 		stable = s.stableSession(st)
-		if s.opt.stabOracle != nil && stable != stableAgainstSubsetsNaive(s.db, s.rules, st.A) {
-			s.opt.stabOracle.Add(1)
-		}
+	}
+	if !s.naive && s.opt.stabOracle != nil && stable != stableAgainstSubsetsNaive(s.db, s.rules, st.A) {
+		s.opt.stabOracle.Add(1)
 	}
 	if !stable {
 		s.stats.StabilityFailed++
@@ -1086,20 +1195,19 @@ func (s *searcher) complete(st *state) bool {
 	return s.emit(key, st.A.Snapshot())
 }
 
-// modelKey returns canonicalModelKey(st.A), through a fast path for
-// the common null-free candidate: without nulls the canonical key is
-// just the sorted atom renders, and the database prefix — shared by
-// every leaf of the search — is rendered once per run instead of once
-// per candidate. st.nullCtr counts the nulls invented along the path,
-// so nullCtr == 0 with a null-free database certifies a null-free
-// store.
+// modelKey returns the run's dedup key of a candidate. A candidate
+// with nulls (invented along its path, or from the database or the
+// extras) gets canonicalModelKey(st.A). A null-free candidate is keyed
+// by the sorted renders of its atoms above the run root alone: every
+// candidate of the run shares the root prefix, so those atoms identify
+// it. st.nullCtr counts the nulls invented along the path.
 func (s *searcher) modelKey(st *state) string {
-	if s.dbHasNulls || st.nullCtr > 0 {
+	if s.hasNulls || st.nullCtr > 0 {
 		return canonicalModelKey(st.A)
 	}
 	n := st.A.Len()
-	parts := append(s.partsBuf[:0], s.dbAtomStr...)
-	for i := len(s.dbAtomStr); i < n; i++ {
+	parts := s.partsBuf[:0]
+	for i := s.rootLen; i < n; i++ {
 		parts = append(parts, st.A.AtomAt(i).String())
 	}
 	sort.Strings(parts)

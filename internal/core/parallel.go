@@ -36,6 +36,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -49,9 +50,17 @@ import (
 // compiled artifacts (read-only for the duration of the run), the
 // pool, the deduplicating model sink, and the cumulative counters.
 type run struct {
-	rules        []*logic.Rule
-	db           *logic.FactStore
-	opt          Options
+	rules []*logic.Rule
+	db    *logic.FactStore
+	// rootLen is the length of the run root's store: the indices below
+	// it hold D plus, once the run starts from (or has built) the frozen
+	// root, lfp(Det, D). Every candidate contains them, so the stability
+	// session fixes them true and modelKey skips them.
+	rootLen int
+	opt     Options
+	// atomBound names where opt.MaxAtoms came from, for the ErrBudget
+	// text.
+	atomBound    string
 	ruleDet      []bool
 	ruleVars     [][]string
 	rulePosPreds [][]string
@@ -63,12 +72,14 @@ type run struct {
 	rulePos   [][]logic.Atom
 	ruleNeg   [][]logic.Atom
 	rulePlans []*logic.BodyPlans
-	// dbAtomStr caches the rendered database atoms — the prefix of every
-	// leaf store — and dbHasNulls records whether the database or the
-	// witness-pool extras contain labeled nulls; together they feed the
-	// null-free fast path of modelKey.
-	dbAtomStr  []string
-	dbHasNulls bool
+	// hasNulls records whether the database or the witness-pool extras
+	// contain labeled nulls, which rules out modelKey's null-free path.
+	hasNulls bool
+	// building is the root state while this run builds the frozen root
+	// (nil otherwise): dfs hands it to publish once its deterministic
+	// closure is complete or dead.
+	building *state
+	publish  func(*frozenRoot)
 	// naive switches trigger detection to the full-rescan oracle
 	// (findTriggerNaive); used by the differential tests only, and
 	// always sequential.
@@ -83,10 +94,10 @@ type run struct {
 	// stop asks every worker to unwind: set on visitor stop, node
 	// budget exhaustion, and cancellation.
 	stop atomic.Bool
-	// exhausted records that a budget was hit (MaxNodes, or MaxAtoms on
-	// some branch); unlike stop it does not end the search by itself —
-	// a MaxAtoms hit only kills its branch.
-	exhausted atomic.Bool
+	// exhausted records the first budget hit (budgetNodes, or
+	// budgetAtoms on some branch); unlike stop it does not end the
+	// search by itself — a MaxAtoms hit only kills its branch.
+	exhausted atomic.Int32
 	// mem is the run's retained-allocation proxy — facts added on any
 	// branch plus stability-clause literals — compared against the
 	// MaxMemory watermark; memHit records that the watermark tripped,
@@ -161,6 +172,39 @@ func resolveWorkers(compiled, perRun int, naive bool) int {
 		w = 1
 	}
 	return w
+}
+
+// The budgets a run can exhaust, as recorded in run.exhausted.
+const (
+	budgetAtoms int32 = 1 + iota
+	budgetNodes
+)
+
+// exhaust records a budget hit; the first bound hit is the one the
+// ErrBudget text names.
+func (r *run) exhaust(which int32) { r.exhausted.CompareAndSwap(0, which) }
+
+// budgetError is the run's ErrBudget, naming the bound that was hit.
+func (r *run) budgetError() error {
+	if r.exhausted.Load() == budgetNodes {
+		return fmt.Errorf("%w: the search visited more than %d nodes (Options.MaxNodes)", ErrBudget, r.opt.MaxNodes)
+	}
+	return fmt.Errorf("%w: a branch derived more than %d atoms above the database (%s)", ErrBudget, r.opt.MaxAtoms, r.atomBound)
+}
+
+// publishRoot hands the building run's root state to the Compiled
+// once its deterministic closure is complete (or dead: a constraint
+// fired). The state's store is frozen from here on — the root state
+// only snapshots it — so later runs may snapshot it concurrently. The
+// run's own root prefix grows to the closure before any stability
+// session or model key reads it.
+func (r *run) publishRoot(st *state, dead bool) {
+	fr := &frozenRoot{store: st.A, derived: st.A.Len() - r.db.Len(), dead: dead}
+	if !dead {
+		fr.agenda = st.agenda.clone()
+		r.rootLen = st.A.Len()
+	}
+	r.publish(fr)
 }
 
 // cancelWith records the first cancellation cause and stops the pool.
@@ -409,10 +453,8 @@ func (r *run) execute(root *state, workers int, visit func(*logic.FactStore) boo
 	if r.memHit.Load() {
 		return stats, true, engine.ErrMemory
 	}
-	var err error
-	exhausted := r.exhausted.Load()
-	if exhausted {
-		err = ErrBudget
+	if r.exhausted.Load() != 0 {
+		return stats, true, r.budgetError()
 	}
-	return stats, exhausted, err
+	return stats, false, nil
 }

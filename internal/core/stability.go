@@ -3,7 +3,11 @@ package core
 // This file implements the stability condition of Proposition 11 — M is
 // stable iff no J with D ⊆ J ⊊ M⁺ satisfies the τ_{p▷s}-translation,
 // where positive literals are evaluated in J and negative literals are
-// fixed to their value in M (Section 3.3) — twice over:
+// fixed to their value in M (Section 3.3) — twice over. Every such J
+// also contains lfp(Det, D): the deterministic rules are Horn, so their
+// τ-translation is the rule itself, evaluated in J. The session
+// therefore fixes the whole run root (see run.rootLen) true in J, and a
+// candidate equal to the root is stable without a check.
 //
 //   - stableAgainstSubsetsNaive re-encodes the condition from scratch
 //     for one candidate model, exactly as the pre-session engine did. It
@@ -22,11 +26,11 @@ package core
 //
 // Encoding invariants of the session (see also the package docs):
 //
-//   - Database atoms are exactly the store indices < dbLen (the root
-//     state snapshots the database store), so "fixed true in J" is an
-//     index comparison, not a key-map lookup. Every non-database atom
-//     of the prefix has one subset variable, registered in the layer
-//     that encoded its window.
+//   - Root atoms are exactly the store indices < rootLen (the root state
+//     snapshots the database store or the frozen root), so "fixed true
+//     in J" is an index comparison, not a key-map lookup. Every atom of
+//     the prefix above the root has one subset variable, registered in
+//     the layer that encoded its window.
 //   - An encoded layer owns three things, all immutable: a flat list of
 //     its clauses, a variable range that continues its parent's, and
 //     the homomorphisms it registered. Sibling layers reuse the same
@@ -47,7 +51,7 @@ package core
 //     prefix.
 //   - A check assumes act and ¬e_latest of every unblocked homomorphism
 //     of its chain and ¬act of every blocked one, adds the clause
-//     ⋁ ¬xᵢ over the chain's non-database atoms (J is a proper subset),
+//     ⋁ ¬xᵢ over the chain's atoms above the root (J is a proper subset),
 //     and solves: UNSAT means M is stable. Learnt clauses last for that
 //     one check.
 //
@@ -142,7 +146,7 @@ type stabSession struct {
 	// clauses lists this layer's clauses flat, each ended by a 0.
 	clauses []int
 	// vars maps global store index -> subset variable for the
-	// non-database atoms of this layer's window.
+	// atoms of this layer's window above the root.
 	vars map[int]int
 	// ext maps homomorphism -> latest extension tail var for chains
 	// this layer extended (0 marks a homomorphism permanently satisfied
@@ -177,7 +181,7 @@ func (ss *stabSession) addClause(lits ...int) {
 	ss.clauses = append(append(ss.clauses, lits...), 0)
 }
 
-// varOf resolves a non-database store index to its subset variable
+// varOf resolves a store index above the root to its subset variable
 // through the chain.
 func (ss *stabSession) varOf(idx int) int {
 	for s := ss; s != nil; s = s.parent {
@@ -286,14 +290,13 @@ func (s *searcher) extendSession(ss *stabSession, store *logic.FactStore) {
 	}
 	// New subset variables, and the window's predicate set for the
 	// completion joins.
-	dbLen := s.db.Len()
 	sc := &s.stab
 	sc.preds = sc.preds[:0]
 	if sc.predSeen == nil {
 		sc.predSeen = make(map[string]bool)
 	}
 	store.EachAtomIn(from, to, func(idx int, a logic.Atom) bool {
-		if idx >= dbLen {
+		if idx >= s.rootLen {
 			ss.vars[idx] = ss.newVar()
 		}
 		if !sc.predSeen[a.Pred] {
@@ -360,17 +363,16 @@ func (s *searcher) extendSession(ss *stabSession, store *logic.FactStore) {
 }
 
 // witLit compiles one witness extension mu of a head disjunct into a
-// single literal: the subset variable for a single non-database atom, a
-// fresh defined auxiliary variable for a conjunction, or 0 when the
-// extension lands entirely in the database (the rule instance is then
-// satisfied in every J ⊇ D).
+// single literal: the subset variable for a single atom above the root,
+// a fresh defined auxiliary variable for a conjunction, or 0 when the
+// extension lands entirely in the root (the rule instance is then
+// satisfied in every J the condition ranges over).
 func (s *searcher) witLit(ss *stabSession, store *logic.FactStore, head []logic.Atom, mu logic.Subst) int {
-	dbLen := s.db.Len()
 	conj := s.stab.conj[:0]
 	for _, a := range head {
 		idx, ok := store.IndexUnder(mu, a)
-		if !ok || idx < dbLen {
-			continue // database atoms are in every candidate J
+		if !ok || idx < s.rootLen {
+			continue // root atoms are in every candidate J
 		}
 		lit := ss.varOf(idx)
 		dup := false
@@ -403,11 +405,10 @@ func (s *searcher) witLit(ss *stabSession, store *logic.FactStore, head []logic.
 // witness search over the full prefix, activation and extension
 // variables, and the occurrence index entries for future completions.
 func (s *searcher) registerHom(ss *stabSession, store *logic.FactStore, rule *logic.Rule, pos, neg []logic.Atom, h logic.Subst) {
-	dbLen := s.db.Len()
 	sc := &s.stab
 	clause := sc.clause[:0]
 	for _, b := range pos {
-		if idx, ok := store.IndexUnder(h, b); ok && idx >= dbLen {
+		if idx, ok := store.IndexUnder(h, b); ok && idx >= s.rootLen {
 			clause = append(clause, -ss.varOf(idx))
 		}
 	}
@@ -418,7 +419,7 @@ func (s *searcher) registerHom(ss *stabSession, store *logic.FactStore, rule *lo
 			// The disjunct's only possible witness is h(head[0]):
 			// one index probe replaces the homomorphism search.
 			if idx, ok := store.IndexUnder(h, head[0]); ok {
-				if idx < dbLen {
+				if idx < s.rootLen {
 					trivial = true
 					break
 				}
@@ -441,7 +442,7 @@ func (s *searcher) registerHom(ss *stabSession, store *logic.FactStore, rule *lo
 	}
 	if trivial {
 		sc.clause = clause[:0]
-		return // satisfied in every J ⊇ D, for every descendant
+		return // satisfied in every J ⊇ root, for every descendant
 	}
 	hm := &stabHom{rule: rule, hom: h.Clone()}
 	if len(neg) > 0 {
@@ -512,7 +513,7 @@ func (s *searcher) completeHom(ss *stabSession, store *logic.FactStore, from int
 		lit := s.witLit(ss, store, head, mu)
 		if lit == 0 {
 			// Unreachable for window extensions (every window atom is
-			// non-database), but a satisfied instance would simply end
+			// above the root), but a satisfied instance would simply end
 			// the chain for every state below this one.
 			satisfied = true
 			return false
@@ -549,7 +550,7 @@ func (s *searcher) completeHom(ss *stabSession, store *logic.FactStore, from int
 // absent from M — get their activation literal assumed and their
 // path-latest extension tail assumed false, which switches the full
 // accumulated clause on; blocked ones get their activation assumed
-// false. One proper-subset clause over the chain's non-database atoms
+// false. One proper-subset clause over the chain's atoms above the root
 // completes the query; UNSAT means no J with D ⊆ J ⊊ M⁺ satisfies the
 // τ-translation — M is stable.
 func (s *searcher) stableSession(st *state) bool {
@@ -614,7 +615,7 @@ func (s *searcher) stableSession(st *state) bool {
 		}
 	}
 	clear(ext)
-	// Proper subset: at least one non-database atom of M is dropped.
+	// Proper subset: at least one atom of M above the root is dropped.
 	sv.AddClause(subset...)
 	if n := int64(sv.NVars()); n > s.stabMaxVars {
 		s.stabMaxVars = n
@@ -635,7 +636,7 @@ func stableAgainstSubsets(db *logic.FactStore, rules []*logic.Rule, m *logic.Fac
 	for _, a := range m.Atoms() {
 		store.Add(a)
 	}
-	s := &searcher{run: &run{rules: rules, db: db}}
+	s := &searcher{run: &run{rules: rules, db: db, rootLen: db.Len()}}
 	sess := &stabSession{}
 	s.extendSession(sess, store)
 	return s.stableSession(&state{A: store, sess: sess})

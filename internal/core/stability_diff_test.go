@@ -17,27 +17,26 @@ import (
 // any disagreement counts as a mismatch.
 func sessionModelSet(t *testing.T, db *logic.FactStore, rules []*logic.Rule, opt Options, workers int) ([]string, bool, int64) {
 	t.Helper()
+	keys, exhausted, mismatches := sessionModelSets(t, db, rules, opt, workers, nil)
+	return keys[0], exhausted[0], mismatches
+}
+
+// sessionModelSets is sessionModelSet over several runs of one
+// Compiled, run i passing runExtras[i] as its extra constants: every
+// run after the first starts from the first's frozen root. It returns
+// each run's keys and budget flag and the mismatches of all runs.
+func sessionModelSets(t *testing.T, db *logic.FactStore, rules []*logic.Rule, opt Options, workers int, runExtras ...[]logic.Term) ([][]string, []bool, int64) {
+	t.Helper()
 	var mismatches atomic.Int64
 	opt.stabOracle = &mismatches
 	opt.Workers = workers
-	var keys []string
-	_, exhausted, err := EnumStableModels(db, rules, opt, func(m *logic.FactStore) bool {
-		keys = append(keys, canonicalModelKey(m))
-		return true
-	})
-	if err != nil && !exhausted {
-		t.Fatalf("search error: %v", err)
+	c := mustCompile(t, db, rules, opt)
+	keys := make([][]string, len(runExtras))
+	exhausted := make([]bool, len(runExtras))
+	for i, extras := range runExtras {
+		keys[i], exhausted[i] = compiledModelSet(t, c, extras)
 	}
-	sortStrings(keys)
 	return keys, exhausted, mismatches.Load()
-}
-
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }
 
 // TestStabilitySessionMatchesNaiveRandomized pins the incremental
@@ -47,7 +46,12 @@ func sortStrings(ss []string) {
 // (counted via the stabOracle hook), and the emitted canonical model
 // set must equal the naive enumeration's. Run under -race it also
 // exercises session forks, including forks from pending layers (with
-// two workers one happens whenever the single pool token frees).
+// two workers one happens whenever the single pool token frees). Each
+// (program, workers) pair runs twice on one Compiled, the second time
+// with the extra constant d: that run starts from the frozen root the
+// first one built, fixes the root true in its sessions, and must match
+// the naive oracle run with d (which starts from the database) with no
+// verdict mismatch.
 func TestStabilitySessionMatchesNaiveRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(5417))
 	opt := Options{MaxAtoms: 48, MaxNodes: 1 << 17}
@@ -60,11 +64,17 @@ func TestStabilitySessionMatchesNaiveRandomized(t *testing.T) {
 		generated++
 		db := prog.Database()
 		naiveKeys, exN := canonicalModelSet(t, db, prog.Rules, opt, true)
+		naiveD, exND := canonicalModelSet(t, db, prog.Rules, withExtras(opt, extraD), true)
 		for _, workers := range []int{1, 2, 8} {
-			sessKeys, exS, mismatches := sessionModelSet(t, db, prog.Rules, opt, workers)
+			runs, ex, mismatches := sessionModelSets(t, db, prog.Rules, opt, workers, nil, extraD)
+			sessKeys, exS := runs[0], ex[0]
 			if mismatches != 0 {
 				t.Fatalf("program %d (workers=%d): %d session/naive verdict mismatches\nprogram:\n%v",
 					generated, workers, mismatches, prog)
+			}
+			if !ex[1] && !exND && fmt.Sprint(runs[1]) != fmt.Sprint(naiveD) {
+				t.Fatalf("program %d (workers=%d): cached-root run with d diverges\nsession: %v\nnaive:   %v",
+					generated, workers, runs[1], naiveD)
 			}
 			if exS || exN {
 				continue // incomplete enumerations are order-dependent

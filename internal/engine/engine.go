@@ -51,6 +51,9 @@ type Stats struct {
 	// Branches counts non-deterministic branch points (SO/operational).
 	Branches int64
 	// Deterministic counts forced trigger applications (SO/operational).
+	// The database's deterministic closure is computed once per
+	// compiled program, so its steps count only in the run that builds
+	// the frozen run root; later runs start above it.
 	Deterministic int64
 	// Completed counts fixpoint candidates reached (SO/operational).
 	Completed int64

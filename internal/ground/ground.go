@@ -26,17 +26,10 @@ type Grounding struct {
 	// Atoms maps atom id -> ground atom.
 	Atoms []logic.Atom
 	// Prog is the propositional program (facts included as rules with
-	// empty bodies).
+	// empty bodies). Its Names are left empty: nothing reads them after
+	// compile, so a caller that prints the program fills them from
+	// Atoms.
 	Prog *asp.Program
-
-	ids map[string]int
-}
-
-// AtomID returns the id of a ground atom and whether it is part of the
-// derivable base.
-func (g *Grounding) AtomID(a logic.Atom) (int, bool) {
-	id, ok := g.ids[a.Key()]
-	return id, ok
 }
 
 // ModelStore converts a propositional model back to a fact store over
@@ -109,20 +102,14 @@ func Ground(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Grounding, 
 		}
 	}
 
-	g := &Grounding{ids: make(map[string]int, base.Len())}
-	for _, a := range base.Atoms() {
-		g.ids[a.Key()] = len(g.Atoms)
-		g.Atoms = append(g.Atoms, a)
-	}
+	// Atom ids are base store indices: base is a clone of the database
+	// (which keeps its store indices), so the facts are ids 0..|D|-1,
+	// and phase 2 resolves every instance by one index probe into base.
+	g := &Grounding{Atoms: base.Atoms()}
 	prog := &asp.Program{NAtoms: len(g.Atoms)}
-	prog.Names = make([]string, len(g.Atoms))
-	for i, a := range g.Atoms {
-		prog.Names[i] = a.String()
-	}
 
 	// Facts.
-	for _, a := range db.Atoms() {
-		id := g.ids[a.Key()]
+	for id := 0; id < db.Len(); id++ {
 		prog.Rules = append(prog.Rules, asp.Rule{Disjuncts: [][]int{{id}}})
 	}
 
@@ -134,11 +121,11 @@ func Ground(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Grounding, 
 		logic.FindHoms(rule.PosBody(), nil, base, logic.Subst{}, func(h logic.Subst) bool {
 			gr := asp.Rule{}
 			for _, b := range rule.PosBody() {
-				gr.Pos = append(gr.Pos, g.ids[h.ApplyAtom(b).Key()])
+				id, _ := base.IndexUnder(h, b)
+				gr.Pos = append(gr.Pos, id)
 			}
 			for _, n := range rule.NegBody() {
-				inst := h.ApplyAtom(n)
-				if id, ok := g.ids[inst.Key()]; ok {
+				if id, ok := base.IndexUnder(h, n); ok {
 					gr.Neg = append(gr.Neg, id)
 				}
 				// else: the negative literal is vacuously true.
@@ -146,7 +133,8 @@ func Ground(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Grounding, 
 			for _, d := range rule.Heads {
 				var disj []int
 				for _, a := range d {
-					disj = append(disj, g.ids[h.ApplyAtom(a).Key()])
+					id, _ := base.IndexUnder(h, a)
+					disj = append(disj, id)
 				}
 				gr.Disjuncts = append(gr.Disjuncts, disj)
 			}

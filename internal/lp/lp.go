@@ -14,6 +14,7 @@ package lp
 import (
 	"context"
 	"errors"
+	"sync"
 
 	"ntgd/internal/asp"
 	"ntgd/internal/engine"
@@ -46,7 +47,8 @@ type Result struct {
 // Skolemized and the resulting normal program grounded over its
 // derivable Herbrand base, once. Enumeration runs replay the ground
 // program through the ASP solver without re-grounding. Compiled
-// implements the engine.Engine interface.
+// implements the engine.Engine interface and is safe for concurrent
+// use.
 type Compiled struct {
 	g *ground.Grounding
 	// solve carries the ground program's well-founded model (solve.WFS),
@@ -54,6 +56,12 @@ type Compiled struct {
 	// is undefined (disjunctions or constraints). It seeds every solve,
 	// and every stable model contains its true atoms.
 	solve asp.SolveOptions
+
+	mu sync.Mutex
+	// core is the frozen store of the well-founded true atoms, built by
+	// the first run that materializes a model and published only once
+	// complete; every run's models are snapshots of it.
+	core *logic.FactStore
 }
 
 // Compile Skolemizes and grounds the program. The grounding (and with
@@ -80,11 +88,10 @@ func Compile(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Compiled, 
 }
 
 // modelStores returns the model materializer of one run. Without a
-// well-founded model every model is a fresh store; with one, the run
-// builds a frozen store of the well-founded true atoms at its first
-// model, and each model is a snapshot of it plus the model's other
-// atoms, so the run's models share their common part instead of each
-// holding a full copy.
+// well-founded model every model is a fresh store; with one, each model
+// is a snapshot of the Compiled's frozen store of the well-founded true
+// atoms plus the model's other atoms, so all models share their common
+// part instead of each holding a full copy.
 func (c *Compiled) modelStores() func(asp.Model) *logic.FactStore {
 	wfs := c.solve.WFS
 	if wfs == nil {
@@ -94,11 +101,7 @@ func (c *Compiled) modelStores() func(asp.Model) *logic.FactStore {
 	var rest []logic.Atom
 	return func(m asp.Model) *logic.FactStore {
 		if core == nil {
-			atoms := make([]logic.Atom, len(wfs.True))
-			for i, id := range wfs.True {
-				atoms[i] = c.g.Atoms[id]
-			}
-			core = logic.StoreOf(atoms...)
+			core = c.wfsCore()
 		}
 		rest = rest[:0]
 		for _, id := range m {
@@ -110,6 +113,31 @@ func (c *Compiled) modelStores() func(asp.Model) *logic.FactStore {
 		s.AddAll(rest)
 		return s
 	}
+}
+
+// wfsCore returns the frozen store of the well-founded true atoms,
+// building it when none is published. A run that panics while building
+// it publishes nothing; concurrent first runs may each build one, and
+// the first to finish is kept.
+func (c *Compiled) wfsCore() *logic.FactStore {
+	c.mu.Lock()
+	core := c.core
+	c.mu.Unlock()
+	if core != nil {
+		return core
+	}
+	atoms := make([]logic.Atom, len(c.solve.WFS.True))
+	for i, id := range c.solve.WFS.True {
+		atoms[i] = c.g.Atoms[id]
+	}
+	core = logic.StoreOf(atoms...)
+	c.mu.Lock()
+	if c.core == nil {
+		c.core = core
+	}
+	core = c.core
+	c.mu.Unlock()
+	return core
 }
 
 // Semantics implements engine.Engine.

@@ -89,8 +89,8 @@ type Request struct {
 	// server default; values above the server maximum are clamped.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Queries is the batch payload of /v1/batch: each item runs against
-	// the same compiled program, amortizing the compile and the
-	// per-extras budget cache across the whole batch.
+	// the same compiled program, amortizing the compile, the budget
+	// probe and the frozen run root across the whole batch.
 	Queries []BatchItem `json:"queries,omitempty"`
 }
 

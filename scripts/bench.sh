@@ -21,9 +21,11 @@ benchtime="${BENCH_TIME:-300ms}"
 # branching primitive, the adversarial join-order body pinning the
 # PR 6 planner, and the PR 9 packed-store levers — the 10⁶-fact bulk
 # load (AddAll vs per-fact Add) and point probes against that base.
+# SolverQueryDB pins that a compiled Solver's query over a large
+# database costs what the query costs, not what the database does.
 # Names must stay unique across packages — cmd/benchdiff and benchstat
 # aggregate on the bare benchmark name.
-pattern='StableSearchChoiceWide|ParallelSearch|StabilitySession|SolveAssumptions|SolverReuse|StoreBranch|JoinOrderAdversarial|BulkLoad|StoreProbe'
+pattern='StableSearchChoiceWide|ParallelSearch|StabilitySession|SolveAssumptions|SolverReuse|SolverQueryDB|StoreBranch|JoinOrderAdversarial|BulkLoad|StoreProbe'
 
 go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "$count" \
   ./ ./internal/core/ ./internal/logic/ ./internal/sat/ | tee "$out"

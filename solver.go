@@ -90,9 +90,12 @@ func NewGateQueue(slots, maxQueue int) *Gate { return engine.NewGateQueue(slots,
 
 // Solver is a compiled program under one semantics: validation,
 // syntactic classification, Skolemization and grounding artifacts (LP),
-// per-rule search metadata, and chase-derived budgets (SO/Operational)
-// are computed once by Compile, then every enumeration and query runs
-// against the shared artifacts. All entry points take a
+// and per-rule search metadata (SO/Operational) are computed once by
+// Compile; the database's consequences — the chase-derived budget
+// probe and the deterministic closure the search starts from
+// (SO/Operational), the frozen well-founded core (LP) — once by the
+// first run that needs them. Every enumeration and query runs against
+// the shared artifacts. All entry points take a
 // context.Context: cancellation or a deadline aborts the search
 // mid-flight with the partial Stats accumulated so far, and the Solver
 // remains reusable afterwards.
@@ -100,9 +103,10 @@ func NewGateQueue(slots, maxQueue int) *Gate { return engine.NewGateQueue(slots,
 // A Solver is safe for concurrent use: any number of goroutines may
 // run Models, Entails, Answers, and Consistent against one Solver at
 // once. Runs share only immutable compiled artifacts and internally
-// synchronized caches (the chase-derived budget cache, the cumulative
+// synchronized state (the per-program budget probe, frozen run root and
+// well-founded core, each published once complete, and the cumulative
 // Stats); each run owns its search state outright, layering
-// copy-on-write snapshots over the frozen root database. Within one
+// copy-on-write snapshots over the frozen root. Within one
 // call the search itself may also run parallel — Options.Workers sizes
 // a worker pool that explores independent branch subtrees concurrently
 // (see Models for the ordering guarantee), and

@@ -13,9 +13,12 @@ import (
 // choiceSrc has 2^4 = 16 stable models under every semantics (no
 // existentials, so SO, LP, and Operational coincide), plus one Boolean
 // and one n-ary query — enough surface to exercise Models, Entails,
-// and Answers against one shared Solver.
+// and Answers against one shared Solver. Its Horn rule gives the
+// frozen run root (SO, Operational) and the well-founded core (LP)
+// atoms beyond the database.
 const choiceSrc = `
 item(i0). item(i1). item(i2). item(i3).
+item(X) -> listed(X).
 item(X), not out(X) -> in(X).
 item(X), not in(X) -> out(X).
 ?- in(i0).
@@ -26,23 +29,25 @@ item(X), not in(X) -> out(X).
 // shared by nine goroutines running Models, Entails, and Answers
 // simultaneously (each itself with a worker pool), must produce exactly
 // the sequential reference results on every call, under every
-// semantics, without leaking goroutines. Run under -race this also
-// audits the shared caches and cumulative Stats.
+// semantics, without leaking goroutines. The references come from a
+// second Solver, so the nine runs are the shared Solver's first: they
+// race to build and publish its per-program artifacts (the budget
+// probe, the frozen run root, LP's well-founded core). Run under -race
+// this also audits those caches and the cumulative Stats.
 func TestSolverConcurrentSharing(t *testing.T) {
 	prog := ntgd.MustParse(choiceSrc)
 	qBool, qNary := prog.Queries[0], prog.Queries[1]
 	for _, sem := range []ntgd.Semantics{ntgd.SO, ntgd.LP, ntgd.Operational} {
 		t.Run(sem.String(), func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
-			s := ntgd.MustCompile(prog, ntgd.CompileOptions{
-				Semantics: sem,
-				Options:   ntgd.Options{Workers: 2},
-			})
+			opt := ntgd.CompileOptions{Semantics: sem, Options: ntgd.Options{Workers: 2}}
+			s := ntgd.MustCompile(prog, opt)
+			ref := ntgd.MustCompile(prog, opt)
 			ctx := context.Background()
 
-			// Sequential reference results, computed on the same Solver
+			// Sequential reference results, computed on another Solver
 			// before the concurrent phase begins.
-			refModels, err := collectModels(ctx, s)
+			refModels, err := collectModels(ctx, ref)
 			if err != nil {
 				t.Fatalf("reference enumeration: %v", err)
 			}
@@ -50,11 +55,11 @@ func TestSolverConcurrentSharing(t *testing.T) {
 			if len(refSet) != 16 {
 				t.Fatalf("reference: %d models, want 16", len(refSet))
 			}
-			refEnt, err := s.Entails(ctx, qBool, ntgd.Brave)
+			refEnt, err := ref.Entails(ctx, qBool, ntgd.Brave)
 			if err != nil {
 				t.Fatalf("reference entails: %v", err)
 			}
-			refTuples, refOK, err := s.Answers(ctx, qNary, ntgd.Brave)
+			refTuples, refOK, err := ref.Answers(ctx, qNary, ntgd.Brave)
 			if err != nil {
 				t.Fatalf("reference answers: %v", err)
 			}

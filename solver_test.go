@@ -369,3 +369,21 @@ func TestLegacyLPOptionsRouted(t *testing.T) {
 		t.Fatalf("LP QAResult incomplete: %+v", v)
 	}
 }
+
+// TestAtomBudgetSizedToData is the regression test for the default
+// atom budget: on the chain edge(c_i, c_i+1), i < 20,000, with the rule
+// edge(X,Y) -> node(X), the least model holds 40,000 atoms, far past
+// the 16,384 the budget once capped the whole store at, so SO must
+// answer the cautious ?- node(c5). as LP does. The budget bounds the
+// atoms a branch derives above the database, and the probe of a weakly
+// acyclic program runs to its end.
+func TestAtomBudgetSizedToData(t *testing.T) {
+	prog := chainQueryProgram(20000)
+	for _, sem := range []ntgd.Semantics{ntgd.SO, ntgd.LP} {
+		s := ntgd.MustCompile(prog, ntgd.CompileOptions{Semantics: sem})
+		res, err := s.Entails(context.Background(), prog.Queries[0], ntgd.Cautious)
+		if err != nil || !res.Entailed || res.Exhausted {
+			t.Fatalf("%s: Entails = (entailed %v, exhausted %v, %v), want entailed", sem, res.Entailed, res.Exhausted, err)
+		}
+	}
+}
