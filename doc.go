@@ -212,15 +212,38 @@
 // # Evaluation engine
 //
 // Every verdict funnels through homomorphism search over fact stores
-// (internal/logic), which is indexed and incremental:
+// (internal/logic), which is indexed, incremental, and runs on interned
+// ids:
 //
 //   - FactStore maintains, besides the per-predicate index, a
 //     (predicate, argument-position, ground-term) posting-list index,
-//     updated on every Add. FindHoms probes it whenever a body-atom
-//     position is ground under the substitution built so far — the
-//     smallest matching posting list is intersected in place instead of
-//     scanning the predicate — and a body atom that is fully ground
-//     reduces to a single hash probe.
+//     updated on every Add. The join probes it whenever a body-atom
+//     position is bound by the match built so far — the smallest
+//     matching list supplies the candidates instead of a scan of the
+//     predicate — and a body atom that is fully bound reduces to a
+//     single hash probe.
+//
+//   - One kernel performs every join (internal/logic/join.go). A
+//     logic.BodyPlans compiles its body once per Symbols table:
+//     variables become dense slots of a reusable frame of term ids,
+//     predicates and ground terms become ids, and non-ground function
+//     terms stay structural patterns. Candidates are matched on the id
+//     words of the stores' packed keys (after a key-width check, since
+//     one predicate name may carry two arities), bound atoms build
+//     their probe keys from ids without the Symbols lock, and a warm
+//     join allocates nothing: its frames live in the caller's
+//     logic.Scratch, one per worker. logic.CompileRule lays a rule out
+//     once for every engine: the body over the sorted positive-body
+//     variables, each head disjunct over those followed by its
+//     existential variables. Hot callers take a logic.Match —
+//     slot ids, terms on demand, and the store index each body atom
+//     matched: the trigger agenda keeps triggers as id tuples, head
+//     and negative checks run compiled patterns with the trigger's ids
+//     pre-bound, the stability encoder and the grounder read body
+//     indices from the match, and the chase and the grounder add head
+//     instances by packed key. The package-level FindHoms, FindHomsFrom
+//     and ExistsHom keep their Subst signatures as thin adapters over
+//     the same kernel.
 //
 //   - Fixpoint computations are delta-driven (semi-naive): every atom
 //     has a stable store index, so "the atoms derived last round" is an
@@ -236,17 +259,19 @@
 //     operations.
 //
 //   - Join order is planned, not written: before enumeration, the body
-//     atoms of FindHoms/FindHomsFrom are reordered by a greedy
-//     selectivity planner (internal/logic/plan.go) — atoms fully
-//     ground under the bindings so far are pushed ahead of all joins
-//     (each is one hash probe), then atoms are picked by class (bound
-//     variable join, ground-argument indexed scan, unconstrained scan)
-//     and, within a class, by smallest current candidate estimate.
-//     Long-lived callers (the trigger agenda, the stability sessions,
-//     the chase) hold a per-rule-body plan cache (logic.BodyPlans)
-//     keyed by delta seed and binding pattern, shared across parallel
-//     workers via lock-free lookups, and re-planned only when a
-//     predicate's fact count grows past a threshold. In a delta search
+//     atoms are reordered by a greedy selectivity planner
+//     (internal/logic/plan.go) — atoms fully bound by the pre-bound
+//     slots and earlier atoms are pushed ahead of all joins (each is
+//     one hash probe), then atoms are picked by class (bound variable
+//     join, ground-argument indexed scan, unconstrained scan) and,
+//     within a class, by smallest current candidate estimate. A plan
+//     fixes per step which slots it binds and which arguments key its
+//     candidates. Long-lived callers (the trigger agenda, the stability
+//     sessions, the chase) hold one logic.BodyPlans per rule body or
+//     head disjunct, whose plans are cached by delta seed and bound-slot
+//     mask, shared across parallel workers via lock-free lookups, and
+//     re-planned only when a predicate's fact count grows past a
+//     threshold. In a delta search
 //     the seed atom always stays first, so the exactly-once window
 //     semantics is untouched. Hom emission order is explicitly NOT
 //     part of the contract — consumers that need plan-independent

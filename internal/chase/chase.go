@@ -116,13 +116,18 @@ func RunCtx(ctx context.Context, db *logic.FactStore, rules []*logic.Rule, opt O
 	nullCtr := 0
 	from := 0 // delta low-water mark: atoms ≥ from are new
 
-	// One join-plan cache per rule body: the delta sweeps of every
-	// round reuse the greedy selectivity order instead of re-planning
-	// per call (see logic.BodyPlans).
-	planners := make([]*logic.BodyPlans, len(rules))
+	// Each rule is compiled once: the delta sweeps of every round reuse
+	// the body's greedy selectivity order instead of re-planning per
+	// call (see logic.BodyPlans), and a trigger's ids pre-bind the
+	// head's frontier for the restricted check and build its atoms'
+	// packed keys (see logic.RulePlans).
+	plans := make([]*logic.RulePlans, len(rules))
 	for i, r := range rules {
-		planners[i] = logic.NewBodyPlans(r.PosBody(), nil)
+		plans[i] = logic.CompileRule(r, true)
 	}
+	var sc logic.Scratch
+	var vals []uint32
+	var kb []byte
 
 	// No "already fired" bookkeeping is needed for the oblivious
 	// variant here: the delta windows of successive rounds partition
@@ -136,19 +141,17 @@ func RunCtx(ctx context.Context, db *logic.FactStore, rules []*logic.Rule, opt O
 			return res, err
 		}
 		type trigger struct {
-			rule *logic.Rule
-			hom  logic.Subst
+			rule int
+			ids  []uint32 // the body homomorphism over plans[rule].Vars
 		}
 		var triggers []trigger
-		for i, r := range rules {
-			rule := r
-			planners[i].FindHomsFrom(inst, from, logic.Subst{}, func(h logic.Subst) bool {
-				if opt.Variant == Restricted {
-					if logic.ExistsHom(rule.Heads[0], nil, inst, h) {
-						return true // head satisfied: not a (restricted) trigger
-					}
+		for i := range rules {
+			ri := i
+			plans[i].Body.FindHomsFrom(&sc, inst, from, nil, func(m *logic.Match) bool {
+				if opt.Variant == Restricted && plans[ri].Heads[0].Exists(&sc, inst, m.IDs()) {
+					return true // head satisfied: not a (restricted) trigger
 				}
-				triggers = append(triggers, trigger{rule, h.Clone()})
+				triggers = append(triggers, trigger{ri, append([]uint32(nil), m.IDs()...)})
 				return true
 			})
 		}
@@ -162,20 +165,20 @@ func RunCtx(ctx context.Context, db *logic.FactStore, rules []*logic.Rule, opt O
 					return res, err
 				}
 			}
-			if opt.Variant == Restricted {
-				// Another application this round may have satisfied it.
-				if logic.ExistsHom(t.rule.Heads[0], nil, inst, t.hom) {
-					continue
-				}
+			// Another application this round may have satisfied it.
+			if opt.Variant == Restricted && plans[t.rule].Heads[0].Exists(&sc, inst, t.ids) {
+				continue
 			}
-			mu := t.hom.Clone()
-			for _, z := range t.rule.ExistVars(0) {
+			vals = append(vals[:0], t.ids...)
+			for range plans[t.rule].Exist[0] {
 				nullCtr++
 				res.NullsInvented++
-				mu[z] = logic.N(opt.NullPrefix + strconv.Itoa(nullCtr))
+				vals = append(vals, inst.Symbols().Intern(logic.N(opt.NullPrefix+strconv.Itoa(nullCtr))))
 			}
-			for _, a := range t.rule.Heads[0] {
-				inst.Add(mu.ApplyAtom(a))
+			for k := range rules[t.rule].Heads[0] {
+				key, _ := plans[t.rule].Heads[0].AppendKey(inst, kb[:0], k, vals, true)
+				kb = key[:0]
+				inst.AddKey(key)
 			}
 			res.Applications++
 			if inst.Len() > opt.MaxAtoms {

@@ -83,16 +83,19 @@ func homEquivalent(a, b *logic.FactStore) bool {
 
 func TestSemiNaiveChaseMatchesNaiveRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	runs, skipped := 0, 0
 	for trial := 0; trial < 150; trial++ {
 		db, rules := randTGDProgram(rng)
 		for _, variant := range []Variant{Restricted, Oblivious} {
 			opt := Options{Variant: variant, MaxAtoms: 4096, MaxRounds: 64}
 			got, errGot := Run(db, rules, opt)
 			want, errWant := runNaive(db, rules, opt)
+			runs++
 			if (errGot == nil) != (errWant == nil) {
 				t.Fatalf("trial %d %v: error divergence: semi-naive=%v naive=%v", trial, variant, errGot, errWant)
 			}
 			if errGot != nil {
+				skipped++
 				continue // both hit the budget; partial instances are order-dependent
 			}
 			if !homEquivalent(got.Instance, want.Instance) {
@@ -108,6 +111,18 @@ func TestSemiNaiveChaseMatchesNaiveRandomized(t *testing.T) {
 				}
 			}
 		}
+	}
+	failOnSkips(t, skipped, runs)
+}
+
+// failOnSkips fails a randomized test in which more than a quarter of
+// the runs were skipped, so a regression that pushes every program over
+// budget cannot pass vacuously.
+func failOnSkips(t *testing.T, skipped, runs int) {
+	t.Helper()
+	t.Logf("%d of %d runs skipped", skipped, runs)
+	if 4*skipped > runs {
+		t.Fatalf("%d of %d runs skipped; the property was barely checked", skipped, runs)
 	}
 }
 

@@ -8,44 +8,40 @@ import (
 	"ntgd/internal/parser"
 )
 
-// legacyTriggerKey is the pre-PR trigger identity, kept here for the
+// legacyTriggerKey is an earlier trigger identity, kept here for the
 // benchmark below: it concatenated the rule label with hom.String(),
 // which sorts the variable names and renders every binding through a
 // fresh strings.Builder on every call.
-func legacyTriggerKey(t *trigger) string { return t.rule.Label + "|" + t.hom.String() }
+func legacyTriggerKey(r *logic.Rule, hom logic.Subst) string { return r.Label + "|" + hom.String() }
 
-func benchTrigger(b *testing.B) (*searcher, *trigger) {
+func benchTrigger(b *testing.B) (*searcher, *trigger, logic.Subst) {
 	b.Helper()
 	prog, err := parser.Parse("e(X,Y), f(Y,Z), not u(X) -> u(Z).\n")
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := &Compiled{rules: prog.Rules}
-	c.initRules()
-	s := &searcher{run: &run{rules: prog.Rules, ruleDet: c.ruleDet, ruleVars: c.ruleVars}}
-	t := &trigger{
-		rule:    prog.Rules[0],
-		ruleIdx: 0,
-		hom: logic.Subst{
-			"X": logic.C("alpha"),
-			"Y": logic.N("n17"),
-			"Z": logic.F("sk", logic.C("alpha"), logic.C("beta")),
-		},
+	s := &searcher{run: &run{ruleSet: newRuleSet(prog.Rules), syms: logic.NewFactStore().Symbols()}}
+	hom := logic.Subst{
+		"X": logic.C("alpha"),
+		"Y": logic.N("n17"),
+		"Z": logic.F("sk", logic.C("alpha"), logic.C("beta")),
 	}
-	return s, t
+	return s, &trigger{ruleIdx: 0, ids: s.idsOf(0, hom)}, hom
 }
 
 // BenchmarkTriggerKey compares the compact trigger key (rule index plus
-// the bindings in the rule's precomputed variable order, assembled in a
-// reused buffer) against the legacy Label+"|"+hom.String() key. The
-// cached-key fast path (the common case: every deferred-set probe after
-// the first) is measured separately.
+// the cached canonical keys of the bound term ids in the rule's
+// precomputed variable order, assembled in a reused buffer) against the
+// legacy Label+"|"+hom.String() key. The cached-key fast path (the
+// common case: every deferred-set probe after the first) is measured
+// separately.
 func BenchmarkTriggerKey(b *testing.B) {
-	s, t := benchTrigger(b)
+	s, t, hom := benchTrigger(b)
+	rule := s.rules[0]
 	b.Run("legacy", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if legacyTriggerKey(t) == "" {
+			if legacyTriggerKey(rule, hom) == "" {
 				b.Fatal("empty key")
 			}
 		}

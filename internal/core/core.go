@@ -173,27 +173,16 @@ var ErrBudget = engine.ErrBudget
 // variables. A run that panics, is cancelled or hits a budget while
 // building either artifact publishes nothing, so the next run builds it
 // again; concurrent first runs may each build one, and the first to
-// finish is kept. Everything else a run mutates — its store snapshots
-// layered over the root, trigger agendas, join-plan caches and
-// stability sessions — is created per call (see enumerate and the
-// freeze discipline in parallel.go).
+// finish is kept. The rule metadata and compiled joins (ruleSet) are
+// built at compile and shared read-only by every run: a BodyPlans is
+// safe for concurrent use and compiles once per Symbols table.
+// Everything else a run mutates — its store snapshots layered over the
+// root, trigger agendas and stability sessions — is created per call
+// (see enumerate and the freeze discipline in parallel.go).
 type Compiled struct {
-	db    *logic.FactStore
-	rules []*logic.Rule
-	opt   Options
-	// ruleDet[i] reports whether rules[i] fires without branching:
-	// single disjunct, no negation, no existential head variables.
-	ruleDet []bool
-	// ruleVars[i] is the sorted list of positive-body variables of
-	// rules[i] — exactly the domain of its trigger homomorphisms — used
-	// to build compact trigger keys.
-	ruleVars [][]string
-	// rulePosPreds[i] lists the distinct positive-body predicates of
-	// rules[i]: a delta sweep (agenda refresh or stability-session
-	// window) can skip the rule outright when none of them occurs in
-	// the window, because every new homomorphism must seed from a
-	// window atom matching a positive body atom.
-	rulePosPreds [][]string
+	*ruleSet
+	db  *logic.FactStore
+	opt Options
 	// weaklyAcyclic records classify.IsWeaklyAcyclic(rules): the budget
 	// probe then terminates (Proposition 9) and runs uncapped.
 	weaklyAcyclic bool
@@ -249,8 +238,7 @@ func Compile(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Compiled, 
 	if opt.MaxNodes <= 0 {
 		opt.MaxNodes = 8 << 20
 	}
-	c := &Compiled{db: db, rules: rules, opt: opt, weaklyAcyclic: classify.IsWeaklyAcyclic(rules)}
-	c.initRules()
+	c := &Compiled{ruleSet: newRuleSet(rules), db: db, opt: opt, weaklyAcyclic: classify.IsWeaklyAcyclic(rules)}
 	db.EachAtomIn(0, db.Len(), func(_ int, a logic.Atom) bool {
 		c.dbHasNulls = a.HasNull()
 		return !c.dbHasNulls
@@ -381,30 +369,25 @@ func (c *Compiled) enumerate(ctx context.Context, p engine.Params, visit func(*l
 		opt.MaxAtoms, atomBound = c.defaultBudget(ctx, len(opt.ExtraConstants))
 	}
 	r := &run{
-		rules:        c.rules,
-		db:           c.db,
-		rootLen:      c.db.Len(),
-		opt:          opt,
-		atomBound:    atomBound,
-		ruleDet:      c.ruleDet,
-		ruleVars:     c.ruleVars,
-		rulePosPreds: c.rulePosPreds,
-		naive:        naive,
-		ctx:          ctx,
-		seen:         make(map[string]bool),
-		hasNulls:     c.dbHasNulls,
+		ruleSet:   c.ruleSet,
+		db:        c.db,
+		rootLen:   c.db.Len(),
+		opt:       opt,
+		atomBound: atomBound,
+		naive:     naive,
+		ctx:       ctx,
+		syms:      c.db.Symbols(),
+		seen:      make(map[string]bool),
+		hasNulls:  c.dbHasNulls,
 	}
-	// Filled before the pool spawns: the session encoder and the model
-	// keyer read these caches from every worker.
-	r.initRuleBodies()
 	for _, t := range opt.ExtraConstants {
 		if t.HasNull() {
 			r.hasNulls = true
 		}
 	}
 	root := &state{
-		mustIn:   map[logic.FactKey]logic.Atom{},
-		mustOut:  map[logic.FactKey]logic.Atom{},
+		mustIn:   map[logic.FactKey]struct{}{},
+		mustOut:  map[logic.FactKey]struct{}{},
 		deferred: map[string]bool{},
 		owns:     ownsMustIn | ownsMustOut | ownsDeferred,
 	}
@@ -486,8 +469,8 @@ type state struct {
 	// ensure* helpers copy on the first write (owns tracks which maps
 	// this state owns). Reads need no chain walk — a state always sees
 	// one complete map.
-	mustIn   map[logic.FactKey]logic.Atom
-	mustOut  map[logic.FactKey]logic.Atom
+	mustIn   map[logic.FactKey]struct{}
+	mustOut  map[logic.FactKey]struct{}
 	deferred map[string]bool
 	owns     ownedMaps
 	nullCtr  int
@@ -530,7 +513,7 @@ func (st *state) clone() *state {
 // store snapshots rely on), so sharing the maps read-only is safe.
 func (st *state) ensureMustIn() {
 	if st.owns&ownsMustIn == 0 {
-		m := make(map[logic.FactKey]logic.Atom, len(st.mustIn)+1)
+		m := make(map[logic.FactKey]struct{}, len(st.mustIn)+1)
 		for k, v := range st.mustIn {
 			m[k] = v
 		}
@@ -541,7 +524,7 @@ func (st *state) ensureMustIn() {
 
 func (st *state) ensureMustOut() {
 	if st.owns&ownsMustOut == 0 {
-		m := make(map[logic.FactKey]logic.Atom, len(st.mustOut)+1)
+		m := make(map[logic.FactKey]struct{}, len(st.mustOut)+1)
 		for k, v := range st.mustOut {
 			m[k] = v
 		}
@@ -590,8 +573,9 @@ func (a agenda) clone() agenda {
 
 // searcher is one worker of the pool: the compiled artifacts and the
 // run-wide sink/counters are promoted from the embedded run (shared by
-// every worker); stats and keyBuf are worker-local. A sequential
-// enumeration is simply a run with a single worker and no pool.
+// every worker); stats, the join scratch and the key buffers are
+// worker-local. A sequential enumeration is simply a run with a single
+// worker and no pool.
 type searcher struct {
 	*run
 	// stats is the worker-local effort, merged into run.stats when the
@@ -599,8 +583,10 @@ type searcher struct {
 	// itself: the node counter doubles as the global MaxNodes budget,
 	// and emission is owned by the sink).
 	stats    Stats
-	keyBuf   []byte   // reused by triggerKey
-	partsBuf []string // reused by modelKey
+	join     logic.Scratch // the worker's join frames
+	keyBuf   []byte        // reused by triggerKey
+	probeBuf []byte        // reused for the packed keys of probes and adds
+	partsBuf []string      // reused by modelKey
 	// stab holds the worker-local scratch buffers of the stability
 	// session encoder and solver (stability.go).
 	stab stabScratch
@@ -611,12 +597,40 @@ type searcher struct {
 	stabWindows, stabForks, stabMaxVars int64
 }
 
-// initRules precomputes the per-rule facts the hot trigger paths need.
-func (s *Compiled) initRules() {
-	s.ruleDet = make([]bool, len(s.rules))
-	s.ruleVars = make([][]string, len(s.rules))
-	s.rulePosPreds = make([][]string, len(s.rules))
-	for i, r := range s.rules {
+// ruleSet is a program's rules with everything the hot trigger paths
+// precompute per rule, shared read-only by every run and worker.
+type ruleSet struct {
+	rules []*logic.Rule
+	// ruleDet[i] reports whether rules[i] fires without branching:
+	// single disjunct, no negation, no existential head variables.
+	ruleDet []bool
+	// rulePosPreds[i] lists the distinct positive-body predicates of
+	// rules[i]: a delta sweep (agenda refresh or stability-session
+	// window) can skip the rule outright when none of them occurs in
+	// the window, because every new homomorphism must seed from a
+	// window atom matching a positive body atom.
+	rulePosPreds [][]string
+	// plans[i] is rules[i] compiled for the join kernel, its body
+	// joins checking the negative literals: the trigger domain Vars,
+	// in which triggers hold their term ids and build compact keys, the
+	// existential variables, and the body and head joins the agenda
+	// refreshes, the trigger checks and the stability-session sweeps of
+	// every run and worker share (BodyPlans is safe for concurrent use;
+	// each worker joins with its own Scratch).
+	plans []*logic.RulePlans
+}
+
+// newRuleSet precomputes the per-rule facts the hot trigger paths need.
+func newRuleSet(rules []*logic.Rule) *ruleSet {
+	n := len(rules)
+	s := &ruleSet{
+		rules:        rules,
+		ruleDet:      make([]bool, n),
+		rulePosPreds: make([][]string, n),
+		plans:        make([]*logic.RulePlans, n),
+	}
+	for i, r := range rules {
+		s.plans[i] = logic.CompileRule(r, true)
 		// A rule needs no branching when it has a single disjunct, no
 		// negation, and no existential head variables — or when it is a
 		// negation-free constraint, whose only effect is to kill the
@@ -625,16 +639,10 @@ func (s *Compiled) initRules() {
 		if r.IsConstraint() {
 			s.ruleDet[i] = !r.HasNegation()
 		} else {
-			s.ruleDet[i] = len(r.Heads) == 1 && !r.HasNegation() && len(r.ExistVars(0)) == 0
+			s.ruleDet[i] = len(r.Heads) == 1 && !r.HasNegation() && len(s.plans[i].Exist[0]) == 0
 		}
-		vars := make([]string, 0, 4)
-		for v := range r.PosBodyVars() {
-			vars = append(vars, v)
-		}
-		sort.Strings(vars)
-		s.ruleVars[i] = vars
 		preds := make([]string, 0, 4)
-		for _, a := range r.PosBody() {
+		for _, a := range s.plans[i].Pos {
 			dup := false
 			for _, p := range preds {
 				if p == a.Pred {
@@ -648,6 +656,7 @@ func (s *Compiled) initRules() {
 		}
 		s.rulePosPreds[i] = preds
 	}
+	return s
 }
 
 // predsIntersect reports whether the two small predicate lists share an
@@ -666,11 +675,13 @@ func predsIntersect(a, b []string) bool {
 // trigger is an active trigger: a rule, a homomorphism of its positive
 // body into A whose negative body instances are absent from A, such
 // that no head disjunct is satisfied and the trigger has not been
-// deferred. Triggers are immutable once enqueued (states share them).
+// deferred. The homomorphism is an id tuple: the interned term bound to
+// each variable of the rule's RulePlans.Vars, in order — the body slots
+// of the rule's join frames. Triggers are immutable once enqueued
+// (states share them).
 type trigger struct {
-	rule    *logic.Rule
 	ruleIdx int
-	hom     logic.Subst
+	ids     []uint32
 	// key caches the compact identity, filled lazily by triggerKey. It
 	// is an atomic pointer because cloned agendas share triggers across
 	// sibling subtrees: two workers may race to fill the cache, but
@@ -680,18 +691,16 @@ type trigger struct {
 
 // triggerKey returns a compact identity for the trigger: the rule index
 // followed by the canonical keys of the homomorphism's bindings in the
-// rule's fixed variable order, assembled in a reused buffer. It
-// replaces the old Label + "|" + hom.String() key, which sorted the
-// variable names and rendered every term per call.
+// rule's fixed variable order, assembled in a reused buffer from the
+// keys the Symbols table rendered once per term — byte-identical to
+// rendering each bound term with Term.AppendKey, so the branching order
+// does not depend on how the trigger was found.
 func (s *searcher) triggerKey(t *trigger) string {
 	if k := t.key.Load(); k != nil {
 		return *k
 	}
 	buf := strconv.AppendInt(s.keyBuf[:0], int64(t.ruleIdx), 10)
-	for _, v := range s.ruleVars[t.ruleIdx] {
-		buf = append(buf, '|')
-		buf = t.hom[v].AppendKey(buf)
-	}
+	buf = s.syms.AppendKeys(buf, '|', t.ids)
 	s.keyBuf = buf
 	k := string(buf)
 	t.key.Store(&k)
@@ -740,19 +749,20 @@ func (s *searcher) refreshAgenda(st *state) {
 		}
 		s.stab.preds = winPreds[:0]
 	}
-	for i, r := range s.rules {
-		rule, idx := r, i
+	for i := range s.rules {
 		if seeded && !predsIntersect(s.rulePosPreds[i], winPreds) {
 			continue
 		}
-		s.rulePlans[idx].FindHomsFrom(st.A, from, logic.Subst{}, func(h logic.Subst) bool {
+		idx, heads, nb := i, s.plans[i].Heads, len(s.plans[i].Vars)
+		s.plans[idx].Body.FindHomsFrom(&s.join, st.A, from, nil, func(m *logic.Match) bool {
+			ids := m.IDs()[:nb]
 			// Satisfied heads need no action.
-			for d := range rule.Heads {
-				if logic.ExistsHom(rule.Heads[d], nil, st.A, h) {
+			for _, hp := range heads {
+				if hp.Exists(&s.join, st.A, ids) {
 					return true
 				}
 			}
-			t := &trigger{rule: rule, ruleIdx: idx, hom: h.Clone()}
+			t := &trigger{ruleIdx: idx, ids: append([]uint32(nil), ids...)}
 			if len(st.deferred) > 0 && st.deferred[s.triggerKey(t)] {
 				return true
 			}
@@ -776,13 +786,16 @@ func (s *searcher) triggerActive(st *state, t *trigger) bool {
 	if len(st.deferred) > 0 && st.deferred[s.triggerKey(t)] {
 		return false
 	}
-	for _, n := range s.ruleNeg[t.ruleIdx] {
-		if st.A.HasUnder(t.hom, n) {
+	body, npos := s.plans[t.ruleIdx].Body, len(s.plans[t.ruleIdx].Pos)
+	for j := range s.plans[t.ruleIdx].Neg {
+		key, ok := body.AppendKey(st.A, s.probeBuf[:0], npos+j, t.ids, false)
+		s.probeBuf = key[:0]
+		if _, in := st.A.IndexOfKey(key); ok && in {
 			return false
 		}
 	}
-	for i := range t.rule.Heads {
-		if logic.ExistsHom(t.rule.Heads[i], nil, st.A, t.hom) {
+	for _, hp := range s.plans[t.ruleIdx].Heads {
+		if hp.Exists(&s.join, st.A, t.ids) {
 			return false
 		}
 	}
@@ -880,7 +893,7 @@ func (s *searcher) findTriggerNaive(st *state, det bool) *trigger {
 					return true
 				}
 			}
-			t := &trigger{rule: rule, ruleIdx: idx, hom: h.Clone()}
+			t := &trigger{ruleIdx: idx, ids: s.idsOf(idx, h)}
 			if len(st.deferred) > 0 && st.deferred[s.triggerKey(t)] {
 				return true
 			}
@@ -898,6 +911,16 @@ func (s *searcher) findTriggerNaive(st *state, det bool) *trigger {
 		}
 	}
 	return nil
+}
+
+// idsOf converts a body homomorphism of rules[ri] found by the naive
+// oracle into a trigger's id tuple.
+func (s *searcher) idsOf(ri int, h logic.Subst) []uint32 {
+	ids := make([]uint32, len(s.plans[ri].Vars))
+	for i, v := range s.plans[ri].Vars {
+		ids[i] = s.syms.Intern(h[v])
+	}
+	return ids
 }
 
 // dfs explores the state; returns false if the search should stop
@@ -936,8 +959,8 @@ func (s *searcher) dfs(st *state) bool {
 			break
 		}
 		s.stats.Deterministic++
-		if !s.applyTo(st, t, 0, t.hom) {
-			if st == s.building && t.rule.IsConstraint() {
+		if !s.applyTo(st, t, 0, t.ids) {
+			if st == s.building && s.rules[t.ruleIdx].IsConstraint() {
 				s.publishRoot(st, true)
 			}
 			return true // dead branch
@@ -966,29 +989,30 @@ func (s *searcher) branch(st *state, t *trigger) bool {
 		// then shared by every model emitted below.
 		s.sessionFor(st).pending = st.A
 	}
-	for i := range t.rule.Heads {
-		exist := t.rule.ExistVars(i)
+	rule, nb := s.rules[t.ruleIdx], len(t.ids)
+	for d := range rule.Heads {
+		exist := s.plans[t.ruleIdx].Exist[d]
 		for _, mu := range s.witnessTuples(st, exist) {
 			child := st.clone()
-			full := t.hom.Clone()
-			// Materialize witness terms, turning fresh placeholders
-			// into sequentially numbered nulls.
-			fresh := make(map[string]logic.Term)
-			for _, z := range exist {
-				w := mu[z]
-				if w.Kind == logic.Var { // fresh placeholder
-					n, ok := fresh[w.Name]
-					if !ok {
-						child.nullCtr++
-						n = logic.N("n" + strconv.Itoa(child.nullCtr))
-						fresh[w.Name] = n
-					}
-					full[z] = n
-				} else {
-					full[z] = w
+			// The head's frame: the trigger's body ids, then one witness id
+			// per existential variable, with fresh placeholders turned into
+			// sequentially numbered nulls. Placeholder j+1 first appears
+			// only after placeholder j, so first appearances number them.
+			vals := make([]uint32, nb+len(exist))
+			copy(vals, t.ids)
+			var fresh []uint32
+			for k, w := range mu {
+				if w.fresh == 0 {
+					vals[nb+k] = w.id
+					continue
 				}
+				if w.fresh > len(fresh) {
+					child.nullCtr++
+					fresh = append(fresh, s.syms.Intern(logic.N("n"+strconv.Itoa(child.nullCtr))))
+				}
+				vals[nb+k] = fresh[w.fresh-1]
 			}
-			if s.applyTo(child, t, i, full) {
+			if s.applyTo(child, t, d, vals) {
 				if !s.explore(child) {
 					return false
 				}
@@ -997,14 +1021,15 @@ func (s *searcher) branch(st *state, t *trigger) bool {
 	}
 	// Deferral branches: assume one negative body instance will be in
 	// the final model, blocking the trigger.
-	negBody := s.ruleNeg[t.ruleIdx]
+	negBody := s.plans[t.ruleIdx].Neg
 	if len(negBody) == 0 {
 		return true
 	}
+	body, npos := s.plans[t.ruleIdx].Body, len(s.plans[t.ruleIdx].Pos)
 	seenNeg := map[logic.FactKey]bool{}
-	for _, n := range negBody {
-		g := t.hom.ApplyAtom(n)
-		k := st.A.InternKey(g)
+	for j := range negBody {
+		key, _ := body.AppendKey(st.A, nil, npos+j, t.ids, true)
+		k := logic.FactKey(key)
 		if seenNeg[k] {
 			continue
 		}
@@ -1014,7 +1039,7 @@ func (s *searcher) branch(st *state, t *trigger) bool {
 			continue
 		}
 		child.ensureMustIn()
-		child.mustIn[k] = g
+		child.mustIn[k] = struct{}{}
 		child.ensureDeferred()
 		child.deferred[s.triggerKey(t)] = true
 		if !s.explore(child) {
@@ -1024,78 +1049,87 @@ func (s *searcher) branch(st *state, t *trigger) bool {
 	return true
 }
 
+// witness is one existential variable's witness in a tuple: the
+// interned id of a domain term or extra constant, or, when fresh > 0,
+// fresh placeholder number fresh (a null invented per branch child).
+type witness struct {
+	id    uint32
+	fresh int
+}
+
 // witnessTuples enumerates the witness assignments for the existential
 // variables: every tuple over the current domain ∪ extra constants ∪
 // fresh placeholders (canonically ordered: placeholder j+1 may appear
 // only if placeholder j appears earlier), or a single all-fresh tuple
-// under WitnessFreshOnly. The returned substitutions map existential
-// variables to terms; fresh placeholders are variables named $f<i>.
-func (s *searcher) witnessTuples(st *state, exist []string) []logic.Subst {
+// under WitnessFreshOnly. Tuples are positional over exist.
+func (s *searcher) witnessTuples(st *state, exist []string) [][]witness {
 	if len(exist) == 0 {
-		return []logic.Subst{{}}
+		return [][]witness{nil}
 	}
 	if s.opt.WitnessPolicy == WitnessFreshOnly {
-		mu := logic.Subst{}
-		for i, z := range exist {
-			mu[z] = logic.V("$f" + strconv.Itoa(i))
+		mu := make([]witness, len(exist))
+		for i := range mu {
+			mu[i] = witness{fresh: i + 1}
 		}
-		return []logic.Subst{mu}
+		return [][]witness{mu}
 	}
 	// The pool is the store's incrementally maintained term set; extra
 	// constants are deduplicated by one domain lookup each instead of a
 	// scan of the pool (plus a scan of the few extras appended so far,
 	// in case ExtraConstants itself repeats a term).
-	pool := st.A.Domain()
+	pool := st.A.DomainIDs()
 	nDom := len(pool)
 	for _, c := range s.opt.ExtraConstants {
-		if st.A.HasDomainTerm(c) {
+		id := st.A.Symbols().Intern(c)
+		if st.A.HasDomainID(id) {
 			continue
 		}
 		dup := false
 		for _, p := range pool[nDom:] {
-			if p.Equal(c) {
+			if p == id {
 				dup = true
 				break
 			}
 		}
 		if !dup {
-			pool = append(pool, c)
+			pool = append(pool, id)
 		}
 	}
-	var out []logic.Subst
-	mu := logic.Subst{}
+	var out [][]witness
+	mu := make([]witness, len(exist))
 	var rec func(i, freshUsed int)
 	rec = func(i, freshUsed int) {
 		if i == len(exist) {
-			out = append(out, mu.Clone())
+			out = append(out, append([]witness(nil), mu...))
 			return
 		}
 		for _, v := range pool {
-			mu[exist[i]] = v
+			mu[i] = witness{id: v}
 			rec(i+1, freshUsed)
 		}
 		// Reuse an already-introduced fresh placeholder…
-		for f := 0; f < freshUsed; f++ {
-			mu[exist[i]] = logic.V("$f" + strconv.Itoa(f))
+		for f := 1; f <= freshUsed; f++ {
+			mu[i] = witness{fresh: f}
 			rec(i+1, freshUsed)
 		}
 		// …or introduce the next one (canonical order).
 		if freshUsed < len(exist) {
-			mu[exist[i]] = logic.V("$f" + strconv.Itoa(freshUsed))
+			mu[i] = witness{fresh: freshUsed + 1}
 			rec(i+1, freshUsed+1)
 		}
-		delete(mu, exist[i])
 	}
 	rec(0, 0)
 	return out
 }
 
-// applyTo fires (rule, hom) choosing the given disjunct under the fully
-// extended substitution: head atoms are added to A and the negative
-// body instances recorded as permanent negative assumptions. It reports
+// applyTo fires the trigger choosing the given disjunct under the head
+// frame vals (the trigger's body ids, then the disjunct's witnesses):
+// head atoms are added to A by packed key and the negative body
+// instances recorded as permanent negative assumptions. It reports
 // false when the state became inconsistent (or a budget was hit).
-func (s *searcher) applyTo(st *state, t *trigger, disjunct int, full logic.Subst) bool {
-	if t.rule.IsConstraint() {
+func (s *searcher) applyTo(st *state, t *trigger, disjunct int, vals []uint32) bool {
+	rule := s.rules[t.ruleIdx]
+	if rule.IsConstraint() {
 		return false
 	}
 	if s.opt.MaxMemory > 0 {
@@ -1105,30 +1139,29 @@ func (s *searcher) applyTo(st *state, t *trigger, disjunct int, full logic.Subst
 		before := st.A.TupleBytes()
 		defer func() { s.chargeMem(st.A.TupleBytes() - before) }()
 	}
-	for _, n := range s.ruleNeg[t.ruleIdx] {
-		g := t.hom.ApplyAtom(n)
-		k := st.A.InternKey(g)
-		if st.A.HasFactKey(k) {
+	body, npos := s.plans[t.ruleIdx].Body, len(s.plans[t.ruleIdx].Pos)
+	for j := range s.plans[t.ruleIdx].Neg {
+		key, _ := body.AppendKey(st.A, s.probeBuf[:0], npos+j, t.ids, true)
+		s.probeBuf = key[:0]
+		if _, in := st.A.IndexOfKey(key); in {
 			return false
 		}
-		if _, promised := st.mustIn[k]; promised {
+		if _, promised := st.mustIn[logic.FactKey(key)]; promised {
 			return false
 		}
-		st.ensureMustOut()
-		st.mustOut[k] = g
+		if _, have := st.mustOut[logic.FactKey(key)]; !have {
+			st.ensureMustOut()
+			st.mustOut[logic.FactKey(key)] = struct{}{}
+		}
 	}
-	for _, a := range t.rule.Heads[disjunct] {
-		g := full.ApplyAtom(a)
-		if len(st.mustOut) > 0 {
-			// A key miss means g's symbols were never interned, so g
-			// cannot have been recorded in any assumption ledger.
-			if k, ok := st.A.LookupKey(g); ok {
-				if _, banned := st.mustOut[k]; banned {
-					return false
-				}
-			}
+	head := s.plans[t.ruleIdx].Heads[disjunct]
+	for k := range rule.Heads[disjunct] {
+		key, _ := head.AppendKey(st.A, s.probeBuf[:0], k, vals, true)
+		s.probeBuf = key[:0]
+		if _, banned := st.mustOut[logic.FactKey(key)]; banned {
+			return false
 		}
-		st.A.Add(g)
+		st.A.AddKey(key)
 	}
 	if st.A.Len()-s.db.Len() > s.opt.MaxAtoms {
 		s.exhaust(budgetAtoms)

@@ -32,9 +32,9 @@ type compiledModelCheck struct {
 // rendered atom keys: dbAt[i] reports database membership of the atom
 // at universe index i, and bitAt[i] is its bitmask position (-1 for
 // database atoms). One pass over the universe replaces the per-instance
-// inDB/bit string-map lookups of the old compiler — instance atoms
-// resolve through IndexUnder, which probes the store's existing key
-// index without building per-call maps.
+// inDB/bit string-map lookups of the old compiler — body and head atoms
+// carry their store indices in the join's matches, and negative
+// instances resolve by one packed-key probe of the store's index.
 type universeIndex struct {
 	dbAt  []bool
 	bitAt []int
@@ -65,25 +65,31 @@ func indexUniverse(db, universe *logic.FactStore) (universeIndex, []logic.Atom) 
 // universeIndex).
 func compileModelCheck(rules []*logic.Rule, universe *logic.FactStore, u universeIndex) *compiledModelCheck {
 	c := &compiledModelCheck{}
+	var sc logic.Scratch
+	var kb []byte
 	for _, r := range rules {
 		rule := r
-		pos, neg := logic.SplitLiterals(rule.Body)
 		// Negative literals are re-evaluated in J (all predicates are
 		// starred in MM[D,Σ]), so they are NOT filtered here: enumerate
 		// homomorphisms of the positive body into U and compile the
 		// negative instances into the mask.
-		logic.FindHoms(pos, nil, universe, logic.Subst{}, func(h logic.Subst) bool {
+		rp := logic.CompileRule(rule, false)
+		pos, neg := rp.Pos, rp.Neg
+		rp.Body.FindHoms(&sc, universe, nil, func(m *logic.Match) bool {
 			inst := groundInstance{}
-			for _, b := range pos {
-				idx, _ := universe.IndexUnder(h, b)
+			for b := range pos {
+				idx := m.Index(b)
 				if u.dbAt[idx] {
 					continue // always in J
 				}
 				inst.posMask |= 1 << u.bitAt[idx]
 			}
 			blocked := false
-			for _, n := range neg {
-				idx, inU := universe.IndexUnder(h, n)
+			for j := range neg {
+				key, ok := rp.Body.AppendKey(universe, kb[:0], len(pos)+j, m.IDs(), false)
+				kb = key[:0]
+				idx, inU := universe.IndexOfKey(key)
+				inU = ok && inU
 				switch {
 				case inU && u.dbAt[idx]:
 					blocked = true // always in J: the instance never fires
@@ -99,12 +105,12 @@ func compileModelCheck(rules []*logic.Rule, universe *logic.FactStore, u univers
 				return true
 			}
 			trivially := false
-			for i := range rule.Heads {
-				head := rule.Heads[i]
-				logic.FindHoms(head, nil, universe, h, func(mu logic.Subst) bool {
+			for d, head := range rule.Heads {
+				natoms := len(head)
+				rp.Heads[d].FindHoms(&sc, universe, m.IDs(), func(mu *logic.Match) bool {
 					var ext uint32
-					for _, a := range head {
-						idx, _ := universe.IndexUnder(mu, a)
+					for k := 0; k < natoms; k++ {
+						idx := mu.Index(k)
 						if u.dbAt[idx] {
 							continue
 						}

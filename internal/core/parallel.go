@@ -50,8 +50,8 @@ import (
 // compiled artifacts (read-only for the duration of the run), the
 // pool, the deduplicating model sink, and the cumulative counters.
 type run struct {
-	rules []*logic.Rule
-	db    *logic.FactStore
+	*ruleSet
+	db *logic.FactStore
 	// rootLen is the length of the run root's store: the indices below
 	// it hold D plus, once the run starts from (or has built) the frozen
 	// root, lfp(Det, D). Every candidate contains them, so the stability
@@ -60,18 +60,9 @@ type run struct {
 	opt     Options
 	// atomBound names where opt.MaxAtoms came from, for the ErrBudget
 	// text.
-	atomBound    string
-	ruleDet      []bool
-	ruleVars     [][]string
-	rulePosPreds [][]string
-	// rulePos/ruleNeg cache each rule's split body literals for the
-	// stability-session encoder (filled lazily by initRuleBodies);
-	// rulePlans holds one join-plan cache per rule body, shared by the
-	// agenda refreshes and the stability-session delta sweeps of every
-	// worker (BodyPlans is safe for concurrent use).
-	rulePos   [][]logic.Atom
-	ruleNeg   [][]logic.Atom
-	rulePlans []*logic.BodyPlans
+	atomBound string
+	// syms is the Symbols table every store of the run shares.
+	syms *logic.Symbols
 	// hasNulls records whether the database or the witness-pool extras
 	// contain labeled nulls, which rules out modelKey's null-free path.
 	hasNulls bool
@@ -143,18 +134,6 @@ type run struct {
 	// writes it from the single worker; parallel mode only from the
 	// caller goroutine draining the models channel.
 	emitted int64
-}
-
-// initRuleBodies fills the run's per-rule split-body and join-plan
-// caches.
-func (r *run) initRuleBodies() {
-	r.rulePos = make([][]logic.Atom, len(r.rules))
-	r.ruleNeg = make([][]logic.Atom, len(r.rules))
-	r.rulePlans = make([]*logic.BodyPlans, len(r.rules))
-	for i, rule := range r.rules {
-		r.rulePos[i], r.ruleNeg[i] = logic.SplitLiterals(rule.Body)
-		r.rulePlans[i] = logic.NewBodyPlans(r.rulePos[i], r.ruleNeg[i])
-	}
 }
 
 // resolveWorkers picks the pool size: an explicit per-run override

@@ -151,6 +151,9 @@ func TestAgendaMatchesNaiveRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(1712))
 	opt := Options{MaxAtoms: 48, MaxNodes: 1 << 17}
 	compared, generated := 0, 0
+	// The parallel and planner-off arms re-run every compared program;
+	// their exhausted runs are skipped, and counted (see failOnSkips).
+	parRuns, parSkipped, offRuns, offSkipped := 0, 0, 0, 0
 	for generated < 220 {
 		prog := randomSearchProgram(rng)
 		if prog == nil {
@@ -181,7 +184,9 @@ func TestAgendaMatchesNaiveRandomized(t *testing.T) {
 			popt := opt
 			popt.Workers = w
 			parKeys, exP := canonicalModelSet(t, db, prog.Rules, popt, false)
+			parRuns++
 			if exP {
+				parSkipped++
 				continue
 			}
 			if fmt.Sprint(parKeys) != fmt.Sprint(naiveKeys) {
@@ -198,6 +203,12 @@ func TestAgendaMatchesNaiveRandomized(t *testing.T) {
 		popt.Workers = 8
 		offPar, exOP := canonicalModelSet(t, db, prog.Rules, popt, false)
 		restore()
+		offRuns += 2
+		for _, ex := range []bool{exO, exOP} {
+			if ex {
+				offSkipped++
+			}
+		}
 		if !exO && fmt.Sprint(offKeys) != fmt.Sprint(naiveKeys) {
 			t.Fatalf("planner-off model set diverges on program #%d:\n%s\noff: %d models %v\non:  %d models %v",
 				generated, progString(prog), len(offKeys), offKeys, len(naiveKeys), naiveKeys)
@@ -212,6 +223,20 @@ func TestAgendaMatchesNaiveRandomized(t *testing.T) {
 		t.Fatalf("only %d/220 programs completed within budget; grow the budgets", compared)
 	}
 	t.Logf("compared %d/%d random programs", compared, generated)
+	failOnSkips(t, "parallel", parSkipped, parRuns)
+	failOnSkips(t, "planner-off", offSkipped, offRuns)
+}
+
+// failOnSkips fails a randomized differential arm in which more than a
+// quarter of the runs were skipped (exhausted runs cannot be compared),
+// so a regression that pushes every run over budget cannot pass
+// vacuously.
+func failOnSkips(t *testing.T, arm string, skipped, runs int) {
+	t.Helper()
+	t.Logf("%s arm: %d of %d runs skipped", arm, skipped, runs)
+	if 4*skipped > runs {
+		t.Fatalf("%s arm: %d of %d runs skipped; the property was barely checked", arm, skipped, runs)
+	}
 }
 
 // extraD is a constant none of the test programs mentions: passed per

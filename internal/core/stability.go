@@ -85,8 +85,10 @@ const maxStabSessionDepth = 32
 // prefix. Entries are immutable once registered and are held by
 // pointer; all per-path mutable state lives in the session layers.
 type stabHom struct {
-	rule *logic.Rule
-	hom  logic.Subst
+	// ruleIdx and ids are the rule and its body homomorphism as an id
+	// tuple over the rule's variables (see trigger).
+	ruleIdx int
+	ids     []uint32
 	// negKeys are the ground negative-body instances' packed keys,
 	// re-evaluated against the candidate M at every solve: the
 	// homomorphism's clause is enforced only while none of them is in M.
@@ -342,36 +344,33 @@ func (s *searcher) extendSession(ss *stabSession, store *logic.FactStore) {
 	// in the store block a homomorphism permanently — the store only
 	// grows — so FindHomsFrom's filter is final; instances derived
 	// later are handled per solve through the activation literal.
-	if s.rulePos == nil {
-		s.initRuleBodies()
-	}
-	for i, r := range s.rules {
-		rule := r
+	for i := range s.rules {
 		if ss.parent != nil && !predsIntersect(s.rulePosPreds[i], sc.preds) {
 			// No positive body predicate in the window: no homomorphism
 			// can seed here. (Root and rebuilt layers sweep every rule —
 			// only they may register empty-positive-body homomorphisms.)
 			continue
 		}
-		pos, neg := s.rulePos[i], s.ruleNeg[i]
-		s.rulePlans[i].FindHomsFrom(store, from, logic.Subst{}, func(h logic.Subst) bool {
-			s.registerHom(ss, store, rule, pos, neg, h)
+		ri := i
+		s.plans[i].Body.FindHomsFrom(&s.join, store, from, nil, func(m *logic.Match) bool {
+			s.registerHom(ss, store, ri, m)
 			return true
 		})
 	}
 	ss.hi = to
 }
 
-// witLit compiles one witness extension mu of a head disjunct into a
-// single literal: the subset variable for a single atom above the root,
-// a fresh defined auxiliary variable for a conjunction, or 0 when the
-// extension lands entirely in the root (the rule instance is then
-// satisfied in every J the condition ranges over).
-func (s *searcher) witLit(ss *stabSession, store *logic.FactStore, head []logic.Atom, mu logic.Subst) int {
+// witLit compiles one witness extension — a match of a head disjunct
+// of natoms atoms — into a single literal: the subset variable for a
+// single atom above the root, a fresh defined auxiliary variable for a
+// conjunction, or 0 when the extension lands entirely in the root (the
+// rule instance is then satisfied in every J the condition ranges
+// over). The atoms' store indices come from the match.
+func (s *searcher) witLit(ss *stabSession, mu *logic.Match, natoms int) int {
 	conj := s.stab.conj[:0]
-	for _, a := range head {
-		idx, ok := store.IndexUnder(mu, a)
-		if !ok || idx < s.rootLen {
+	for k := 0; k < natoms; k++ {
+		idx := mu.Index(k)
+		if idx < s.rootLen {
 			continue // root atoms are in every candidate J
 		}
 		lit := ss.varOf(idx)
@@ -401,24 +400,29 @@ func (s *searcher) witLit(ss *stabSession, store *logic.FactStore, head []logic.
 	}
 }
 
-// registerHom encodes one new body homomorphism: clause construction,
-// witness search over the full prefix, activation and extension
-// variables, and the occurrence index entries for future completions.
-func (s *searcher) registerHom(ss *stabSession, store *logic.FactStore, rule *logic.Rule, pos, neg []logic.Atom, h logic.Subst) {
+// registerHom encodes one new body homomorphism of rules[ri], the match
+// m: clause construction from the body atoms' store indices, witness
+// search over the full prefix, activation and extension variables, and
+// the occurrence index entries for future completions.
+func (s *searcher) registerHom(ss *stabSession, store *logic.FactStore, ri int, m *logic.Match) {
 	sc := &s.stab
+	rule, body, npos := s.rules[ri], s.plans[ri].Body, len(s.plans[ri].Pos)
+	ids := m.IDs()[:len(s.plans[ri].Vars)]
 	clause := sc.clause[:0]
-	for _, b := range pos {
-		if idx, ok := store.IndexUnder(h, b); ok && idx >= s.rootLen {
+	for b := 0; b < npos; b++ {
+		if idx := m.Index(b); idx >= s.rootLen {
 			clause = append(clause, -ss.varOf(idx))
 		}
 	}
 	trivial := false
-	for i := range rule.Heads {
-		head := rule.Heads[i]
-		if len(head) == 1 && logic.BoundUnder(h, head[0]) {
+	for d, head := range rule.Heads {
+		hp := s.plans[ri].Heads[d]
+		if len(head) == 1 && len(s.plans[ri].Exist[d]) == 0 {
 			// The disjunct's only possible witness is h(head[0]):
 			// one index probe replaces the homomorphism search.
-			if idx, ok := store.IndexUnder(h, head[0]); ok {
+			key, ok := hp.AppendKey(store, s.probeBuf[:0], 0, ids, false)
+			s.probeBuf = key[:0]
+			if idx, in := store.IndexOfKey(key); ok && in {
 				if idx < s.rootLen {
 					trivial = true
 					break
@@ -427,8 +431,9 @@ func (s *searcher) registerHom(ss *stabSession, store *logic.FactStore, rule *lo
 			}
 			continue
 		}
-		logic.FindHoms(head, nil, store, h, func(mu logic.Subst) bool {
-			lit := s.witLit(ss, store, head, mu)
+		natoms := len(head)
+		hp.FindHoms(&s.join, store, ids, func(mu *logic.Match) bool {
+			lit := s.witLit(ss, mu, natoms)
 			if lit == 0 {
 				trivial = true
 				return false
@@ -444,11 +449,12 @@ func (s *searcher) registerHom(ss *stabSession, store *logic.FactStore, rule *lo
 		sc.clause = clause[:0]
 		return // satisfied in every J ⊇ root, for every descendant
 	}
-	hm := &stabHom{rule: rule, hom: h.Clone()}
-	if len(neg) > 0 {
+	hm := &stabHom{ruleIdx: ri, ids: append([]uint32(nil), ids...)}
+	if neg := s.plans[ri].Neg; len(neg) > 0 {
 		hm.negKeys = make([]logic.FactKey, 0, len(neg))
-		for _, n := range neg {
-			hm.negKeys = append(hm.negKeys, store.InternKey(h.ApplyAtom(n)))
+		for j := range neg {
+			key, _ := body.AppendKey(store, nil, npos+j, ids, true)
+			hm.negKeys = append(hm.negKeys, logic.FactKey(key))
 		}
 		hm.act = ss.newVar()
 		clause = append(clause, -hm.act)
@@ -459,19 +465,20 @@ func (s *searcher) registerHom(ss *stabSession, store *logic.FactStore, rule *lo
 		if ss.occ == nil {
 			ss.occ = make(map[string][]headOcc)
 		}
-		for d := range rule.Heads {
+		for d, head := range rule.Heads {
 			var groundKey logic.FactKey
-			if len(rule.Heads[d]) == 1 && logic.BoundUnder(h, rule.Heads[d][0]) {
-				groundKey = store.InternKey(h.ApplyAtom(rule.Heads[d][0]))
+			if len(head) == 1 && len(s.plans[ri].Exist[d]) == 0 {
+				key, _ := s.plans[ri].Heads[d].AppendKey(store, nil, 0, ids, true)
+				groundKey = logic.FactKey(key)
 			}
 			seen := sc.predSeen
-			for _, a := range rule.Heads[d] {
+			for _, a := range head {
 				if !seen[a.Pred] {
 					seen[a.Pred] = true
 					ss.occ[a.Pred] = append(ss.occ[a.Pred], headOcc{hom: hm, disjunct: d, groundKey: groundKey})
 				}
 			}
-			for _, a := range rule.Heads[d] {
+			for _, a := range head {
 				delete(seen, a.Pred)
 			}
 		}
@@ -493,7 +500,6 @@ func (s *searcher) completeHom(ss *stabSession, store *logic.FactStore, from int
 	}
 	sc := &s.stab
 	clause := sc.clause[:0]
-	head := hm.rule.Heads[oc.disjunct]
 	if oc.groundKey != "" {
 		// Single possible witness: a window probe replaces the join.
 		idx, ok := store.IndexOfFactKey(oc.groundKey)
@@ -509,8 +515,9 @@ func (s *searcher) completeHom(ss *stabSession, store *logic.FactStore, from int
 		return
 	}
 	satisfied := false
-	logic.FindHomsFrom(head, nil, store, from, hm.hom, func(mu logic.Subst) bool {
-		lit := s.witLit(ss, store, head, mu)
+	natoms := len(s.rules[hm.ruleIdx].Heads[oc.disjunct])
+	s.plans[hm.ruleIdx].Heads[oc.disjunct].FindHomsFrom(&s.join, store, from, hm.ids, func(mu *logic.Match) bool {
+		lit := s.witLit(ss, mu, natoms)
 		if lit == 0 {
 			// Unreachable for window extensions (every window atom is
 			// above the root), but a satisfied instance would simply end
@@ -636,7 +643,7 @@ func stableAgainstSubsets(db *logic.FactStore, rules []*logic.Rule, m *logic.Fac
 	for _, a := range m.Atoms() {
 		store.Add(a)
 	}
-	s := &searcher{run: &run{rules: rules, db: db, rootLen: db.Len()}}
+	s := &searcher{run: &run{ruleSet: newRuleSet(rules), db: db, rootLen: db.Len(), syms: db.Symbols()}}
 	sess := &stabSession{}
 	s.extendSession(sess, store)
 	return s.stableSession(&state{A: store, sess: sess})

@@ -61,29 +61,45 @@ func Ground(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Grounding, 
 		opt.MaxInstances = 1 << 20
 	}
 
+	// Each rule is compiled once, its body joins enumerating every
+	// homomorphism of the positive body (negative literals are grounded
+	// from the match's ids, not checked), and its head disjuncts laid
+	// out over the body's slots, so a match's ids build their packed
+	// keys directly (see logic.RulePlans).
+	comp := make([]*logic.RulePlans, len(rules))
+	for i, r := range rules {
+		comp[i] = logic.CompileRule(r, false)
+	}
+	var sc logic.Scratch
+	var kb []byte
+
 	// Phase 1: derivable base, computed semi-naively: after the first
 	// round each rule's body homomorphisms are seeded from the atoms
-	// added in the previous round (logic.FindHomsFrom), so a round
-	// costs O(new facts) instead of re-scanning the whole base.
+	// added in the previous round (FindHomsFrom), so a round costs
+	// O(new facts) instead of re-scanning the whole base. Head instances
+	// are built and deduplicated as packed keys and added as one batch
+	// once the round's joins are done (FactStore.AddKeys).
 	base := db.Clone()
 	for from := 0; ; {
 		mark := base.Len()
-		var additions []logic.Atom
+		var additions []byte
+		ends := []int32{0}
 		pending := make(map[string]bool)
 		var overflow error
-		for _, r := range rules {
-			rule := r
-			logic.FindHomsFrom(rule.PosBody(), nil, base, from, logic.Subst{}, func(h logic.Subst) bool {
-				for _, d := range rule.Heads {
-					for _, a := range d {
-						g := h.ApplyAtom(a)
-						if k := g.Key(); !base.Has(g) && !pending[k] {
-							pending[k] = true
-							additions = append(additions, g)
+		for i, c := range comp {
+			c.Body.FindHomsFrom(&sc, base, from, nil, func(m *logic.Match) bool {
+				for d, hp := range c.Heads {
+					for k := range rules[i].Heads[d] {
+						key, _ := hp.AppendKey(base, kb[:0], k, m.IDs(), true)
+						kb = key[:0]
+						if _, in := base.IndexOfKey(key); !in && !pending[string(key)] {
+							pending[string(key)] = true
+							additions = append(additions, key...)
+							ends = append(ends, int32(len(additions)))
 						}
 					}
 				}
-				if base.Len()+len(additions) > opt.MaxAtoms {
+				if base.Len()+len(ends)-1 > opt.MaxAtoms {
 					overflow = ErrBudget
 					return false
 				}
@@ -94,7 +110,7 @@ func Ground(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Grounding, 
 			}
 		}
 		from = mark
-		if base.AddAll(additions) == 0 {
+		if base.AddKeys(additions, ends) == 0 {
 			break
 		}
 		if base.Len() > opt.MaxAtoms {
@@ -104,7 +120,8 @@ func Ground(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Grounding, 
 
 	// Atom ids are base store indices: base is a clone of the database
 	// (which keeps its store indices), so the facts are ids 0..|D|-1,
-	// and phase 2 resolves every instance by one index probe into base.
+	// and phase 2 reads the body's ids from the match and resolves the
+	// negative and head instances by one key probe each into base.
 	g := &Grounding{Atoms: base.Atoms()}
 	prog := &asp.Program{NAtoms: len(g.Atoms)}
 
@@ -115,25 +132,27 @@ func Ground(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Grounding, 
 
 	// Phase 2: rule instances.
 	seen := make(map[string]bool)
-	for _, r := range rules {
-		rule := r
+	for i, c := range comp {
 		var overflow error
-		logic.FindHoms(rule.PosBody(), nil, base, logic.Subst{}, func(h logic.Subst) bool {
+		c.Body.FindHoms(&sc, base, nil, func(m *logic.Match) bool {
 			gr := asp.Rule{}
-			for _, b := range rule.PosBody() {
-				id, _ := base.IndexUnder(h, b)
-				gr.Pos = append(gr.Pos, id)
+			for b := range c.Pos {
+				gr.Pos = append(gr.Pos, m.Index(b))
 			}
-			for _, n := range rule.NegBody() {
-				if id, ok := base.IndexUnder(h, n); ok {
+			for j := range c.Neg {
+				key, ok := c.Body.AppendKey(base, kb[:0], len(c.Pos)+j, m.IDs(), false)
+				kb = key[:0]
+				if id, in := base.IndexOfKey(key); ok && in {
 					gr.Neg = append(gr.Neg, id)
 				}
 				// else: the negative literal is vacuously true.
 			}
-			for _, d := range rule.Heads {
+			for d, hp := range c.Heads {
 				var disj []int
-				for _, a := range d {
-					id, _ := base.IndexUnder(h, a)
+				for k := range rules[i].Heads[d] {
+					key, _ := hp.AppendKey(base, kb[:0], k, m.IDs(), false)
+					kb = key[:0]
+					id, _ := base.IndexOfKey(key)
 					disj = append(disj, id)
 				}
 				gr.Disjuncts = append(gr.Disjuncts, disj)

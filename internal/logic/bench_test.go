@@ -146,8 +146,9 @@ func BenchmarkJoinOrderAdversarial(b *testing.B) {
 	run("planned", true, FindHoms)
 	run("written", false, FindHoms)
 	bp := NewBodyPlans(body, nil)
+	var sc Scratch
 	run("cached", true, func(_, _ []Atom, st *FactStore, init Subst, fn HomVisitor) bool {
-		return bp.FindHoms(st, init, fn)
+		return bp.searchSubst(&sc, st, 0, init, fn)
 	})
 }
 
@@ -229,4 +230,83 @@ func BenchmarkStoreBranch(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkHomDeltaLayered gates the regime that dominates the stable
+// model search: a cached BodyPlans delta join of a 9-atom body shaped
+// like the QBF encoding's saturate rule, run once per layer of a
+// depth-16 snapshot chain over that layer's 1–3-atom window — what an
+// agenda refresh does at every search node. Warm calls allocate nothing
+// (see TestHomSearchAllocations), so allocs/op must stay 0.
+func BenchmarkHomDeltaLayered(b *testing.B) {
+	root := NewFactStore()
+	const nvars = 8
+	for i := 0; i < nvars; i++ {
+		q := "exists"
+		if i%2 == 1 {
+			q = "forall"
+		}
+		root.Add(A(q, C(fmt.Sprintf("v%d", i))))
+	}
+	star := C("*")
+	v := func(i int) Term { return C(fmt.Sprintf("v%d", i%nvars)) }
+	// Variable i is assigned one when i%4 < 2, zero otherwise, so the
+	// terms with t%4 == 0 become satisfied as the chain assigns them.
+	for t := 0; t < 12; t++ {
+		root.Add(A("cl", v(t), v(t+1), star, v(t+2), star, v(t+3)))
+	}
+	root.Add(A("assign", star, N("o")))
+	root.Add(A("assign", star, N("z")))
+	zero, one := N("z"), N("o")
+	type window struct {
+		store *FactStore
+		from  int
+	}
+	var windows []window
+	st := root
+	for layer := 0; layer < 16; layer++ {
+		st = st.Snapshot()
+		from := st.Len()
+		switch layer {
+		case 0:
+			st.Add(A("zero", zero))
+		case 1:
+			st.Add(A("one", one))
+		}
+		for k := 0; k <= layer%3 && st.Len()-from < 3; k++ {
+			val := zero
+			if (layer+k)%4 < 2 {
+				val = one
+			}
+			st.Add(A("assign", v(layer+k), val))
+		}
+		windows = append(windows, window{st, from})
+	}
+	body := NewBodyPlans([]Atom{
+		A("cl", V("P1"), V("P2"), V("P3"), V("N1"), V("N2"), V("N3")),
+		A("assign", V("P1"), V("O")), A("assign", V("P2"), V("O")), A("assign", V("P3"), V("O")), A("one", V("O")),
+		A("assign", V("N1"), V("Z")), A("assign", V("N2"), V("Z")), A("assign", V("N3"), V("Z")), A("zero", V("Z")),
+	}, nil)
+	var sc Scratch
+	sweep := func() int {
+		n := 0
+		for _, w := range windows {
+			body.FindHomsFrom(&sc, w.store, w.from, nil, func(*Match) bool {
+				n++
+				return true
+			})
+		}
+		return n
+	}
+	want := sweep()
+	if want == 0 {
+		b.Fatal("the layered windows complete no saturate match")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := sweep(); got != want {
+			b.Fatalf("sweep found %d matches, want %d", got, want)
+		}
+	}
 }

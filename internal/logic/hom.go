@@ -1,15 +1,18 @@
 package logic
 
 import (
-	"math"
 	"sort"
+	"sync"
 )
 
-// This file implements homomorphism search: finding substitutions h such
-// that h(pos) ⊆ store and, for the closed-world reading used throughout
-// the paper, h(neg) ∩ store = ∅. It is the workhorse behind trigger
-// detection in the chase and the stable model search, model checking,
-// and (normal) conjunctive query evaluation.
+// This file holds the Subst-level entry points of homomorphism search:
+// finding substitutions h such that h(pos) ⊆ store and, for the
+// closed-world reading used throughout the paper, h(neg) ∩ store = ∅.
+// They are thin adapters over the id kernel (join.go) for callers that
+// want substitutions — model checking, query evaluation, minimality —
+// while the hot paths (the trigger agenda, the stability encoder, the
+// chase and the grounding) hold a BodyPlans per body and take Match
+// visitors directly.
 
 // HomVisitor receives one homomorphism; returning false stops the
 // search.
@@ -25,39 +28,35 @@ type HomVisitor func(Subst) bool
 // reports whether the enumeration ran to completion (i.e. fn never
 // returned false).
 //
-// Candidates for each body atom are drawn from the store's
-// (predicate, position, term) posting lists whenever a position is
-// ground under the substitution built so far; unconstrained atoms fall
-// back to the per-predicate scan. Body atoms are visited in the greedy
-// selectivity order computed by the join planner (see plan.go; when
-// planning is toggled off they are visited in written order), so hom
-// emission order is not part of the contract. naiveFindHoms preserves
-// the plain scan path as the differential-test oracle; callers joining
-// the same body repeatedly should hold a BodyPlans to amortize the
-// per-call planning.
+// It compiles the body, plans it for init's binding pattern and runs
+// the id kernel, all per call and in a pooled Scratch's reused storage;
+// body atoms are visited in the greedy selectivity order of the join
+// planner (see plan.go; when planning is toggled off they are visited
+// in written order), so hom emission order is not part of the contract.
+// naiveFindHoms keeps the plain scan as the differential-test oracle;
+// callers joining the same body repeatedly should hold a BodyPlans
+// instead.
 func FindHoms(pos, neg []Atom, store *FactStore, init Subst, fn HomVisitor) bool {
-	h := init.Clone()
-	pats := make([]pat, len(pos))
-	for i, a := range pos {
-		pats[i] = pat{atom: a, lo: 0, hi: store.Len()}
-	}
-	if !joinPlanningOff.Load() {
-		planOrder(pats, nil, 0, init, store)
-	}
-	hs := &homSearch{store: store, neg: neg, fn: fn, pats: pats}
-	return hs.extend(0, h)
+	return findHomsSubst(pos, neg, store, 0, init, fn)
 }
 
 // ExistsHom reports whether at least one homomorphism exists (see
 // FindHoms for the semantics of pos/neg/init).
 func ExistsHom(pos, neg []Atom, store *FactStore, init Subst) bool {
-	found := false
-	FindHoms(pos, neg, store, init, func(Subst) bool {
-		found = true
+	sc := adapterScratch.Get().(*Scratch)
+	defer adapterScratch.Put(sc)
+	bp := sc.oneShot(store.syms, pos, neg)
+	vals, ok := substSlots(bp, store, init)
+	if !ok {
 		return false
-	})
-	return found
+	}
+	return bp.Exists(sc, store, vals)
 }
+
+// adapterScratch recycles the frames of the Subst adapters, which have
+// no worker to own a Scratch. (Hot callers keep their own Scratch: a
+// sync.Pool may drop items at any time, and does so often under -race.)
+var adapterScratch = sync.Pool{New: func() any { return new(Scratch) }}
 
 // FindHomsFrom is the semi-naive variant of FindHoms: it enumerates
 // exactly those homomorphisms that use at least one store atom with
@@ -70,297 +69,84 @@ func ExistsHom(pos, neg []Atom, store *FactStore, init Subst) bool {
 // FindHomsFrom with the previous round's high-water mark afterwards,
 // turning O(rounds × store) re-scans into O(new facts) work.
 func FindHomsFrom(pos, neg []Atom, store *FactStore, from int, init Subst, fn HomVisitor) bool {
-	if from <= 0 {
-		return FindHoms(pos, neg, store, init, fn)
-	}
-	n := store.Len()
-	if from >= n || len(pos) == 0 {
-		// Empty delta, or no positive atom to cover it: nothing new.
+	return findHomsSubst(pos, neg, store, from, init, fn)
+}
+
+func findHomsSubst(pos, neg []Atom, store *FactStore, from int, init Subst, fn HomVisitor) bool {
+	sc := adapterScratch.Get().(*Scratch)
+	defer adapterScratch.Put(sc)
+	return sc.oneShot(store.syms, pos, neg).searchSubst(sc, store, from, init, fn)
+}
+
+// searchSubst runs the body's join from the substitution init, with
+// sc's frames, and hands fn substitutions extending it: the adapter
+// behind FindHoms and FindHomsFrom.
+func (bp *BodyPlans) searchSubst(sc *Scratch, store *FactStore, from int, init Subst, fn HomVisitor) bool {
+	vals, ok := substSlots(bp, store, init)
+	if !ok {
 		return true
 	}
-	for j := range pos {
-		pats := make([]pat, 0, len(pos))
-		// The seed atom goes first: the delta window is the most
-		// selective constraint available, and it anchors the plan.
-		pats = append(pats, pat{atom: pos[j], lo: from, hi: n})
-		for k := range pos {
-			switch {
-			case k < j:
-				pats = append(pats, pat{atom: pos[k], lo: 0, hi: n})
-			case k > j:
-				pats = append(pats, pat{atom: pos[k], lo: 0, hi: from})
+	h := init.Clone()
+	// A binding is rewritten only when its id changed since the previous
+	// match, and a match's terms are read under one lock.
+	prev := vals[len(vals) : 2*len(vals)]
+	copy(prev, vals)
+	syms := store.syms
+	return bp.search(sc, store, from, vals, func(m *Match) bool {
+		syms.mu.RLock()
+		for i, id := range m.f.vals {
+			if vals[i] == unbound && id != prev[i] {
+				h[bp.slots[i]] = syms.terms[id]
+				prev[i] = id
 			}
 		}
-		if !joinPlanningOff.Load() {
-			planOrder(pats, nil, 1, init, store)
-		}
-		h := init.Clone()
-		hs := &homSearch{store: store, neg: neg, fn: fn, pats: pats}
-		if !hs.extend(0, h) {
-			return false
-		}
-	}
-	return true
+		syms.mu.RUnlock()
+		return fn(h)
+	})
 }
 
-// pat is one positive body atom together with its admissible window of
-// store indices [lo, hi): a candidate fact is only considered when its
-// insertion rank falls inside the window. Full searches use [0, Len);
-// the semi-naive seeding of FindHomsFrom narrows windows to address
-// the delta of a growing store.
-type pat struct {
-	atom   Atom
-	lo, hi int
-}
-
-// candidateEstimate upper-bounds the number of candidate facts for the
-// pattern: the predicate count within the window, improved by the
-// posting list of any argument already ground under init.
-func candidateEstimate(p pat, init Subst, store *FactStore) int {
-	pid, ok := store.syms.LookupPred(p.atom.Pred)
-	if !ok {
-		return 0
+// substSlots converts init into the body's pre-bound slots: a ground
+// binding becomes its id (or missingID when it was never interned, which
+// matches no fact). ok is false when init binds a positive-body
+// variable to a non-ground term, which no fact matches; a non-ground
+// binding of a negative-only variable leaves its literal unevaluated.
+func substSlots(bp *BodyPlans, store *FactStore, init Subst) ([]uint32, bool) {
+	// Room for a second vector: searchSubst's previous match.
+	vals := make([]uint32, len(bp.slots), 2*len(bp.slots))
+	for i := range vals {
+		vals[i] = unbound
 	}
-	est := store.countPredWindow(pid, p.lo, p.hi)
-	for i, t := range p.atom.Args {
-		if !termBoundUnder(init, t) {
+	for v, t := range init {
+		sl := slotIndex(bp.slots, v)
+		if sl < 0 {
 			continue
 		}
-		tid, ok := store.syms.lookupBound(init, t)
-		if !ok {
-			return 0 // the term was never interned: no fact can match
-		}
-		if n := store.postingsCount(pid, i, tid, p.lo, p.hi); n < est {
-			est = n
-		}
-	}
-	return est
-}
-
-// homSearch carries the state of one FindHoms enumeration; scratch
-// buffers are reused across backtracking steps to keep the hot path
-// allocation-free.
-type homSearch struct {
-	store *FactStore
-	neg   []Atom
-	fn    HomVisitor
-	pats  []pat
-	// per-depth scratch: candidate intersection buffer and undo trail.
-	scratch [][]uint32
-	trails  [][]string
-	keyBuf  []byte // packed-key probe scratch, reused across probes
-}
-
-// probeBound resolves the index of h(a) (which the caller established
-// is ground under h) via a packed-key probe; a symbol miss means h(a)
-// cannot be in the store.
-func (hs *homSearch) probeBound(h Subst, a Atom) (int, bool) {
-	key, ok := hs.store.syms.appendBoundAtomKey(h, a, hs.keyBuf[:0])
-	hs.keyBuf = key[:0]
-	if !ok {
-		return 0, false
-	}
-	return hs.store.lookupPacked(key, math.MaxInt)
-}
-
-func (hs *homSearch) extend(i int, h Subst) bool {
-	if i == len(hs.pats) {
-		for _, n := range hs.neg {
-			if atomBoundUnder(h, n) {
-				if _, ok := hs.probeBound(h, n); ok {
-					return true // blocked: this h is not a solution, keep searching
+		if !t.IsGround() {
+			for _, a := range bp.pos {
+				if containsVar(a, v) {
+					return nil, false
 				}
 			}
-			// Unbound variables left in a negative literal: only bound
-			// instances are evaluated (safe fragment), nothing blocks.
-		}
-		return hs.fn(h)
-	}
-	for len(hs.scratch) <= i {
-		hs.scratch = append(hs.scratch, nil)
-		hs.trails = append(hs.trails, nil)
-	}
-	p := hs.pats[i]
-	// Fast path: a pattern fully ground under h needs one hash probe,
-	// not a posting-list walk. This is the common case for restricted
-	// chase head checks and negative-body-style filters.
-	if atomBoundUnder(h, p.atom) {
-		if idx, ok := hs.probeBound(h, p.atom); ok && idx >= p.lo && idx < p.hi {
-			return hs.extend(i+1, h) // no new bindings to undo
-		}
-		return true
-	}
-	cands := hs.candidates(i, p, h)
-	trail := hs.trails[i][:0]
-	for _, idx := range cands {
-		trail = trail[:0]
-		if matchAtomTrail(h, p.atom, hs.store.atomAt(int(idx)), &trail) {
-			if !hs.extend(i+1, h) {
-				undo(h, trail)
-				hs.trails[i] = trail
-				return false
-			}
-		}
-		undo(h, trail)
-	}
-	hs.trails[i] = trail
-	return true
-}
-
-// candidates returns the store indices to try for pattern i under h:
-// the posting lists of all argument positions ground under h,
-// intersected in place into the depth's scratch buffer (smallest list
-// first), clipped to the pattern's window; with no ground position it
-// falls back to the per-predicate index. Snapshot layers take a merged
-// path instead (see candidatesLayered).
-func (hs *homSearch) candidates(depth int, p pat, h Subst) []uint32 {
-	if hs.store.parent != nil {
-		return hs.candidatesLayered(depth, p, h)
-	}
-	pid, ok := hs.store.syms.LookupPred(p.atom.Pred)
-	if !ok {
-		return nil
-	}
-	var listsBuf [4][]uint32
-	lists := listsBuf[:0]
-	for i, t := range p.atom.Args {
-		if !termBoundUnder(h, t) {
 			continue
 		}
-		tid, ok := hs.store.syms.lookupBound(h, t)
-		if !ok {
-			return nil // the term was never interned: no fact matches
-		}
-		l := hs.store.postings(pid, i, tid)
-		if len(l) == 0 {
-			return nil
-		}
-		lists = append(lists, l)
-	}
-	if len(lists) == 0 {
-		return clipWindowU32(hs.store.predIndices(pid), p.lo, p.hi)
-	}
-	// Smallest posting list first: the intersection never grows.
-	sort.Slice(lists, func(a, b int) bool { return len(lists[a]) < len(lists[b]) })
-	out := clipWindowU32(lists[0], p.lo, p.hi)
-	if len(lists) == 1 {
-		return out
-	}
-	buf := append(hs.scratch[depth][:0], out...)
-	for _, l := range lists[1:] {
-		buf = intersectSorted(buf, clipWindowU32(l, p.lo, p.hi))
-		if len(buf) == 0 {
-			break
+		if id, ok := store.syms.Lookup(t); ok {
+			vals[sl] = id
+		} else {
+			vals[sl] = missingID
 		}
 	}
-	hs.scratch[depth] = buf
-	return buf
+	return vals, true
 }
 
-// candidatesLayered is the snapshot-chain variant of candidates:
-// posting lists are split across layers, so instead of intersecting
-// shared slices it materializes only the most selective list (the
-// per-predicate index or one ground position's postings) into the
-// depth's scratch buffer; matchAtomTrail filters the remaining
-// positions.
-func (hs *homSearch) candidatesLayered(depth int, p pat, h Subst) []uint32 {
-	st := hs.store
-	pid, ok := st.syms.LookupPred(p.atom.Pred)
-	if !ok {
-		return nil
-	}
-	bestPos, bestID := -1, uint32(0)
-	bestCount := st.countPredWindow(pid, p.lo, p.hi)
-	if bestCount == 0 {
-		return nil
-	}
-	for i, t := range p.atom.Args {
-		if !termBoundUnder(h, t) {
-			continue
-		}
-		tid, ok := st.syms.lookupBound(h, t)
-		if !ok {
-			return nil // the term was never interned: no fact matches
-		}
-		n := st.postingsCount(pid, i, tid, p.lo, p.hi)
-		if n == 0 {
-			return nil
-		}
-		if n < bestCount {
-			bestCount, bestPos, bestID = n, i, tid
+// containsVar reports whether variable v occurs in a.
+func containsVar(a Atom, v string) bool {
+	var buf [8]string
+	for _, u := range a.Vars(buf[:0]) {
+		if u == v {
+			return true
 		}
 	}
-	buf := hs.scratch[depth][:0]
-	if bestPos < 0 {
-		buf = st.appendPredIndices(pid, p.lo, p.hi, buf)
-	} else {
-		buf = st.appendPostings(pid, bestPos, bestID, p.lo, p.hi, buf)
-	}
-	hs.scratch[depth] = buf
-	return buf
-}
-
-// atomBoundUnder reports whether every variable of a is bound to a
-// ground term under h, i.e. whether h(a) is ground. It allocates
-// nothing and exits on the first unbound variable.
-func atomBoundUnder(h Subst, a Atom) bool {
-	for _, t := range a.Args {
-		if !termBoundUnder(h, t) {
-			return false
-		}
-	}
-	return true
-}
-
-func termBoundUnder(h Subst, t Term) bool {
-	switch t.Kind {
-	case Var:
-		u, ok := h[t.Name]
-		return ok && u.IsGround()
-	case Func:
-		for _, a := range t.Args {
-			if !termBoundUnder(h, a) {
-				return false
-			}
-		}
-		return true
-	default:
-		return true
-	}
-}
-
-// HasUnder reports whether h(a) is in the store, where a is expected to
-// be ground under h; an atom left non-ground reports false, matching
-// the bound-instances-only reading of negative literals in FindHoms. It
-// allocates nothing beyond the probe key.
-func (s *FactStore) HasUnder(h Subst, a Atom) bool {
-	_, ok := s.IndexUnder(h, a)
-	return ok
-}
-
-// BoundUnder reports whether h(a) is ground: every variable of a is
-// bound by h to a ground term. It is the boundness test behind
-// HasUnder/IndexUnder, exported for encoders that must distinguish
-// "instance absent" from "instance not yet determined".
-func BoundUnder(h Subst, a Atom) bool { return atomBoundUnder(h, a) }
-
-// IndexUnder returns the global store index of h(a), where a is
-// expected to be ground under h; ok is false when h(a) is non-ground or
-// absent. It is the index-based companion of HasUnder for encoders that
-// address atoms by store index instead of allocated key strings — the
-// index is stable across the snapshot chain and across the store's
-// later growth, so it can key long-lived per-atom state (e.g. SAT
-// variables) without retaining the rendered key.
-func (s *FactStore) IndexUnder(h Subst, a Atom) (int, bool) {
-	if !atomBoundUnder(h, a) {
-		return 0, false
-	}
-	var kb [64]byte
-	key, ok := s.syms.appendBoundAtomKey(h, a, kb[:0])
-	if !ok {
-		return 0, false
-	}
-	return s.lookupPacked(key, math.MaxInt)
+	return false
 }
 
 // clipWindowU32 narrows an ascending index list to [lo, hi) by binary
@@ -374,29 +160,10 @@ func clipWindowU32(idxs []uint32, lo, hi int) []uint32 {
 	return idxs[a:b]
 }
 
-// intersectSorted intersects two ascending lists, writing the result
-// over the prefix of a (in place).
-func intersectSorted(a, b []uint32) []uint32 {
-	out := a[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// naiveFindHoms is the pre-index search kept verbatim as the
-// differential-test oracle: candidates always come from the full
-// per-predicate scan, in the original greedy sharing order.
+// naiveFindHoms is the pre-index search kept as the differential-test
+// oracle, with its own matcher: candidates always come from the full
+// per-predicate scan of decoded atoms, in the original greedy sharing
+// order, and every candidate is matched on a cloned substitution.
 func naiveFindHoms(pos, neg []Atom, store *FactStore, init Subst, fn HomVisitor) bool {
 	h := init.Clone()
 	order := naiveOrderAtoms(pos, h)
@@ -454,60 +221,12 @@ func naiveExtendHom(pos []Atom, i int, neg []Atom, store *FactStore, h Subst, fn
 	}
 	pattern := pos[i]
 	for _, cand := range store.ByPred(pattern.Pred) {
-		trail := make([]string, 0, len(pattern.Args))
-		if matchAtomTrail(h, pattern, cand, &trail) {
-			if !naiveExtendHom(pos, i+1, neg, store, h, fn) {
-				undo(h, trail)
-				return false
-			}
-		}
-		undo(h, trail)
-	}
-	return true
-}
-
-// matchAtomTrail is MatchAtom with an undo trail: variables newly bound
-// are appended to *trail so the caller can roll back.
-func matchAtomTrail(h Subst, pattern, ground Atom, trail *[]string) bool {
-	if pattern.Pred != ground.Pred || len(pattern.Args) != len(ground.Args) {
-		return false
-	}
-	for i := range pattern.Args {
-		if !matchTermTrail(h, pattern.Args[i], ground.Args[i], trail) {
+		ext := h.Clone()
+		if ext.MatchAtom(pattern, cand) && !naiveExtendHom(pos, i+1, neg, store, ext, fn) {
 			return false
 		}
 	}
 	return true
-}
-
-func matchTermTrail(h Subst, pattern, ground Term, trail *[]string) bool {
-	switch pattern.Kind {
-	case Var:
-		if bound, ok := h[pattern.Name]; ok {
-			return bound.Equal(ground)
-		}
-		h[pattern.Name] = ground
-		*trail = append(*trail, pattern.Name)
-		return true
-	case Func:
-		if ground.Kind != Func || ground.Name != pattern.Name || len(ground.Args) != len(pattern.Args) {
-			return false
-		}
-		for i := range pattern.Args {
-			if !matchTermTrail(h, pattern.Args[i], ground.Args[i], trail) {
-				return false
-			}
-		}
-		return true
-	default:
-		return pattern.Equal(ground)
-	}
-}
-
-func undo(h Subst, trail []string) {
-	for _, v := range trail {
-		delete(h, v)
-	}
 }
 
 // MapsTo reports whether there is a homomorphism from the atom set src

@@ -2,6 +2,7 @@ package logic
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -25,7 +26,7 @@ func TestPlanCacheHitMissPerBindingPattern(t *testing.T) {
 	)
 	bp := NewBodyPlans([]Atom{A("q", V("X"), V("Y")), A("r", V("Y"), V("Z"))}, nil)
 	run := func(init Subst) {
-		bp.FindHoms(store, init, func(Subst) bool { return true })
+		bp.searchSubst(new(Scratch), store, 0, init, func(Subst) bool { return true })
 	}
 	run(Subst{}) // first empty-pattern call plans
 	wantCacheStats(t, bp, 0, 1, 0)
@@ -45,9 +46,9 @@ func TestPlanCacheHitMissPerBindingPattern(t *testing.T) {
 	bp3 := NewBodyPlans([]Atom{
 		A("q", V("X"), V("Y")), A("q", V("Y"), V("Z")), A("r", V("Z"), V("W")),
 	}, nil)
-	bp3.FindHomsFrom(store, 1, Subst{}, func(Subst) bool { return true })
+	bp3.searchSubst(new(Scratch), store, 1, Subst{}, func(Subst) bool { return true })
 	wantCacheStats(t, bp3, 0, 3, 0)
-	bp3.FindHomsFrom(store, 1, Subst{}, func(Subst) bool { return true })
+	bp3.searchSubst(new(Scratch), store, 1, Subst{}, func(Subst) bool { return true })
 	wantCacheStats(t, bp3, 3, 3, 0)
 }
 
@@ -61,7 +62,7 @@ func TestPlanCacheReplanThreshold(t *testing.T) {
 	store.Add(A("q", C("a"), C("b")))
 	bp := NewBodyPlans([]Atom{A("p", V("X")), A("q", V("X"), V("Y"))}, nil)
 	run := func(s *FactStore) {
-		bp.FindHoms(s, Subst{}, func(Subst) bool { return true })
+		bp.searchSubst(new(Scratch), s, 0, Subst{}, func(Subst) bool { return true })
 	}
 	run(store) // plan with q count 1: threshold 2*1+8 = 10
 	wantCacheStats(t, bp, 0, 1, 0)
@@ -103,6 +104,7 @@ func TestPlanCacheConcurrentSnapshotReaders(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var sc Scratch
 			snap := base.Snapshot()
 			for round := 0; round < 12; round++ {
 				// Diverge the sibling: grow q past the re-plan threshold
@@ -111,7 +113,7 @@ func TestPlanCacheConcurrentSnapshotReaders(t *testing.T) {
 					snap.Add(A("q", C(fmt.Sprintf("w%d", w)), C(fmt.Sprintf("r%dx%d", round, i))))
 				}
 				var got, want []string
-				bp.FindHoms(snap, Subst{}, func(h Subst) bool {
+				bp.searchSubst(&sc, snap, 0, Subst{}, func(h Subst) bool {
 					got = append(got, h.String())
 					return true
 				})
@@ -119,8 +121,8 @@ func TestPlanCacheConcurrentSnapshotReaders(t *testing.T) {
 					want = append(want, h.String())
 					return true
 				})
-				sortStringsInPlace(got)
-				sortStringsInPlace(want)
+				sort.Strings(got)
+				sort.Strings(want)
 				if fmt.Sprint(got) != fmt.Sprint(want) {
 					select {
 					case errs <- fmt.Sprintf("worker %d round %d: planned %d homs, naive %d", w, round, len(got), len(want)):
@@ -130,7 +132,7 @@ func TestPlanCacheConcurrentSnapshotReaders(t *testing.T) {
 				}
 				from := snap.Len() - 1 - round%3
 				var nDelta int
-				bp.FindHomsFrom(snap, from, Subst{}, func(h Subst) bool {
+				bp.searchSubst(&sc, snap, from, Subst{}, func(h Subst) bool {
 					nDelta++
 					return true
 				})

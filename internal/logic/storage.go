@@ -492,25 +492,9 @@ func (s *FactStore) addBulk(atoms []Atom) int {
 	if len(atoms) == 0 {
 		return 0
 	}
-	ix := s.index()
 	total := 0
 	for _, a := range atoms {
 		total += int(factKeyBytes(len(a.Args)))
-	}
-	// Reserve everything up front: no insert below ever rehashes the
-	// key table or regrows the atom slice or key blob.
-	base := len(s.atoms)
-	ix.keys.reserve(len(atoms), total)
-	if cap(s.atoms)-len(s.atoms) < len(atoms) {
-		// Doubling keeps repeated batches amortized O(1) per atom; a
-		// bulk load into a fresh store sizes exactly once.
-		newCap := len(s.atoms) + len(atoms)
-		if c := 2 * cap(s.atoms); c > newCap {
-			newCap = c
-		}
-		grown := make([]Atom, len(s.atoms), newCap)
-		copy(grown, s.atoms)
-		s.atoms = grown
 	}
 	// Phase 1: intern everything and render every packed key into one
 	// shared buffer, holding the exclusive interner lock once for the
@@ -600,25 +584,97 @@ func (s *FactStore) addBulk(atoms []Atom) int {
 	numTerms := len(s.syms.terms)
 	numPreds := len(s.syms.predNames)
 	s.syms.mu.Unlock()
+	return s.indexBulk(keys, offs, domFlat, domOffs, numTerms, numPreds, func(i int) Atom { return atoms[i] })
+}
+
+// AddKeys inserts the atoms with the given packed keys — key i is
+// keys[offs[i]:offs[i+1]], every id interned in the chain's table — and
+// returns the number that were new; only new atoms are materialized.
+// It is AddKey for a batch: a root store takes the bulk loader's
+// indexing pass unless the batch is small next to the symbol table (see
+// AddAll), so a caller building head instances as keys, such as the
+// grounder, keeps exactly sized posting lists.
+func (s *FactStore) AddKeys(keys []byte, offs []int32) int {
+	n := len(offs) - 1
+	if n <= 0 {
+		return 0
+	}
+	if !s.bulkBatch(len(keys)/4 - n) {
+		added := 0
+		for i := 0; i < n; i++ {
+			if s.AddKey(keys[offs[i]:offs[i+1]]) {
+				added++
+			}
+		}
+		return added
+	}
+	// The domain ids of every key, as phase 1 of addBulk would render
+	// them: a constant or null is its own domain term, a function term
+	// contributes the constants and nulls it contains.
+	domFlat := make([]uint32, 0, len(keys)/4)
+	domOffs := make([]int32, n+1)
+	s.syms.mu.RLock()
+	for i := 0; i < n; i++ {
+		for k := keys[offs[i]+4 : offs[i+1]]; len(k) > 0; k = k[4:] {
+			id := binary.LittleEndian.Uint32(k)
+			if t := s.syms.terms[id]; t.Kind == Func {
+				domFlat = s.syms.appendDomainIDsRLocked(t, domFlat)
+			} else {
+				domFlat = append(domFlat, id)
+			}
+		}
+		domOffs[i+1] = int32(len(domFlat))
+	}
+	numTerms, numPreds := len(s.syms.terms), len(s.syms.predNames)
+	s.syms.mu.RUnlock()
+	return s.indexBulk(keys, offs, domFlat, domOffs, numTerms, numPreds, func(i int) Atom {
+		return s.syms.atomOf(keys[offs[i]:offs[i+1]])
+	})
+}
+
+// indexBulk is the indexing pass of the root bulk loader: it dedups the
+// batch of packed keys (key i is keys[offs[i]:offs[i+1]], with domain
+// ids domFlat[domOffs[i]:domOffs[i+1]]) against the key table and
+// builds the per-predicate lists, posting lists and domain of the new
+// atoms by counting sort over the numTerms term and numPreds predicate
+// ids. atomOf materializes batch atom i once it is accepted.
+func (s *FactStore) indexBulk(keys []byte, offs []int32, domFlat []uint32, domOffs []int32, numTerms, numPreds int, atomOf func(i int) Atom) int {
+	n := len(offs) - 1
+	ix := s.index()
+	// Reserve everything up front: no insert below ever rehashes the
+	// key table or regrows the atom slice or key blob.
+	base := len(s.atoms)
+	ix.keys.reserve(n, len(keys))
+	if cap(s.atoms)-len(s.atoms) < n {
+		// Doubling keeps repeated batches amortized O(1) per atom; a
+		// bulk load into a fresh store sizes exactly once.
+		newCap := len(s.atoms) + n
+		if c := 2 * cap(s.atoms); c > newCap {
+			newCap = c
+		}
+		grown := make([]Atom, len(s.atoms), newCap)
+		copy(grown, s.atoms)
+		s.atoms = grown
+	}
 
 	// Phase 2: dedup against the key table, assigning dense indices.
 	// Every new fact costs exactly one hash-and-probe traversal: the
 	// miss hands back the slot the insert fills, and no insert ever
 	// rehashes. srcOf maps the j-th accepted atom (store index base+j)
 	// back to its batch position, for the domain pass below.
-	srcOf := make([]int32, 0, len(atoms))
+	srcOf := make([]int32, 0, n)
 	nPairs := 0
-	for i := range atoms {
+	for i := 0; i < n; i++ {
 		k := keys[offs[i]:offs[i+1]]
 		slot, _, dup := ix.keys.findSlotBytes(k)
 		if dup {
 			continue
 		}
 		ix.keys.insert(slot, k)
-		s.atoms = append(s.atoms, atoms[i])
+		s.atoms = append(s.atoms, atomOf(i))
 		srcOf = append(srcOf, int32(i))
-		s.tb += factKeyBytes(len(atoms[i].Args))
-		nPairs += len(atoms[i].Args)
+		s.tb += int64(len(k))
+		nPairs += len(k)/4 - 1
 	}
 
 	// The accepted atoms are exactly store indices base..base+added;

@@ -1,7 +1,7 @@
 package logic
 
 // The PR 9 differential suite: the interned, packed store — per-fact
-// Add, bulk AddAll, and arbitrary snapshot chains over it — must be
+// Add, bulk AddAll, AddKeys, and arbitrary snapshot chains over it — must be
 // observationally identical to a reference built fact by fact, across
 // every read surface the engines use (Len, Equal, CanonicalString,
 // Domain, Preds, IndexOfAtom/AtomAt, FindHoms/FindHomsFrom with
@@ -110,6 +110,27 @@ func buildPadded(rng *rand.Rand, atoms []Atom) (perFact, batches, flat *FactStor
 		}
 	}
 	return perFact, batches, flat
+}
+
+// keysLoad loads the atoms into s through AddKeys, as a caller that
+// builds instances as packed keys does: each batch's keys are interned
+// in s's own table first. batch bounds the batch size (0: one batch).
+func keysLoad(s *FactStore, atoms []Atom, batch int, rng *rand.Rand) *FactStore {
+	for i := 0; i < len(atoms); {
+		j := len(atoms)
+		if batch > 0 {
+			j = min(j, i+1+rng.Intn(batch))
+		}
+		var blob []byte
+		offs := []int32{0}
+		for _, a := range atoms[i:j] {
+			blob, _ = s.syms.appendAtomKey(a, blob, true)
+			offs = append(offs, int32(len(blob)))
+		}
+		s.AddKeys(blob, offs)
+		i = j
+	}
+	return s
 }
 
 // checkStoresAgree pins every read surface of each store against the
@@ -240,11 +261,14 @@ func TestStorageDifferential(t *testing.T) {
 			if flat.parent == nil {
 				flattened++
 			}
-			stores = map[string]*FactStore{"padded per-fact": pf, "padded batches": batches, "padded flattened": flat}
+			padKeys := NewFactStore()
+			padSymbols(padKeys)
+			stores = map[string]*FactStore{"padded per-fact": pf, "padded batches": batches, "padded flattened": flat,
+				"padded key batches": keysLoad(padKeys, atoms, 3, rand.New(rand.NewSource(int64(iter))))}
 		} else {
 			var bulk, chain *FactStore
 			perFact, bulk, chain = buildThreeWays(rng, atoms)
-			stores = map[string]*FactStore{"bulk": bulk, "chain": chain}
+			stores = map[string]*FactStore{"bulk": bulk, "chain": chain, "keys": keysLoad(NewFactStore(), atoms, 0, nil)}
 		}
 		stores["per-fact"] = perFact
 		checkStoresAgree(t, iter, atoms, perFact, stores)

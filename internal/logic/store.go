@@ -197,6 +197,22 @@ func (s *FactStore) forEachLayer(bound int, fn func(st *FactStore, bound int) bo
 func (s *FactStore) Add(a Atom) bool {
 	var kb [64]byte
 	key, _ := s.syms.appendAtomKey(a, kb[:0], true)
+	return s.insert(key, a, true)
+}
+
+// AddKey inserts the atom with the given packed key, every id of which
+// is interned in the chain's Symbols table, and reports whether it was
+// new. The atom is materialized from the table only when it is new, so
+// a duplicate costs one probe per chain layer and no allocation — the
+// path by which the chase and the grounding add head instances built
+// from a match's ids.
+func (s *FactStore) AddKey(key []byte) bool {
+	return s.insert(key, Atom{}, false)
+}
+
+// insert adds the atom with the packed key; a is the atom itself when
+// have is set, and is materialized from the key otherwise.
+func (s *FactStore) insert(key []byte, a Atom, have bool) bool {
 	// Ancestors first, under this layer's visibility bound; this
 	// layer's own table last, so its miss hands back the insert slot.
 	if _, ok := s.parent.lookupPacked(key, s.base); ok {
@@ -206,6 +222,9 @@ func (s *FactStore) Add(a Atom) bool {
 	slot, _, dup := ix.keys.findSlotBytes(key)
 	if dup {
 		return false
+	}
+	if !have {
+		a = s.syms.atomOf(key)
 	}
 	idx := s.Len()
 	ix.keys.insert(slot, key)
@@ -244,15 +263,14 @@ func (s *FactStore) hasDomainID(id uint32, bound int) bool {
 	return false
 }
 
-// HasDomainTerm reports whether the ground term occurs in the store's
-// domain (see Domain), in O(chain) table probes.
-func (s *FactStore) HasDomainTerm(t Term) bool {
-	id, ok := s.syms.Lookup(t)
-	if !ok {
-		return false
-	}
-	return s.hasDomainID(id, math.MaxInt)
-}
+// HasDomainID reports whether the interned term id occurs in the
+// store's domain (see Domain), in O(chain) table probes.
+func (s *FactStore) HasDomainID(id uint32) bool { return s.hasDomainID(id, math.MaxInt) }
+
+// Symbols returns the interner shared by the store's snapshot chain:
+// term and predicate ids, and therefore packed keys and match ids, mean
+// the same thing in every store of the chain.
+func (s *FactStore) Symbols() *Symbols { return s.syms }
 
 // AddAll inserts every atom, returning the number that were new. A root
 // store bulk-loads the batch (see addBulk) unless the batch is small
@@ -264,7 +282,7 @@ func (s *FactStore) AddAll(atoms []Atom) int {
 	for _, a := range atoms {
 		pairs += len(a.Args)
 	}
-	if s.parent == nil && s.syms.NumTerms() <= 4*pairs+1024 {
+	if s.bulkBatch(pairs) {
 		return s.addBulk(atoms)
 	}
 	n := 0
@@ -274,6 +292,13 @@ func (s *FactStore) AddAll(atoms []Atom) int {
 		}
 	}
 	return n
+}
+
+// bulkBatch reports whether a batch with the given number of
+// (atom, argument) pairs takes the bulk loader: only roots do, and only
+// when the batch is not small next to the symbol table.
+func (s *FactStore) bulkBatch(pairs int) bool {
+	return s.parent == nil && s.syms.NumTerms() <= 4*pairs+1024
 }
 
 // lookupPacked resolves a packed fact key (in a scratch buffer) through
@@ -321,28 +346,6 @@ func (s *FactStore) Has(a Atom) bool {
 	return ok
 }
 
-// InternKey interns the ground atom's symbols and returns its packed
-// key — the retained-key companion of LookupKey for callers that store
-// keys in long-lived maps (the search's must-in/must-out ledgers, the
-// stability sessions' negative-literal keys).
-func (s *FactStore) InternKey(a Atom) FactKey {
-	var kb [64]byte
-	key, _ := s.syms.appendAtomKey(a, kb[:0], true)
-	return FactKey(key)
-}
-
-// LookupKey returns the atom's packed key if every symbol of the atom
-// is already interned; ok == false means the atom is in no store
-// sharing this chain's Symbols table.
-func (s *FactStore) LookupKey(a Atom) (FactKey, bool) {
-	var kb [64]byte
-	key, ok := s.syms.appendAtomKey(a, kb[:0], false)
-	if !ok {
-		return "", false
-	}
-	return FactKey(key), true
-}
-
 // HasFactKey reports whether an atom with the given packed key is in
 // the store — the allocation-free probe for callers that hold an
 // interned key.
@@ -355,6 +358,12 @@ func (s *FactStore) HasFactKey(key FactKey) bool {
 // given packed key, if present.
 func (s *FactStore) IndexOfFactKey(key FactKey) (int, bool) {
 	return s.lookupFactKey(key)
+}
+
+// IndexOfKey returns the global store index of the atom with the packed
+// key held in a (scratch) byte slice, if present; it allocates nothing.
+func (s *FactStore) IndexOfKey(key []byte) (int, bool) {
+	return s.lookupPacked(key, math.MaxInt)
 }
 
 // IndexOfAtom returns the global store index of the atom, if present.
@@ -557,12 +566,19 @@ func (s *FactStore) Clone() *FactStore {
 // maintained incrementally by Add, so a call costs O(domain), not
 // O(atoms).
 func (s *FactStore) Domain() []Term {
-	type entry struct {
-		key  string
-		term Term
+	ids := s.DomainIDs()
+	out := make([]Term, len(ids))
+	for i, id := range ids {
+		out[i] = s.syms.TermOf(id)
 	}
+	return out
+}
+
+// DomainIDs returns the interned ids of Domain's terms, in the same
+// order (sorted by canonical key).
+func (s *FactStore) DomainIDs() []uint32 {
 	seen := make(map[uint32]bool)
-	var entries []entry
+	var ids []uint32
 	s.forEachLayer(s.Len(), func(st *FactStore, bound int) bool {
 		if st.ix == nil {
 			return true
@@ -570,19 +586,34 @@ func (s *FactStore) Domain() []Term {
 		for _, e := range st.ix.dom.entries {
 			if int(e.idx) < bound && !seen[e.term] {
 				seen[e.term] = true
-				entries = append(entries, entry{key: s.syms.TermKey(e.term), term: s.syms.TermOf(e.term)})
+				ids = append(ids, e.term)
 			}
 		}
 		return true
 	})
 	// The interner caches each term's canonical key: sorting by the
 	// cached keys avoids re-rendering every term per comparison.
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
-	out := make([]Term, len(entries))
-	for i, e := range entries {
-		out[i] = e.term
+	keys := make([]string, len(ids))
+	s.syms.mu.RLock()
+	for i, id := range ids {
+		keys[i] = s.syms.keys[id]
 	}
-	return out
+	s.syms.mu.RUnlock()
+	sort.Sort(idsByKey{ids, keys})
+	return ids
+}
+
+// idsByKey sorts term ids by their parallel canonical keys.
+type idsByKey struct {
+	ids  []uint32
+	keys []string
+}
+
+func (b idsByKey) Len() int           { return len(b.ids) }
+func (b idsByKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
+func (b idsByKey) Swap(i, j int) {
+	b.ids[i], b.ids[j] = b.ids[j], b.ids[i]
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
 }
 
 // CanonicalString renders the store as a sorted comma-separated list of

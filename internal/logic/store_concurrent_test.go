@@ -43,6 +43,7 @@ func TestSnapshotConcurrentBranchReaders(t *testing.T) {
 		wg.Add(1)
 		go func(g int, st *FactStore) {
 			defer wg.Done()
+			var sc Scratch // per worker, as each search worker owns one
 			fail := func(format string, args ...any) {
 				select {
 				case errs <- fmt.Errorf("worker %d: "+format, append([]any{g}, args...)...):
@@ -83,12 +84,9 @@ func TestSnapshotConcurrentBranchReaders(t *testing.T) {
 					// Joined probe through the shared plan cache: the own
 					// atom just added must be reachable regardless of
 					// which sibling's plan the lookup hits.
-					found := false
-					sharedPlans.FindHoms(st, Subst{"Z": C(fmt.Sprintf("g%d_%d", g, i))}, func(h Subst) bool {
-						found = true
-						return false
-					})
-					if !found {
+					// Slots are W, Y, Z: pre-bind Z alone.
+					z := st.Symbols().Intern(C(fmt.Sprintf("g%d_%d", g, i)))
+					if !sharedPlans.Exists(&sc, st, []uint32{unbound, unbound, z}) {
 						fail("planned join probe missed own atom at step %d", i)
 						return
 					}

@@ -210,29 +210,53 @@ func TestEachAtomIn(t *testing.T) {
 	}
 }
 
-// TestIndexUnder pins the index-based bound-instance lookup against
-// lookups through rendered keys, including snapshot-chain resolution
-// and the non-ground/absent cases.
+// TestIndexUnder pins the bound-instance lookup under a binding of slot
+// ids — the compiled-atom key probe behind the kernel's ground steps and
+// its callers' negative and head checks — against the stored keys:
+// snapshot-chain resolution, an absent instance, an unbound slot, and a
+// symbol that was never interned.
 func TestIndexUnder(t *testing.T) {
 	root := NewFactStore()
 	root.Add(A("e", C("a"), C("b"))) // 0
 	child := root.Snapshot()
 	child.Add(A("e", C("b"), C("c"))) // 1
 
-	h := Subst{"X": C("b"), "Y": C("c")}
-	if idx, ok := child.IndexUnder(h, A("e", V("X"), V("Y"))); !ok || idx != 1 {
-		t.Fatalf("IndexUnder(e(b,c)) = %d,%v want 1,true", idx, ok)
+	bp := NewBodyPlans([]Atom{A("e", V("X"), V("Y")), A("e", V("Y"), V("X")), A("e", V("X"), C("b")), A("e", V("X"), C("z"))}, nil)
+	syms := child.Symbols()
+	a, b, c := syms.Intern(C("a")), syms.Intern(C("b")), syms.Intern(C("c"))
+	probe := func(st *FactStore, k int, vals []uint32) (int, bool) {
+		key, ok := bp.AppendKey(st, nil, k, vals, false)
+		if !ok {
+			return 0, false
+		}
+		return st.IndexOfKey(key)
 	}
-	if idx, ok := child.IndexUnder(Subst{"X": C("a")}, A("e", V("X"), C("b"))); !ok || idx != 0 {
-		t.Fatalf("IndexUnder(e(a,b)) = %d,%v want 0,true (ancestor layer)", idx, ok)
+	if idx, ok := probe(child, 0, []uint32{b, c}); !ok || idx != 1 {
+		t.Fatalf("e(b,c) = %d,%v want 1,true", idx, ok)
 	}
-	if _, ok := root.IndexUnder(h, A("e", V("X"), V("Y"))); ok {
+	if idx, ok := probe(child, 2, []uint32{a, unbound}); !ok || idx != 0 {
+		t.Fatalf("e(a,b) = %d,%v want 0,true (ancestor layer)", idx, ok)
+	}
+	if _, ok := probe(root, 0, []uint32{b, c}); ok {
 		t.Fatalf("e(b,c) must be invisible to the root store")
 	}
-	if _, ok := child.IndexUnder(Subst{}, A("e", V("Z"), C("b"))); ok {
-		t.Fatalf("non-ground instance must report ok=false")
+	if _, ok := probe(child, 1, []uint32{b, c}); ok {
+		t.Fatalf("absent instance e(c,b) must report ok=false")
 	}
-	if _, ok := child.IndexUnder(h, A("e", V("Y"), V("X"))); ok {
-		t.Fatalf("absent instance must report ok=false")
+	if _, ok := bp.AppendKey(child, nil, 0, []uint32{b, unbound}, false); ok {
+		t.Fatalf("e(b,Y) with Y unbound must report ok=false (bound instances only)")
+	}
+	if _, ok := bp.AppendKey(child, nil, 0, []uint32{b}, false); ok {
+		t.Fatalf("e(b,Y) with Y beyond the given ids must report ok=false")
+	}
+	if _, ok := bp.AppendKey(child, nil, 3, []uint32{a, unbound}, false); ok {
+		t.Fatalf("e(a,z) names a constant never interned: its key must report ok=false")
+	}
+	key, ok := bp.AppendKey(child, nil, 3, []uint32{a, unbound}, true)
+	if !ok || child.Has(A("e", C("a"), C("z"))) {
+		t.Fatalf("interning e(a,z)'s key must succeed without adding the atom")
+	}
+	if !child.AddKey(key) || !child.Has(A("e", C("a"), C("z"))) || child.AddKey(key) {
+		t.Fatalf("AddKey must add e(a,z) once")
 	}
 }

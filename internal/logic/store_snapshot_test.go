@@ -58,7 +58,7 @@ func TestSnapshotParentGrowsAfterSnapshot(t *testing.T) {
 	for _, d := range child.Domain() {
 		_ = d
 	}
-	if !child.HasDomainTerm(C("z")) || !parent.HasDomainTerm(C("z")) {
+	if z, ok := child.Symbols().Lookup(C("z")); !ok || !child.HasDomainID(z) || !parent.HasDomainID(z) {
 		t.Fatalf("domain bookkeeping wrong after independent re-add")
 	}
 }
@@ -234,16 +234,30 @@ func TestSnapshotHomSearchDifferential(t *testing.T) {
 	}
 }
 
+// TestHasUnder pins bound-instance membership under a binding of slot
+// ids through the compiled-atom key probe: a present instance, an
+// absent one, and one whose slot is unbound (bound instances only).
 func TestHasUnder(t *testing.T) {
 	s := StoreOf(A("p", C("a"), C("b")))
-	h := Subst{"X": C("a"), "Y": C("b"), "Z": C("z")}
-	if !s.HasUnder(h, A("p", V("X"), V("Y"))) {
+	bp := newBodyPlansOver([]string{"X", "Y", "Z", "W"},
+		[]Atom{A("p", V("X"), V("Y")), A("p", V("X"), V("Z")), A("p", V("X"), V("W"))}, nil)
+	syms := s.Symbols()
+	h := []uint32{syms.Intern(C("a")), syms.Intern(C("b")), syms.Intern(C("z")), unbound}
+	hasUnder := func(k int) bool {
+		key, ok := bp.AppendKey(s, nil, k, h, false)
+		if !ok {
+			return false
+		}
+		_, ok = s.IndexOfKey(key)
+		return ok
+	}
+	if !hasUnder(0) {
 		t.Fatalf("bound instance present must report true")
 	}
-	if s.HasUnder(h, A("p", V("X"), V("Z"))) {
+	if hasUnder(1) {
 		t.Fatalf("bound instance absent must report false")
 	}
-	if s.HasUnder(h, A("p", V("X"), V("W"))) {
+	if hasUnder(2) {
 		t.Fatalf("unbound variable must report false (bound-instances-only)")
 	}
 }
@@ -264,8 +278,9 @@ func TestStoreAllocations(t *testing.T) {
 	mid.Add(inMid)
 	top := mid.Snapshot()
 	top.Add(inTop)
-	h := Subst{"X": C("b")}
-	pat := A("e", V("X"), C("c"))
+	bp := NewBodyPlans([]Atom{A("e", V("X"), C("c"))}, nil)
+	vals := []uint32{top.Symbols().Intern(C("b"))}
+	var kb [16]byte
 	cases := []struct {
 		name string
 		want float64
@@ -277,9 +292,10 @@ func TestStoreAllocations(t *testing.T) {
 				t.Fatal("Has through the chain is wrong")
 			}
 		}},
-		{"IndexUnder", 0, func() {
-			if idx, ok := top.IndexUnder(h, pat); !ok || idx != 2 {
-				t.Fatalf("IndexUnder = %d, %v; want 2, true", idx, ok)
+		{"compiled key probe", 0, func() {
+			key, _ := bp.AppendKey(top, kb[:0], 0, vals, false)
+			if idx, ok := top.IndexOfKey(key); !ok || idx != 2 {
+				t.Fatalf("IndexOfKey = %d, %v; want 2, true", idx, ok)
 			}
 		}},
 		{"duplicate Add", 0, func() {
@@ -292,5 +308,52 @@ func TestStoreAllocations(t *testing.T) {
 		if got := testing.AllocsPerRun(100, c.fn); got != c.want {
 			t.Errorf("%s: %v allocations per run, want %v", c.name, got, c.want)
 		}
+	}
+}
+
+// TestHomSearchAllocations pins the join kernel's warm path, the regime
+// the stable-model search lives in: once a BodyPlans has compiled its
+// body and cached its plans, a delta join over a three-layer snapshot
+// chain — candidate walks, a bound probe, a negative check and a nested
+// head check from inside the visitor — allocates nothing per call. The
+// frames live in the caller's Scratch (one per worker), not in a
+// sync.Pool, which drops items under -race.
+func TestHomSearchAllocations(t *testing.T) {
+	root := NewFactStore()
+	for i := 0; i < 8; i++ {
+		root.Add(A("e", C(fmt.Sprintf("c%d", i)), C(fmt.Sprintf("c%d", i+1))))
+		root.Add(A("p", C(fmt.Sprintf("c%d", i))))
+	}
+	mid := root.Snapshot()
+	mid.Add(A("e", C("c8"), C("c9")))
+	mid.Add(A("p", C("c9")))
+	top := mid.Snapshot()
+	top.Add(A("e", C("c9"), C("c0")))
+	top.Add(A("blocked", C("c3")))
+	body := NewBodyPlans(
+		[]Atom{A("e", V("X"), V("Y")), A("e", V("Y"), V("Z")), A("p", V("Y"))},
+		[]Atom{A("blocked", V("X"))})
+	head := newBodyPlansOver(body.Slots(), []Atom{A("e", V("Z"), V("W"))}, nil)
+	var sc Scratch
+	run := func() int {
+		n := 0
+		body.FindHomsFrom(&sc, top, root.Len(), nil, func(m *Match) bool {
+			if head.Exists(&sc, top, m.IDs()) {
+				n++
+			}
+			return true
+		})
+		return n
+	}
+	want := run() // compiles, plans and sizes the frames
+	if want == 0 {
+		t.Fatal("the delta join found no match with a satisfied head")
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if n := run(); n != want {
+			t.Fatalf("warm join found %d matches, want %d", n, want)
+		}
+	}); got != 0 {
+		t.Errorf("warm BodyPlans.FindHomsFrom: %v allocations per call, want 0", got)
 	}
 }

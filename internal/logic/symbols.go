@@ -89,15 +89,6 @@ func (s *Symbols) TermOf(id uint32) Term {
 	return t
 }
 
-// TermKey returns the canonical key (Term.Key()) of the interned term
-// with the given id, without re-rendering it.
-func (s *Symbols) TermKey(id uint32) string {
-	s.mu.RLock()
-	k := s.keys[id]
-	s.mu.RUnlock()
-	return k
-}
-
 // PredName returns the predicate name with the given id.
 func (s *Symbols) PredName(id uint32) string {
 	s.mu.RLock()
@@ -257,60 +248,77 @@ func (s *Symbols) appendAtomKeyRLocked(a Atom, kbuf []byte) ([]byte, bool) {
 	return kbuf, true
 }
 
-// appendBoundAtomKey appends the packed fact key of h(a) onto kbuf
-// without materializing the atom; the caller must have established
-// atomBoundUnder(h, a). ok is false when some symbol of h(a) was never
-// interned — h(a) then cannot be in any store sharing this table.
-func (s *Symbols) appendBoundAtomKey(h Subst, a Atom, kbuf []byte) ([]byte, bool) {
+// funcOf returns the symbol name of the interned term id and appends
+// its argument ids onto dst when it is a function term; ok is false for
+// constants and nulls. The ids are looked up, not stored: only joins
+// with non-ground function terms in a body need them.
+func (s *Symbols) funcOf(id uint32, dst []uint32) (name string, args []uint32, ok bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	pid, ok := s.preds[a.Pred]
-	if !ok {
-		return kbuf, false
+	t := s.terms[id]
+	if t.Kind != Func {
+		return "", dst, false
 	}
-	kbuf = binary.LittleEndian.AppendUint32(kbuf, pid)
-	for _, t := range a.Args {
-		id, ok := s.lookupBoundRLocked(h, t)
-		if !ok {
-			return kbuf, false
-		}
-		kbuf = binary.LittleEndian.AppendUint32(kbuf, id)
+	for _, a := range t.Args {
+		aid, _ := s.lookupRLocked(a) // interned with its parent
+		dst = append(dst, aid)
 	}
-	return kbuf, true
+	return t.Name, dst, true
 }
 
-// lookupBound resolves the id of h(t) (t ground under h) without
-// materializing the substituted term.
-func (s *Symbols) lookupBound(h Subst, t Term) (uint32, bool) {
+// funcID returns the id of the function term name(args...), whose
+// arguments are interned ids. With intern set, a new term is interned;
+// otherwise ok is false when the term was never interned.
+func (s *Symbols) funcID(name string, args []uint32, intern bool) (uint32, bool) {
+	var buf [64]byte
+	k := appendFuncKey(buf[:0], name, args)
 	s.mu.RLock()
-	id, ok := s.lookupBoundRLocked(h, t)
+	id, ok := s.funcs[string(k)]
 	s.mu.RUnlock()
-	return id, ok
+	if ok || !intern {
+		return id, ok
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if id, ok := s.funcs[string(k)]; ok {
+		return id, true
+	}
+	targs := make([]Term, len(args))
+	for i, a := range args {
+		targs[i] = s.terms[a]
+	}
+	id = s.pushLocked(Term{Kind: Func, Name: name, Args: targs})
+	s.funcs[string(k)] = id
+	return id, true
 }
 
-func (s *Symbols) lookupBoundRLocked(h Subst, t Term) (uint32, bool) {
-	switch t.Kind {
-	case Var:
-		u, ok := h[t.Name]
-		if !ok || !u.IsGround() {
-			return 0, false
+// atomOf materializes the ground atom with the given packed key, whose
+// ids are all interned in this table.
+func (s *Symbols) atomOf(key []byte) Atom {
+	n := len(key)/4 - 1
+	s.mu.RLock()
+	a := Atom{Pred: s.predNames[binary.LittleEndian.Uint32(key)]}
+	if n > 0 {
+		a.Args = make([]Term, n)
+		for i := range a.Args {
+			a.Args[i] = s.terms[binary.LittleEndian.Uint32(key[4+4*i:])]
 		}
-		return s.lookupRLocked(u)
-	case Func:
-		var buf [64]byte
-		ids := make([]uint32, 0, 8)
-		for _, a := range t.Args {
-			id, ok := s.lookupBoundRLocked(h, a)
-			if !ok {
-				return 0, false
-			}
-			ids = append(ids, id)
-		}
-		id, ok := s.funcs[string(appendFuncKey(buf[:0], t.Name, ids))]
-		return id, ok
-	default:
-		return s.lookupRLocked(t)
 	}
+	s.mu.RUnlock()
+	return a
+}
+
+// AppendKeys appends, for each id, sep followed by the canonical key of
+// the interned term (Term.AppendKey's bytes, rendered once at intern
+// time), taking the table's lock once.
+func (s *Symbols) AppendKeys(dst []byte, sep byte, ids []uint32) []byte {
+	s.mu.RLock()
+	for _, id := range ids {
+		dst = append(dst, sep)
+		dst = append(dst, s.keys[id]...)
+	}
+	s.mu.RUnlock()
+	return dst
 }
 
 // appendDomainIDs appends the ids of the constants and nulls occurring

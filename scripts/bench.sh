@@ -23,9 +23,12 @@ benchtime="${BENCH_TIME:-300ms}"
 # load (AddAll vs per-fact Add) and point probes against that base.
 # SolverQueryDB pins that a compiled Solver's query over a large
 # database costs what the query costs, not what the database does.
+# HomDeltaLayered pins the id join kernel in the regime that dominates
+# the search: cached delta joins of a 9-atom body over a depth-16
+# snapshot chain.
 # Names must stay unique across packages — cmd/benchdiff and benchstat
 # aggregate on the bare benchmark name.
-pattern='StableSearchChoiceWide|ParallelSearch|StabilitySession|SolveAssumptions|SolverReuse|SolverQueryDB|StoreBranch|JoinOrderAdversarial|BulkLoad|StoreProbe'
+pattern='StableSearchChoiceWide|ParallelSearch|StabilitySession|SolveAssumptions|SolverReuse|SolverQueryDB|StoreBranch|JoinOrderAdversarial|HomDeltaLayered|BulkLoad|StoreProbe'
 
 go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "$count" \
   ./ ./internal/core/ ./internal/logic/ ./internal/sat/ | tee "$out"
