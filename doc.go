@@ -73,13 +73,16 @@
 // database) and the frozen run root, the database plus the closure of
 // its existential-free Horn rules (Lemma 7), which every stable model
 // contains; under LP the store of the well-founded true atoms every
-// model shares. Such an artifact is published only when complete, so a
-// run that is cancelled, panics or hits a budget while building it
-// leaves the next run to build it again. All three semantics run
-// behind one internal engine interface, so Models, Entails, Answers,
-// and Consistent behave uniformly: the same options plumbing, the same
-// Stats and Exhausted reporting, the same budget error (ErrBudget,
-// whose text names the bound that was hit).
+// model shares. When the ground program's well-founded model is total
+// (a stratified program, say), it is the only stable model, and an LP
+// run hands out a snapshot of that store without searching. Such an
+// artifact is published only when complete, so a run that is
+// cancelled, panics or hits a budget while building it leaves the next
+// run to build it again. All three semantics run behind one internal
+// engine interface, so Models, Entails, Answers, and Consistent behave
+// uniformly: the same options plumbing, the same Stats and Exhausted
+// reporting, the same budget error (ErrBudget, whose text names the
+// bound that was hit).
 //
 // Solver.Models returns an iter.Seq2 stream: models are delivered as
 // the search finds them, breaking out of the range loop releases the
@@ -252,7 +255,9 @@
 //     (internal/chase), the grounder's derivable base
 //     (internal/ground), and the T∞ operator (internal/core) all seed
 //     their rounds this way, turning O(rounds × store) re-scans into
-//     O(new facts) work. The same discipline drives the propositional
+//     O(new facts) work. Since each homomorphism is found in exactly
+//     one round, the grounder records every ground rule at its match
+//     and grounds in that one join pass. The same discipline drives the propositional
 //     well-founded fixpoint (internal/asp) via occurrence lists and
 //     counters, and the circumscription subset checks (internal/core)
 //     via rule instances materialized once and replayed as bitmask

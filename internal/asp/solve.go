@@ -15,9 +15,13 @@ type SolveOptions struct {
 	// MaxNodes aborts after this many search nodes (0 = 4M).
 	MaxNodes int64
 	// WFS, when non-nil, is the program's well-founded model (see
-	// WellFounded): the search starts with its true and false atoms
-	// fixed, which prunes it dramatically. It must be the model of the
-	// program being solved.
+	// WellFounded), which exists only for normal programs without
+	// constraints. It must be the model of the program being solved.
+	// When it is total (no undefined atoms), its true set is the
+	// program's only stable model (Van Gelder, Ross & Schlipf, JACM
+	// 1991): the solver emits it without searching, reporting one node
+	// and no stability check. Otherwise the search starts with its true
+	// and false atoms fixed, which prunes it dramatically.
 	WFS *WFSResult
 	// SkipValidation skips the per-call Program.Validate pass. Set it
 	// only when the program was validated once at compile time (the LP
@@ -33,7 +37,8 @@ type Stats struct {
 }
 
 // Solve enumerates the stable models of the program, invoking visit for
-// each (the model is shared; callers must copy if they keep it).
+// each (the model is shared and must not be modified; callers must copy
+// if they keep it).
 // Returning false from visit stops the search. Solve returns the
 // search stats and an error only on budget exhaustion (models already
 // delivered remain valid).
@@ -50,6 +55,16 @@ func SolveCtx(ctx context.Context, p *Program, opt SolveOptions, visit func(Mode
 		if err := p.Validate(); err != nil {
 			return Stats{}, err
 		}
+	}
+	if wfs := opt.WFS; wfs != nil && len(wfs.Undefined) == 0 {
+		// The search's first node would check the context, find every
+		// atom decided and emit the true set after a stability check
+		// that cannot fail.
+		if err := ctx.Err(); err != nil {
+			return Stats{Nodes: 1}, err
+		}
+		visit(Model(wfs.True[:len(wfs.True):len(wfs.True)]))
+		return Stats{Nodes: 1}, nil
 	}
 	s := &solver{p: p, opt: opt, visit: visit, ctx: ctx}
 	if opt.MaxNodes <= 0 {

@@ -461,7 +461,9 @@ func enumStableModels(db *logic.FactStore, rules []*logic.Rule, opt Options, vis
 // assumptions made when firing rules through their negative literals
 // (mustOut: atoms that must never be derived), the positive promises
 // made when deferring a trigger (mustIn: atoms that must eventually be
-// derived), the set of deferred trigger keys, and the trigger agenda.
+// derived), the set of deferred trigger keys (naive oracle only: the
+// agenda never meets a deferred trigger again, see refreshAgenda), and
+// the trigger agenda.
 type state struct {
 	A *logic.FactStore
 	// mustIn/mustOut/deferred are shared copy-on-write with the parent
@@ -714,8 +716,10 @@ func (s *searcher) triggerKey(t *trigger) string {
 // trigger is discovered once: a homomorphism lying entirely in old
 // atoms was enqueued (or filtered) by an earlier sweep of this state or
 // an ancestor, and the filters — a satisfied head disjunct, a negative
-// body instance already derived, a deferral — are all permanent along a
-// branch because the store and the deferral set only grow.
+// body instance already derived — are permanent along a branch because
+// the store only grows. A deferred trigger needs no filter: nextBranch
+// removed it from the agenda its deferral children clone, and no later
+// sweep along the branch finds its homomorphism again.
 func (s *searcher) refreshAgenda(st *state) {
 	n := st.A.Len()
 	if st.agenda.seeded && st.agenda.scanned >= n {
@@ -763,9 +767,6 @@ func (s *searcher) refreshAgenda(st *state) {
 				}
 			}
 			t := &trigger{ruleIdx: idx, ids: append([]uint32(nil), ids...)}
-			if len(st.deferred) > 0 && st.deferred[s.triggerKey(t)] {
-				return true
-			}
 			if s.ruleDet[idx] {
 				st.agenda.det = append(st.agenda.det, t)
 			} else {
@@ -779,13 +780,10 @@ func (s *searcher) refreshAgenda(st *state) {
 
 // triggerActive re-validates an agenda entry at pop time: since its
 // discovery the trigger may have been retired — a head disjunct
-// satisfied by later additions, a negative body instance derived, or
-// the trigger deferred. All three conditions are monotone along a
-// branch, so an inactive entry is dropped permanently.
+// satisfied by later additions, or a negative body instance derived.
+// Both conditions are monotone along a branch, so an inactive entry is
+// dropped permanently.
 func (s *searcher) triggerActive(st *state, t *trigger) bool {
-	if len(st.deferred) > 0 && st.deferred[s.triggerKey(t)] {
-		return false
-	}
 	body, npos := s.plans[t.ruleIdx].Body, len(s.plans[t.ruleIdx].Pos)
 	for j := range s.plans[t.ruleIdx].Neg {
 		key, ok := body.AppendKey(st.A, s.probeBuf[:0], npos+j, t.ids, false)
@@ -1040,8 +1038,12 @@ func (s *searcher) branch(st *state, t *trigger) bool {
 		}
 		child.ensureMustIn()
 		child.mustIn[k] = struct{}{}
-		child.ensureDeferred()
-		child.deferred[s.triggerKey(t)] = true
+		if s.naive {
+			// The full rescan finds the trigger again; the agenda
+			// removed it for good in nextBranch.
+			child.ensureDeferred()
+			child.deferred[s.triggerKey(t)] = true
+		}
 		if !s.explore(child) {
 			return false
 		}

@@ -45,11 +45,23 @@ func (g *Grounding) ModelStore(m asp.Model) *logic.FactStore {
 // Ground instantiates a Skolemized (existential-free) program over its
 // derivable Herbrand base: the base is the least fixpoint obtained by
 // treating every rule as positive (negative literals ignored, all head
-// disjuncts derived), which over-approximates every stable model;
-// ground rules are then emitted for every homomorphism of the positive
+// disjuncts derived), which over-approximates every stable model, and
+// a ground rule is emitted for every homomorphism of a rule's positive
 // body into the base. Negative literals whose instance is outside the
 // base are vacuously true and dropped. This "relevant grounding" has
 // the same stable models as the full Herbrand instantiation.
+//
+// It grounds in one join pass. The base's semi-naive fixpoint finds
+// every body homomorphism exactly once, and the match records the
+// instance: its body atom ids, and its head atom ids from the probe
+// that decides whether a head is new (an existing atom's store index,
+// or the index the round's batch gives a new one, since the batch is
+// appended in order). Negative literals are resolved after the
+// fixpoint, by one key probe into the final base each, because their
+// instance may be derived in a later round than the match. The program
+// lists the facts first (atom ids 0..|D|-1), then each rule's instances
+// in program order. Rules identical up to variable names ground to
+// duplicate instances, which do not change the stable models.
 func Ground(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Grounding, error) {
 	if !IsSkolemized(rules) {
 		return nil, fmt.Errorf("ground: rules must be Skolemized first (existential head variables present)")
@@ -70,36 +82,57 @@ func Ground(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Grounding, 
 	for i, r := range rules {
 		comp[i] = logic.CompileRule(r, false)
 	}
+	insts := make([]instances, len(rules))
+	total := db.Len()
 	var sc logic.Scratch
 	var kb []byte
 
-	// Phase 1: derivable base, computed semi-naively: after the first
-	// round each rule's body homomorphisms are seeded from the atoms
-	// added in the previous round (FindHomsFrom), so a round costs
-	// O(new facts) instead of re-scanning the whole base. Head instances
-	// are built and deduplicated as packed keys and added as one batch
-	// once the round's joins are done (FactStore.AddKeys).
+	// The derivable base, computed semi-naively: after the first round
+	// each rule's body homomorphisms are seeded from the atoms added in
+	// the previous round (FindHomsFrom), so a round costs O(new facts)
+	// instead of re-scanning the whole base, and each homomorphism is
+	// found in exactly one round. Head instances are built and
+	// deduplicated as packed keys and added as one batch once the
+	// round's joins are done (FactStore.AddKeys): the batch's k-th key
+	// becomes store index mark+k. Atom ids are base store indices, and
+	// base is a clone of the database (which keeps its store indices),
+	// so the facts are ids 0..|D|-1.
 	base := db.Clone()
 	for from := 0; ; {
 		mark := base.Len()
 		var additions []byte
 		ends := []int32{0}
-		pending := make(map[string]bool)
+		pending := make(map[string]int)
 		var overflow error
 		for i, c := range comp {
+			in := &insts[i]
 			c.Body.FindHomsFrom(&sc, base, from, nil, func(m *logic.Match) bool {
+				for b := range c.Pos {
+					in.pos = append(in.pos, m.Index(b))
+				}
+				if len(c.Neg) > 0 {
+					in.ids = append(in.ids, m.IDs()...)
+				}
 				for d, hp := range c.Heads {
 					for k := range rules[i].Heads[d] {
 						key, _ := hp.AppendKey(base, kb[:0], k, m.IDs(), true)
 						kb = key[:0]
-						if _, in := base.IndexOfKey(key); !in && !pending[string(key)] {
-							pending[string(key)] = true
-							additions = append(additions, key...)
-							ends = append(ends, int32(len(additions)))
+						id, ok := base.IndexOfKey(key)
+						if !ok {
+							id, ok = pending[string(key)]
+							if !ok {
+								id = mark + len(ends) - 1
+								pending[string(key)] = id
+								additions = append(additions, key...)
+								ends = append(ends, int32(len(additions)))
+							}
 						}
+						in.heads = append(in.heads, id)
 					}
 				}
-				if base.Len()+len(ends)-1 > opt.MaxAtoms {
+				in.n++
+				total++
+				if base.Len()+len(ends)-1 > opt.MaxAtoms || total > opt.MaxInstances {
 					overflow = ErrBudget
 					return false
 				}
@@ -110,7 +143,11 @@ func Ground(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Grounding, 
 			}
 		}
 		from = mark
-		if base.AddKeys(additions, ends) == 0 {
+		added := len(ends) - 1
+		if base.AddKeys(additions, ends) != added {
+			return nil, fmt.Errorf("ground: a round's new atoms were not all appended")
+		}
+		if added == 0 {
 			break
 		}
 		if base.Len() > opt.MaxAtoms {
@@ -118,83 +155,64 @@ func Ground(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Grounding, 
 		}
 	}
 
-	// Atom ids are base store indices: base is a clone of the database
-	// (which keeps its store indices), so the facts are ids 0..|D|-1,
-	// and phase 2 reads the body's ids from the match and resolves the
-	// negative and head instances by one key probe each into base.
 	g := &Grounding{Atoms: base.Atoms()}
-	prog := &asp.Program{NAtoms: len(g.Atoms)}
-
-	// Facts.
-	for id := 0; id < db.Len(); id++ {
-		prog.Rules = append(prog.Rules, asp.Rule{Disjuncts: [][]int{{id}}})
+	prog := &asp.Program{NAtoms: len(g.Atoms), Rules: make([]asp.Rule, 0, total)}
+	// Facts: one shared backing array for their heads.
+	facts, factHeads := make([]int, db.Len()), make([][]int, db.Len())
+	for id := range facts {
+		facts[id] = id
+		factHeads[id] = facts[id : id+1 : id+1]
+		prog.Rules = append(prog.Rules, asp.Rule{Disjuncts: factHeads[id : id+1 : id+1]})
 	}
-
-	// Phase 2: rule instances.
-	seen := make(map[string]bool)
 	for i, c := range comp {
-		var overflow error
-		c.Body.FindHoms(&sc, base, nil, func(m *logic.Match) bool {
-			gr := asp.Rule{}
-			for b := range c.Pos {
-				gr.Pos = append(gr.Pos, m.Index(b))
-			}
-			for j := range c.Neg {
-				key, ok := c.Body.AppendKey(base, kb[:0], len(c.Pos)+j, m.IDs(), false)
-				kb = key[:0]
-				if id, in := base.IndexOfKey(key); ok && in {
-					gr.Neg = append(gr.Neg, id)
-				}
-				// else: the negative literal is vacuously true.
-			}
-			for d, hp := range c.Heads {
-				var disj []int
-				for k := range rules[i].Heads[d] {
-					key, _ := hp.AppendKey(base, kb[:0], k, m.IDs(), false)
-					kb = key[:0]
-					id, _ := base.IndexOfKey(key)
-					disj = append(disj, id)
-				}
-				gr.Disjuncts = append(gr.Disjuncts, disj)
-			}
-			key := ruleKey(gr)
-			if !seen[key] {
-				seen[key] = true
-				prog.Rules = append(prog.Rules, gr)
-				if len(prog.Rules) > opt.MaxInstances {
-					overflow = ErrBudget
-					return false
-				}
-			}
-			return true
-		})
-		if overflow != nil {
-			return nil, overflow
-		}
+		prog.Rules = insts[i].appendRules(prog.Rules, c, rules[i].Heads, base)
 	}
 	g.Prog = prog
 	return g, nil
 }
 
-func ruleKey(r asp.Rule) string {
-	var b []byte
-	for _, d := range r.Disjuncts {
-		b = append(b, 'd')
-		for _, a := range d {
-			b = appendInt(b, a)
-		}
-	}
-	b = append(b, 'p')
-	for _, a := range r.Pos {
-		b = appendInt(b, a)
-	}
-	b = append(b, 'n')
-	for _, a := range r.Neg {
-		b = appendInt(b, a)
-	}
-	return string(b)
+// instances are the ground instances of one rule in discovery order,
+// each recorded at its match: len(Pos) body atom ids, the head atom ids
+// of every disjunct in turn, and, when the rule has negative literals,
+// the match's slot ids.
+type instances struct {
+	n          int
+	pos, heads []int
+	ids        []uint32
 }
 
-func appendInt(b []byte, v int) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), ',')
+// appendRules appends the rule's instances to rules, their negative
+// literals resolved in the final base. The instances' atom id lists are
+// sliced from shared arrays, not allocated one by one.
+func (in *instances) appendRules(rules []asp.Rule, c *logic.RulePlans, heads [][]logic.Atom, base *logic.FactStore) []asp.Rule {
+	npos, nslots, nd := len(c.Pos), len(c.Body.Slots()), len(heads)
+	disj := make([][]int, in.n*nd)
+	// Sized up front, so appends never move the Neg lists already cut.
+	negs := make([]int, 0, in.n*len(c.Neg))
+	var kb []byte
+	h := in.heads
+	for k := 0; k < in.n; k++ {
+		gr := asp.Rule{
+			Pos:       in.pos[k*npos : (k+1)*npos : (k+1)*npos],
+			Disjuncts: disj[k*nd : (k+1)*nd : (k+1)*nd],
+		}
+		for d := range heads {
+			w := len(heads[d])
+			gr.Disjuncts[d], h = h[:w:w], h[w:]
+		}
+		lo := len(negs)
+		for j := range c.Neg {
+			key, ok := c.Body.AppendKey(base, kb[:0], npos+j, in.ids[k*nslots:(k+1)*nslots], false)
+			kb = key[:0]
+			if id, found := base.IndexOfKey(key); ok && found {
+				negs = append(negs, id)
+			}
+			// else: the negative literal is vacuously true.
+		}
+		if len(negs) > lo {
+			gr.Neg = negs[lo:len(negs):len(negs)]
+		}
+		rules = append(rules, gr)
+	}
+	return rules
 }

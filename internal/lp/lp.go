@@ -46,9 +46,11 @@ type Result struct {
 // Compiled is the LP pipeline compiled for one program: rules
 // Skolemized and the resulting normal program grounded over its
 // derivable Herbrand base, once. Enumeration runs replay the ground
-// program through the ASP solver without re-grounding. Compiled
-// implements the engine.Engine interface and is safe for concurrent
-// use.
+// program through the ASP solver without re-grounding. When the ground
+// program's well-founded model is total (a stratified program, say),
+// it is the only stable model: a run emits it without searching, as a
+// snapshot of the frozen store of its true atoms. Compiled implements
+// the engine.Engine interface and is safe for concurrent use.
 type Compiled struct {
 	g *ground.Grounding
 	// solve carries the ground program's well-founded model (solve.WFS),
@@ -91,7 +93,8 @@ func Compile(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Compiled, 
 // well-founded model every model is a fresh store; with one, each model
 // is a snapshot of the Compiled's frozen store of the well-founded true
 // atoms plus the model's other atoms, so all models share their common
-// part instead of each holding a full copy.
+// part instead of each holding a full copy. Every stable model contains
+// the true atoms, so a model of the same size is exactly them.
 func (c *Compiled) modelStores() func(asp.Model) *logic.FactStore {
 	wfs := c.solve.WFS
 	if wfs == nil {
@@ -102,6 +105,9 @@ func (c *Compiled) modelStores() func(asp.Model) *logic.FactStore {
 	return func(m asp.Model) *logic.FactStore {
 		if core == nil {
 			core = c.wfsCore()
+		}
+		if len(m) == len(wfs.True) {
+			return core.Snapshot()
 		}
 		rest = rest[:0]
 		for _, id := range m {

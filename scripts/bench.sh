@@ -25,10 +25,11 @@ benchtime="${BENCH_TIME:-300ms}"
 # database costs what the query costs, not what the database does.
 # HomDeltaLayered pins the id join kernel in the regime that dominates
 # the search: cached delta joins of a 9-atom body over a depth-16
-# snapshot chain.
+# snapshot chain. GroundBulkLP pins the LP write path: one-pass
+# grounding of bulkdb's LP rules over a database of its shape.
 # Names must stay unique across packages — cmd/benchdiff and benchstat
 # aggregate on the bare benchmark name.
-pattern='StableSearchChoiceWide|ParallelSearch|StabilitySession|SolveAssumptions|SolverReuse|SolverQueryDB|StoreBranch|JoinOrderAdversarial|HomDeltaLayered|BulkLoad|StoreProbe'
+pattern='StableSearchChoiceWide|ParallelSearch|StabilitySession|SolveAssumptions|SolverReuse|SolverQueryDB|StoreBranch|JoinOrderAdversarial|HomDeltaLayered|BulkLoad|StoreProbe|GroundBulkLP'
 
 go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "$count" \
-  ./ ./internal/core/ ./internal/logic/ ./internal/sat/ | tee "$out"
+  ./ ./internal/core/ ./internal/logic/ ./internal/sat/ ./internal/ground/ | tee "$out"
