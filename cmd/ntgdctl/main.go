@@ -16,13 +16,15 @@
 //	0  success (complete enumeration / all queries answered)
 //	1  load or run error outside the taxonomy
 //	2  usage error
-//	3  search budget exhausted (nodes, atoms, or -wall wall-clock)
+//	3  budget exhausted (search nodes or atoms, -wall wall-clock, or
+//	   the LP grounding's atoms or term size)
 //	4  timed out or cancelled (-timeout, the caller's context)
 //	5  memory watermark exceeded (-max-mem)
 //	6  internal engine fault (a recovered panic; stack on stderr)
 //
-// Codes 3-6 still print the partial stats accumulated so far on
-// stderr. The other subcommands use 0/1/2 only.
+// Codes 3-6 from a run still print the partial stats accumulated so far
+// on stderr; a compile error prints only its cause. The other
+// subcommands use 0/1/2 only.
 package main
 
 import (
@@ -98,6 +100,14 @@ commands:
 func fail(stderr io.Writer, err error) int {
 	fmt.Fprintln(stderr, "ntgdctl:", err)
 	return exitError
+}
+
+// failCompile reports a compile error under its taxonomy exit code: a
+// grounding past its budget is a budget, like a search past its own.
+func failCompile(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "ntgdctl:", err)
+	code, _ := classifyErr(err)
+	return code
 }
 
 // newFlagSet builds a subcommand flag set that reports parse errors to
@@ -220,7 +230,7 @@ func cmdSolve(args []string, stdout, stderr io.Writer) int {
 		},
 	})
 	if err != nil {
-		return fail(stderr, err)
+		return failCompile(stderr, err)
 	}
 	ctx, cancel := solveContext(*timeout)
 	defer cancel()
@@ -274,7 +284,7 @@ func cmdQuery(args []string, stdout, stderr io.Writer) int {
 		Options:   ntgd.Options{Workers: *workers, MaxMemory: *maxMem, MaxWallClock: *wall},
 	})
 	if err != nil {
-		return fail(stderr, err)
+		return failCompile(stderr, err)
 	}
 	ctx, cancel := solveContext(*timeout)
 	defer cancel()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -181,6 +182,35 @@ func TestGroundGolden(t *testing.T) {
 			}
 			if out != string(want) {
 				t.Fatalf("ground output differs from the golden file:\ngot:\n%s\nwant:\n%s", out, want)
+			}
+		})
+	}
+}
+
+// TestGroundingBudgetExitsBudget: an LP grounding past its budget is a
+// budget, exit 3, whether the Herbrand base outgrows the atom bound (the
+// cube) or nested Skolem terms outgrow the term-size bound (the other
+// three, whose keys grow quadratically or like Fibonacci numbers).
+func TestGroundingBudgetExitsBudget(t *testing.T) {
+	var cube strings.Builder
+	for i := 0; i < 70; i++ {
+		fmt.Fprintf(&cube, "d(c%d). ", i)
+	}
+	cube.WriteString("d(X), d(Y), d(Z) -> t(X,Y,Z).\n?- t(c0,c1,c2).\n")
+	for name, src := range map[string]string{
+		"quadratic": "p(a). p(X) -> q(X,Y). q(X,Y) -> p(Y).\n?- p(a).\n",
+		"fibonacci": "e(a,b). e(X,Y) -> e(Y,Z).\n?- e(a,b).\n",
+		"pairs":     "p(a,b). p(X,Y) -> p(Y,Z).\n?- p(a,b).\n",
+		"cube":      cube.String(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			code, _, errw := runCLI("query", "-sem", "lp", writeProg(t, src))
+			if code != exitBudget {
+				t.Fatalf("exit = %d, want %d (stderr: %s)", code, exitBudget, errw)
+			}
+			if !strings.Contains(errw, "budget exhausted") {
+				t.Fatalf("stderr = %q, want the budget cause", errw)
 			}
 		})
 	}

@@ -1,39 +1,39 @@
-// Command smsbench regenerates the paper-reproduction experiments
-// E1–E15: the verdict matrices of the paper's worked examples, the
-// Figure 1 marking, the complexity-shape measurements, and the
-// encoding validations. Run all experiments or a comma-separated
-// subset:
+// Command smsbench reproduces the paper's experiments E1–E15: the
+// verdicts of the worked examples, the Figure 1 marking, the
+// decidability and complexity results, and the Section 7.1 encodings.
+// Each experiment is defined once, in the table below, and returns
+// checked rows: the value the engine got beside the value it must
+// equal, which is the paper's verdict or an independent oracle (brute
+// force, the SAT oracle, or the other semantics). What is not a verdict
+// — model listings, the SM formula, markings, timings and node counts —
+// is printed and not checked. TestExperiments asserts every row,
+// BenchmarkExperiments times each experiment, and this command prints
+// them, all experiments or a comma-separated subset:
 //
 //	smsbench            # all
 //	smsbench -run E1,E5
 //
-// -workers sets the worker-pool size of the SO/operational searches
-// (default 1 so experiment output stays reproducible; 0 = GOMAXPROCS).
-// -wall puts a per-run wall-clock budget on every SO/operational
-// search (via the same robustness layer the public Solver uses);
-// truncated runs print their partial stats instead of failing.
-// After each experiment one machine-readable JSON line is printed —
-// {"name","ns_op","models","nodes","workers"} — for the CI bench-diff
-// job and BENCH_*.json trajectories to consume.
+// Each row prints with a pass mark, ✓ or ✗. The exit status is 1 when a
+// row differs or an experiment stops on an error, and 2 on a usage
+// error. -workers sets the worker-pool size of the SO/operational
+// searches (default 1 so experiment output stays reproducible; 0 =
+// GOMAXPROCS). -timeout ends the run after a while: the interrupted
+// experiment reports its partial effort, and the status is 1.
 //
-// For performance work, -cpuprofile and -memprofile write pprof
-// profiles covering the selected experiments:
+// To profile one experiment, profile its benchmark:
 //
-//	smsbench -run E7 -cpuprofile cpu.out -memprofile mem.out
-//	go tool pprof cpu.out
+//	go test -run '^$' -bench 'Experiments/E7' -cpuprofile cpu.out ./cmd/smsbench
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -51,142 +51,203 @@ import (
 	"ntgd/internal/transform"
 )
 
-const fatherSrc = `
-person(alice).
-person(X) -> hasFather(X,Y).
-hasFather(X,Y) -> sameAs(Y,Y).
-hasFather(X,Y), hasFather(X,Z), not sameAs(Y,Z) -> abnormal(X).
-`
-
-var experiments = map[string]func(){
-	"E1":  runE1,
-	"E2":  runE2,
-	"E3":  runE3,
-	"E4":  runE4,
-	"E5":  runE5,
-	"E6":  runE6,
-	"E7":  runE7,
-	"E8":  runE8,
-	"E9":  runE9,
-	"E10": runE10,
-	"E11": runE11,
-	"E12": runE12,
-	"E13": runE13,
-	"E14": runE14,
-	"E15": runE15,
+// An experiment reproduces one result of the paper.
+type experiment struct {
+	id, title string
+	run       func(x *trial)
 }
 
-func main() {
-	// All exits funnel through run's return value so deferred profile
-	// writers actually run (os.Exit would skip them, truncating the
-	// pprof files).
-	os.Exit(run())
+var experiments = []experiment{
+	{"E1", "Examples 1/2/4 — father program, SO vs LP verdicts", runE1},
+	{"E2", "Example 2 under the operational semantics of [3]", runE2},
+	{"E3", "EFWFS (bounded family) on Examples 2 and 3", runE3},
+	{"E4", "Section 3.2/3.3 — minimal models vs stable models", runE4},
+	{"E5", "Figure 1 — stickiness marking", runE5},
+	{"E6", "Theorem 1 — LP and SO coincide on Skolemized programs", runE6},
+	{"E7", "Theorems 3/6 — WATGD¬ scaling vs positive chase", runE7},
+	{"E8", "Section 5.3 — 2-QBF∃ reduction vs direct evaluation", runE8},
+	{"E9", "Theorems 4/5 — sticky and guarded gadgets diverge", runE9},
+	{"E10", "Lemma 13 — disjunction elimination preserves answers", runE10},
+	{"E11", "Theorem 15 — DATALOG∨ vs WATGD¬ on 2-coloring saturation", runE11},
+	{"E12", "Section 7.1 — 2-QBF∃ via WATGD¬ under brave semantics", runE12},
+	{"E13", "Section 7.1 — certain k-colorability (CERT3COL-style)", runE13},
+	{"E14", "Section 7.1 — consistent query answering (⊆-repairs)", runE14},
+	{"E15", "Theorems 19/20 — LP vs SO model spaces", runE15},
 }
 
-func run() (code int) {
+// A row is one checked verdict: the value the engine got and the value
+// it must equal.
+type row struct {
+	label     string
+	got, want any
+}
+
+func (r row) ok() bool { return r.got == r.want }
+
+// A trial is one run of an experiment: its context and worker count
+// in, its rows out, and rows and notes printed to w as they come.
+type trial struct {
+	ctx     context.Context
+	workers int
+	w       io.Writer
+	rows    []row
+}
+
+// abort carries the error that stops an experiment out of it;
+// runExperiment recovers it.
+type abort struct{ err error }
+
+// runExperiment runs one experiment and returns its rows, with the
+// error that stopped it early, if one did.
+func runExperiment(ctx context.Context, e experiment, workers int, w io.Writer) (rows []row, err error) {
+	x := &trial{ctx: ctx, workers: workers, w: w}
 	defer func() {
 		if r := recover(); r != nil {
-			fe, ok := r.(fatalError)
+			a, ok := r.(abort)
 			if !ok {
 				panic(r)
 			}
-			fmt.Fprintln(os.Stderr, "error:", fe.err)
-			code = 1
+			rows, err = x.rows, a.err
 		}
 	}()
-	runFlag := flag.String("run", "all", "comma-separated experiment ids (E1..E15) or 'all'")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	timeout := flag.Duration("timeout", 0, "abort the selected experiments after this long, printing partial stats (0 = none)")
-	flag.IntVar(&workers, "workers", 1, "worker pool size for the SO/operational searches (1 = sequential, reproducible output order; 0 = GOMAXPROCS)")
-	flag.DurationVar(&wallClock, "wall", 0, "per-run wall-clock budget for the SO/operational searches, printing partial stats on expiry (0 = none)")
-	flag.Parse()
+	e.run(x)
+	return x.rows, nil
+}
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, experiments))
+}
+
+func run(argv []string, stdout, stderr io.Writer, table []experiment) int {
+	fs := flag.NewFlagSet("smsbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	runFlag := fs.String("run", "all", "comma-separated experiment ids (E1..E15) or 'all'")
+	workers := fs.Int("workers", 1, "worker pool size for the SO/operational searches (1 = sequential, reproducible output order; 0 = GOMAXPROCS)")
+	timeout := fs.Duration("timeout", 0, "end the run after this long, reporting the interrupted experiment's partial effort (0 = none)")
+	if fs.Parse(argv) != nil {
+		return 2
+	}
+	selected := table
+	if *runFlag != "all" {
+		selected = nil
+		for _, id := range strings.Split(*runFlag, ",") {
+			i := slices.IndexFunc(table, func(e experiment) bool { return e.id == strings.TrimSpace(id) })
+			if i < 0 {
+				fmt.Fprintf(stderr, "smsbench: unknown experiment %q\n", id)
+				return 2
+			}
+			selected = append(selected, table[i])
+		}
+	}
+	ctx := context.Background()
 	if *timeout > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
-		benchCtx = ctx
 	}
-	// The heap-profile defer is registered first so that (defers being
-	// LIFO) the CPU profile has stopped before the forced GC and heap
-	// write happen — otherwise they would pollute the CPU profile's tail.
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			must(err)
-			runtime.GC() // settle allocations so the heap profile is meaningful
-			must(pprof.WriteHeapProfile(f))
-			must(f.Close())
-		}()
-	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		must(err)
-		must(pprof.StartCPUProfile(f))
-		defer func() {
-			pprof.StopCPUProfile()
-			must(f.Close())
-		}()
-	}
-	var ids []string
-	if *runFlag == "all" {
-		for id := range experiments {
-			ids = append(ids, id)
+	differ := 0
+	for _, e := range selected {
+		fmt.Fprintf(stdout, "== %s: %s ==\n", e.id, e.title)
+		rows, err := runExperiment(ctx, e, *workers, stdout)
+		for _, r := range rows {
+			if !r.ok() {
+				differ++
+			}
 		}
-		sort.Slice(ids, func(i, j int) bool {
-			return len(ids[i]) < len(ids[j]) || (len(ids[i]) == len(ids[j]) && ids[i] < ids[j])
-		})
-	} else {
-		ids = strings.Split(*runFlag, ",")
-	}
-	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		fn, ok := experiments[id]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", id)
-			return 2
+		if err != nil {
+			fmt.Fprintf(stderr, "smsbench: %s: %v\n", e.id, err)
+			return 1
 		}
-		expStats = engine.Stats{}
-		start := time.Now()
-		fn()
-		printExperimentJSON(id, time.Since(start))
-		fmt.Println()
+		fmt.Fprintln(stdout)
+	}
+	if differ > 0 {
+		fmt.Fprintf(stderr, "smsbench: %d row(s) differ from the paper or their oracle\n", differ)
+		return 1
 	}
 	return 0
 }
 
-// workers is the -workers flag, threaded into every SO/operational
-// engine the experiments compile (0 = GOMAXPROCS).
-var workers int
-
-// wallClock is the -wall flag: a per-run wall-clock budget installed by
-// wrapping each compiled engine in the robustness layer's Guard.
-var wallClock time.Duration
-
-// expStats accumulates the engine effort of the experiment currently
-// running; the context-aware helpers below feed it.
-var expStats engine.Stats
-
-// printExperimentJSON emits one machine-readable line per experiment —
-// name, wall time, and the aggregated engine effort — for the CI
-// bench-diff job and BENCH_*.json trajectories to consume.
-func printExperimentJSON(id string, elapsed time.Duration) {
-	w := workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+// check records a row and prints it with its pass mark.
+func (x *trial) check(label string, got, want any) {
+	r := row{label, got, want}
+	x.rows = append(x.rows, r)
+	mark := "✓"
+	if !r.ok() {
+		mark = "✗"
 	}
-	line, err := json.Marshal(struct {
-		Name    string `json:"name"`
-		NsOp    int64  `json:"ns_op"`
-		Models  int64  `json:"models"`
-		Nodes   int64  `json:"nodes"`
-		Workers int    `json:"workers"`
-	}{id, elapsed.Nanoseconds(), expStats.ModelsEmitted, expStats.Nodes, w})
-	must(err)
-	fmt.Printf("%s\n", line)
+	fmt.Fprintf(x.w, "%s %s: %v (want %v)\n", mark, label, got, want)
 }
 
-func header(id, title string) {
-	fmt.Printf("== %s: %s ==\n", id, title)
+// note prints what is not a verdict, indented under the rows.
+func (x *trial) note(format string, args ...any) {
+	lines := strings.Split(strings.TrimRight(fmt.Sprintf(format, args...), "\n"), "\n")
+	for _, l := range lines {
+		fmt.Fprintf(x.w, "    %s\n", l)
+	}
+}
+
+// must stops the experiment on err.
+func (x *trial) must(err error) {
+	if err != nil {
+		panic(abort{err})
+	}
+}
+
+// mustRun stops the experiment on a run's error, reporting the run's
+// partial effort: the experiments are sized to complete, so a
+// truncated enumeration would corrupt their rows.
+func (x *trial) mustRun(st engine.Stats, err error) {
+	if err != nil {
+		x.must(fmt.Errorf("%w (partial effort: nodes=%d models=%d)", err, st.Nodes, st.ModelsEmitted))
+	}
+}
+
+func (x *trial) so(db *ntgd.FactStore, rules []*ntgd.Rule, opt core.Options) engine.Engine {
+	opt.Workers = x.workers
+	c, err := core.Compile(db, rules, opt)
+	x.must(err)
+	return c
+}
+
+func (x *trial) op(db *ntgd.FactStore, rules []*ntgd.Rule) engine.Engine {
+	c, err := baget.Compile(db, rules, core.Options{Workers: x.workers})
+	x.must(err)
+	return c
+}
+
+func (x *trial) lp(db *ntgd.FactStore, rules []*ntgd.Rule) engine.Engine {
+	c, err := lp.Compile(db, rules, lp.Options{})
+	x.must(err)
+	return c
+}
+
+func (x *trial) cautious(e engine.Engine, q ntgd.Query) bool {
+	res, err := engine.CautiousEntails(x.ctx, e, engine.Params{}, q)
+	x.mustRun(res.Stats, err)
+	return res.Entailed
+}
+
+func (x *trial) brave(e engine.Engine, q ntgd.Query) bool {
+	res, err := engine.BraveEntails(x.ctx, e, engine.Params{}, q)
+	x.mustRun(res.Stats, err)
+	return res.Entailed
+}
+
+func (x *trial) models(e engine.Engine) []*ntgd.FactStore {
+	res, err := engine.CollectModels(x.ctx, e, engine.Params{}, 0)
+	x.mustRun(res.Stats, err)
+	return res.Models
+}
+
+// modelsBudgeted is models for runs that exhaust a budget on purpose
+// (E9's divergence gadgets): ErrBudget passes, with Result.Exhausted
+// marking the truncation.
+func (x *trial) modelsBudgeted(e engine.Engine, maxModels int) *engine.Result {
+	res, err := engine.CollectModels(x.ctx, e, engine.Params{}, maxModels)
+	if !errors.Is(err, engine.ErrBudget) {
+		x.mustRun(res.Stats, err)
+	}
+	return res
 }
 
 func verdict(v bool) string {
@@ -196,176 +257,81 @@ func verdict(v bool) string {
 	return "not entailed"
 }
 
-// fatalError aborts run via panic so that in-flight defers (the pprof
-// writers) still execute; run's recover turns it into exit code 1.
-type fatalError struct{ err error }
+func ms(d time.Duration) string { return fmt.Sprintf("%.2f ms", float64(d.Microseconds())/1000) }
 
-func must(err error) {
-	if err != nil {
-		panic(fatalError{err})
-	}
-}
-
-// benchCtx is the run context shared by every experiment: Background
-// unless -timeout installed a deadline, in which case mid-search
-// cancellation aborts the enumeration and the helpers below print the
-// partial effort instead of failing.
-var benchCtx = context.Background()
-
-// guarded wraps a compiled engine in the robustness layer when -wall
-// installed a budget (the raw engines do not read MaxWallClock).
-func guarded(e engine.Engine) engine.Engine {
-	if wallClock <= 0 {
-		return e
-	}
-	return engine.Guard(e, engine.GuardConfig{WallClock: wallClock})
-}
-
-func soEngine(db *ntgd.FactStore, rules []*ntgd.Rule, opt core.Options) engine.Engine {
-	opt.Workers = workers
-	c, err := core.Compile(db, rules, opt)
-	must(err)
-	return guarded(c)
-}
-
-func opEngine(db *ntgd.FactStore, rules []*ntgd.Rule, opt core.Options) engine.Engine {
-	opt.Workers = workers
-	c, err := baget.Compile(db, rules, opt)
-	must(err)
-	return guarded(c)
-}
-
-func lpEngine(db *ntgd.FactStore, rules []*ntgd.Rule) engine.Engine {
-	c, err := lp.Compile(db, rules, lp.Options{})
-	must(err)
-	return c
-}
-
-func ctxExpired(err error) bool {
-	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
-}
-
-func reportPartial(st engine.Stats, err error) {
-	fmt.Printf("  [%v: partial results; nodes=%d models=%d]\n", err, st.Nodes, st.ModelsEmitted)
-}
-
-// checkRun reports context expiry and the opt-in -wall budget as
-// partial-results notes and treats every other error — including node
-// or atom budget exhaustion — as fatal: the experiments are sized to
-// complete, so a truncated enumeration would silently corrupt their
-// cross-checks. E9, which probes budgets on purpose, uses
-// modelsBudgeted instead.
-func checkRun(st engine.Stats, err error) {
-	switch {
-	case err == nil:
-	case ctxExpired(err), errors.Is(err, engine.ErrWallClock):
-		reportPartial(st, err)
-	default:
-		must(err)
-	}
-}
-
-func cautiousCtx(e engine.Engine, q ntgd.Query) engine.QAResult {
-	res, err := engine.CautiousEntails(benchCtx, e, engine.Params{}, q)
-	expStats.Add(res.Stats)
-	checkRun(res.Stats, err)
-	return res
-}
-
-func braveCtx(e engine.Engine, q ntgd.Query) engine.QAResult {
-	res, err := engine.BraveEntails(benchCtx, e, engine.Params{}, q)
-	expStats.Add(res.Stats)
-	checkRun(res.Stats, err)
-	return res
-}
-
-func modelsCtx(e engine.Engine, maxModels int) *engine.Result {
-	res, err := engine.CollectModels(benchCtx, e, engine.Params{}, maxModels)
-	expStats.Add(res.Stats)
-	checkRun(res.Stats, err)
-	return res
-}
-
-// modelsBudgeted is modelsCtx for runs that deliberately exhaust a
-// budget (E9's divergence gadgets): ErrBudget passes through, with
-// Result.Exhausted marking the truncation.
-func modelsBudgeted(e engine.Engine, maxModels int) *engine.Result {
-	res, err := engine.CollectModels(benchCtx, e, engine.Params{}, maxModels)
-	expStats.Add(res.Stats)
-	if !errors.Is(err, engine.ErrBudget) {
-		checkRun(res.Stats, err)
-	}
-	return res
-}
+const fatherSrc = `
+person(alice).
+person(X) -> hasFather(X,Y).
+hasFather(X,Y) -> sameAs(Y,Y).
+hasFather(X,Y), hasFather(X,Z), not sameAs(Y,Z) -> abnormal(X).
+`
 
 // E1 — Examples 1, 2, 4: the verdict matrix for the father program
 // under SO vs LP.
-func runE1() {
-	header("E1", "Examples 1/2/4 — father program, SO vs LP verdicts")
+func runE1(x *trial) {
 	prog := ntgd.MustParse(fatherSrc + `
 ?- person(alice), not hasFather(alice,bob).
 ?- person(X), not abnormal(X).
 ?- person(X), abnormal(X).
 `)
-	names := []string{
-		"q1 = ¬hasFather(alice,bob)",
-		"q2 = ∃X person ∧ ¬abnormal",
-		"q3 = ∃X person ∧ abnormal",
-	}
-	paper := [][2]string{
-		{"not entailed", "entailed"}, // q1: SO refutes, LP wrongly entails
-		{"entailed", "entailed"},
-		{"not entailed", "not entailed"},
-	}
-	fmt.Printf("%-32s | %-14s | %-14s | paper(SO/LP)\n", "query", "SO", "LP")
 	db := prog.Database()
-	soEng := soEngine(db, prog.Rules, core.Options{})
-	lpEng := lpEngine(db, prog.Rules)
-	for i, q := range prog.Queries {
-		so := cautiousCtx(soEng, q)
-		lpv := cautiousCtx(lpEng, q)
-		fmt.Printf("%-32s | %-14s | %-14s | %s/%s\n", names[i], verdict(so.Entailed), verdict(lpv.Entailed), paper[i][0], paper[i][1])
+	so, lp := x.so(db, prog.Rules, core.Options{}), x.lp(db, prog.Rules)
+	for i, q := range []struct {
+		name   string
+		so, lp bool // the paper's verdicts
+	}{
+		{"q1 = ¬hasFather(alice,bob)", false, true}, // SO refutes, LP wrongly entails
+		{"q2 = ∃X person ∧ ¬abnormal", true, true},
+		{"q3 = ∃X person ∧ abnormal", false, false},
+	} {
+		x.check(q.name+", SO", verdict(x.cautious(so, prog.Queries[i])), verdict(q.so))
+		x.check(q.name+", LP", verdict(x.cautious(lp, prog.Queries[i])), verdict(q.lp))
 	}
-	res := modelsCtx(soEng, 0)
-	fmt.Printf("SO stable models (no query constants): %d\n", len(res.Models))
-	for _, m := range res.Models {
-		fmt.Printf("  %s\n", m.CanonicalString())
+	// Without query constants the father is alice or a fresh null.
+	models := x.models(so)
+	x.check("SO stable models (no query constants)", len(models), 2)
+	for _, m := range models {
+		x.note("%s", m.CanonicalString())
 	}
+	bob := ntgd.StoreOf(
+		ntgd.A("person", ntgd.C("alice")),
+		ntgd.A("hasFather", ntgd.C("alice"), ntgd.C("bob")),
+		ntgd.A("sameAs", ntgd.C("bob"), ntgd.C("bob")),
+	)
+	x.check("Example 4: J with hasFather(alice,bob) is stable", core.IsStableModel(db, prog.Rules, bob), true)
 }
 
 // E2 — the operational semantics of Baget et al. [3] on Example 2.
-func runE2() {
-	header("E2", "Example 2 under the operational semantics of [3]")
+func runE2(x *trial) {
 	prog := ntgd.MustParse(fatherSrc + "?- person(alice), not hasFather(alice,bob).")
-	op := opEngine(prog.Database(), prog.Rules, core.Options{})
-	res := cautiousCtx(op, prog.Queries[0])
-	fmt.Printf("q = ¬hasFather(alice,bob): %s   (paper: unexpectedly entailed — fresh nulls only)\n", verdict(res.Entailed))
-	ms := modelsCtx(op, 0)
-	for _, m := range ms.Models {
-		fmt.Printf("  operational model: %s\n", m.CanonicalString())
+	op := x.op(prog.Database(), prog.Rules)
+	// The paper: unexpectedly entailed, since witnesses are fresh nulls only.
+	x.check("q = ¬hasFather(alice,bob)", verdict(x.cautious(op, prog.Queries[0])), "entailed")
+	for _, m := range x.models(op) {
+		x.note("operational model: %s", m.CanonicalString())
 	}
 }
 
 // E3 — EFWFS on Examples 2 and 3.
-func runE3() {
-	header("E3", "EFWFS (bounded family) on Examples 2 and 3")
+func runE3(x *trial) {
 	prog := ntgd.MustParse(fatherSrc)
 	q2 := ntgd.MustParse(fatherSrc + "?- person(alice), not hasFather(alice,bob).").Queries[0]
 	q3 := ntgd.MustParse(fatherSrc + "?- person(alice), not abnormal(alice).").Queries[0]
 	v2, err := efwfs.Entails(prog.Database(), prog.Rules, q2, efwfs.Options{FreshConstants: 1, MaxInstancesPerAssignment: 1})
-	must(err)
-	fmt.Printf("Example 2, q = ¬hasFather(alice,bob): %s (paper: not entailed — the intended answer)\n", verdict(v2.Entailed))
+	x.must(err)
+	// The paper: not entailed, the intended answer.
+	x.check("Example 2, q = ¬hasFather(alice,bob)", verdict(v2.Entailed), "not entailed")
 	v3, err := efwfs.Entails(prog.Database(), prog.Rules, q3, efwfs.Options{FreshConstants: 2, MaxInstancesPerAssignment: 2})
-	must(err)
-	fmt.Printf("Example 3, q = ¬abnormal(alice):      %s (paper: unexpectedly NOT entailed)\n", verdict(v3.Entailed))
+	x.must(err)
+	// The paper: unexpectedly not entailed.
+	x.check("Example 3, q = ¬abnormal(alice)", verdict(v3.Entailed), "not entailed")
 	if v3.CounterTrue != nil {
-		fmt.Printf("  counterexample WFS model: %s\n", v3.CounterTrue.CanonicalString())
+		x.note("counterexample WFS model: %s", v3.CounterTrue.CanonicalString())
 	}
 }
 
 // E4 — MM[D,Σ] vs SM[D,Σ] on the Section 3.2 program.
-func runE4() {
-	header("E4", "Section 3.2/3.3 — minimal models vs stable models")
+func runE4(x *trial) {
 	prog := ntgd.MustParse(`
 p(0).
 p(X), not t(X) -> r(X).
@@ -373,90 +339,78 @@ r(X) -> t(X).
 `)
 	db := prog.Database()
 	j := ntgd.StoreOf(ntgd.A("p", ntgd.C("0")), ntgd.A("t", ntgd.C("0")))
-	fmt.Printf("J = {p(0), t(0)}: minimal model: %v, stable model: %v (paper: true / false)\n",
-		core.IsMinimalModel(db, prog.Rules, j), core.IsStableModel(db, prog.Rules, j))
-	res := modelsCtx(soEngine(db, prog.Rules, core.Options{}), 0)
-	fmt.Printf("stable models of (D,Σ): %d (paper: none)\n", len(res.Models))
-	fmt.Println("SM[D,Σ]:")
-	fmt.Println(indent(soformula.SM(db, prog.Rules)))
+	x.check("J = {p(0), t(0)} is a minimal model", core.IsMinimalModel(db, prog.Rules, j), true)
+	x.check("J is a stable model", core.IsStableModel(db, prog.Rules, j), false)
+	x.check("stable models of (D,Σ)", len(x.models(x.so(db, prog.Rules, core.Options{}))), 0)
+	x.note("SM[D,Σ]:\n%s", soformula.SM(db, prog.Rules))
 }
 
 // E5 — Figure 1: the stickiness marking procedure.
-func runE5() {
-	header("E5", "Figure 1 — stickiness marking")
-	sets := []struct {
-		name string
-		src  string
+func runE5(x *trial) {
+	for _, s := range []struct {
+		name, src string
+		sticky    bool
 	}{
-		{"set (a): sticky", "t(X,Y,Z) -> s(Y,W).\nr(X,Y), p(Y,Z) -> t(X,Y,W).\n"},
-		{"set (b): not sticky", "t(X,Y,Z) -> s(X,W).\nr(X,Y), p(Y,Z) -> t(X,Y,W).\n"},
-	}
-	for _, s := range sets {
+		{"set (a)", "t(X,Y,Z) -> s(Y,W).\nr(X,Y), p(Y,Z) -> t(X,Y,W).\n", true},
+		{"set (b)", "t(X,Y,Z) -> s(X,W).\nr(X,Y), p(Y,Z) -> t(X,Y,W).\n", false},
+	} {
 		rules := ntgd.MustParse(s.src).Rules
 		m := classify.MarkVariables(rules)
-		fmt.Printf("%s\n%s", s.name, indent(m.String()))
-		fmt.Printf("  sticky: %v, violations: %v\n", classify.IsSticky(rules), m.Violations())
+		x.check(s.name+" is sticky", classify.IsSticky(rules), s.sticky)
+		x.note("%s", m)
+		x.note("violations: %v", m.Violations())
 	}
 }
 
 // E6 — Theorem 1: SMS_LP = SMS_SO on Skolemized programs.
-func runE6() {
-	header("E6", "Theorem 1 — LP and SO coincide on Skolemized programs")
+func runE6(x *trial) {
 	rng := rand.New(rand.NewSource(23))
-	agree, total := 0, 30
+	const total = 30
+	agree := 0
 	for i := 0; i < total; i++ {
 		src := randomNormalProgram(rng)
 		prog := ntgd.MustParse(src)
 		db := prog.Database()
-		lpRes := modelsCtx(lpEngine(db, prog.Rules), 0)
-		soRes := modelsCtx(soEngine(db, prog.Rules, core.Options{}), 0)
-		if sameModelSets(lpRes.Models, soRes.Models) {
+		if sameModelSets(x.models(x.lp(db, prog.Rules)), x.models(x.so(db, prog.Rules, core.Options{}))) {
 			agree++
 		} else {
-			fmt.Printf("  DISAGREEMENT on:\n%s\n", src)
+			x.note("disagreement on:\n%s", src)
 		}
 	}
-	fmt.Printf("random existential-free programs with identical model sets: %d/%d (paper: all)\n", agree, total)
+	x.check("random existential-free programs, LP = SO", agree, total)
 }
 
 // E7 — Theorems 3/6: decidable, but exponential guess-and-check vs
 // the PTIME positive chase.
-func runE7() {
-	header("E7", "Theorems 3/6 — WATGD¬ scaling vs positive chase")
-	fmt.Printf("%-10s %-14s %-14s\n", "n", "ntgd(ms)", "models")
-	for _, n := range []int{1, 2, 3, 4, 5} {
-		src := ""
+func runE7(x *trial) {
+	items := func(n int) string {
+		var b strings.Builder
 		for i := 0; i < n; i++ {
-			src += fmt.Sprintf("item(i%d).\n", i)
+			fmt.Fprintf(&b, "item(i%d).\n", i)
 		}
-		src += "item(X), not out(X) -> in(X).\nitem(X), not in(X) -> out(X).\n"
-		prog := ntgd.MustParse(src)
-		start := time.Now()
-		res := modelsCtx(soEngine(prog.Database(), prog.Rules, core.Options{}), 0)
-		fmt.Printf("%-10d %-14.2f %-14d\n", n, float64(time.Since(start).Microseconds())/1000, len(res.Models))
+		return b.String()
 	}
-	fmt.Printf("%-10s %-14s %-14s\n", "n", "chase(ms)", "atoms")
-	for _, n := range []int{8, 32, 128, 512} {
-		src := ""
-		for i := 0; i < n; i++ {
-			src += fmt.Sprintf("item(i%d).\n", i)
-		}
-		src += "item(X) -> tagged(X,Y).\n"
-		prog := ntgd.MustParse(src)
+	for n := 1; n <= 5; n++ {
+		prog := ntgd.MustParse(items(n) + "item(X), not out(X) -> in(X).\nitem(X), not in(X) -> out(X).\n")
 		start := time.Now()
-		res, err := chase.RunCtx(benchCtx, prog.Database(), prog.Rules, chase.Options{})
-		if ctxExpired(err) {
-			fmt.Printf("  [%v: chase aborted at %d atoms]\n", err, res.Instance.Len())
-			continue
-		}
-		must(err)
-		fmt.Printf("%-10d %-14.2f %-14d\n", n, float64(time.Since(start).Microseconds())/1000, res.Instance.Len())
+		models := x.models(x.so(prog.Database(), prog.Rules, core.Options{}))
+		// Each item is in or out: 2^n models.
+		x.check(fmt.Sprintf("n=%d subset choice: stable models", n), len(models), 1<<n)
+		x.note("ntgd: %s", ms(time.Since(start)))
+	}
+	for _, n := range []int{8, 32, 128, 512} {
+		prog := ntgd.MustParse(items(n) + "item(X) -> tagged(X,Y).\n")
+		start := time.Now()
+		res, err := chase.RunCtx(x.ctx, prog.Database(), prog.Rules, chase.Options{})
+		x.must(err)
+		// One fresh null per item.
+		x.check(fmt.Sprintf("n=%d positive chase: atoms", n), res.Instance.Len(), 2*n)
+		x.note("chase: %s", ms(time.Since(start)))
 	}
 }
 
 // E8 — the 2-QBF∃ reduction of Section 5.3 vs the direct evaluators.
-func runE8() {
-	header("E8", "Section 5.3 — 2-QBF∃ reduction vs direct evaluation")
+func runE8(x *trial) {
 	rng := rand.New(rand.NewSource(7))
 	lit := func(v string) qbf.Lit { return qbf.Lit{Var: v} }
 	nlit := func(v string) qbf.Lit { return qbf.Lit{Var: v, Neg: true} }
@@ -468,14 +422,15 @@ func runE8() {
 	for i := 0; i < 4; i++ {
 		instances = append(instances, qbf.Random(rng, 1, 1, 2))
 	}
-	fmt.Printf("%-34s %-8s %-10s %-10s %s\n", "formula", "brute", "sat-oracle", "encoding", "time")
 	for _, f := range instances {
 		inst, err := encodings.EncodeQBF(f)
-		must(err)
+		x.must(err)
 		start := time.Now()
-		res := cautiousCtx(soEngine(inst.DB, inst.Rules, core.Options{}), inst.Query)
-		enc := !res.Entailed
-		fmt.Printf("%-34s %-8v %-10v %-10v %s\n", f, f.EvalBrute(), f.EvalSAT(), enc, time.Since(start).Round(time.Millisecond))
+		enc := !x.cautious(x.so(inst.DB, inst.Rules, core.Options{}), inst.Query)
+		brute := f.EvalBrute()
+		x.check(fmt.Sprintf("%s: encoding = brute force", f), enc, brute)
+		x.check(fmt.Sprintf("%s: SAT oracle = brute force", f), f.EvalSAT(), brute)
+		x.note("encoding: %s", time.Since(start).Round(time.Millisecond))
 	}
 }
 
@@ -484,8 +439,7 @@ func runE8() {
 // bound (the infinite-grid machinery of the proofs). Under the SO
 // semantics finite stable models may still exist via constant reuse;
 // the divergence is exhibited under the fresh-only witness policy.
-func runE9() {
-	header("E9", "Theorems 4/5 — sticky and guarded gadgets diverge")
+func runE9(x *trial) {
 	sticky := ntgd.MustParse(`
 p(a). s(b).
 p(X), s(Y) -> t(X,Y).
@@ -493,57 +447,56 @@ t(X,Y) -> u(Y,Z).
 u(Y,Z) -> s(Z).
 `)
 	rep := classify.Classify(sticky.Rules)
-	fmt.Printf("cartesian gadget: sticky=%v weaklyAcyclic=%v (paper: sticky, not WA)\n", rep.Sticky, rep.WeaklyAcyclic)
+	x.check("cartesian gadget is sticky", rep.Sticky, true)
+	x.check("cartesian gadget is weakly acyclic", rep.WeaklyAcyclic, false)
 	for _, budget := range []int{16, 32, 64} {
-		res := modelsBudgeted(soEngine(sticky.Database(), sticky.Rules, core.Options{
+		res := x.modelsBudgeted(x.so(sticky.Database(), sticky.Rules, core.Options{
 			MaxAtoms: budget, MaxNodes: 1 << 20,
 			WitnessPolicy: core.WitnessFreshOnly,
 		}), 1)
-		fmt.Printf("  fresh-only, atom budget %2d: exhausted=%v nodes=%d\n", budget, res.Exhausted, res.Stats.Nodes)
+		x.check(fmt.Sprintf("fresh-only, atom budget %d: exhausted", budget), res.Exhausted, true)
+		x.note("nodes=%d", res.Stats.Nodes)
 	}
 	guarded := ntgd.MustParse(`g(a,b). g(X,Y), not stop(Y) -> g(Y,Z).`)
 	grep := classify.Classify(guarded.Rules)
-	fmt.Printf("growing-guard gadget: guarded=%v weaklyAcyclic=%v (paper: guarded, not WA)\n", grep.Guarded, grep.WeaklyAcyclic)
+	x.check("growing-guard gadget is guarded", grep.Guarded, true)
+	x.check("growing-guard gadget is weakly acyclic", grep.WeaklyAcyclic, false)
 	for _, budget := range []int{16, 32, 64} {
-		res := modelsBudgeted(soEngine(guarded.Database(), guarded.Rules, core.Options{
+		res := x.modelsBudgeted(x.so(guarded.Database(), guarded.Rules, core.Options{
 			MaxAtoms: budget, MaxNodes: 1 << 20,
 			WitnessPolicy: core.WitnessFreshOnly,
 		}), 1)
-		fmt.Printf("  fresh-only, atom budget %2d: exhausted=%v nodes=%d models=%d\n",
-			budget, res.Exhausted, res.Stats.Nodes, len(res.Models))
+		x.check(fmt.Sprintf("fresh-only, atom budget %d: exhausted", budget), res.Exhausted, true)
+		x.check(fmt.Sprintf("fresh-only, atom budget %d: models", budget), len(res.Models), 0)
+		x.note("nodes=%d", res.Stats.Nodes)
 	}
 }
 
 // E10 — Lemma 13 / Theorem 12: disjunction elimination.
-func runE10() {
-	header("E10", "Lemma 13 — disjunction elimination preserves answers")
-	src := `
+func runE10(x *trial) {
+	prog := ntgd.MustParse(`
 node(a). node(b). edge(a,b).
 node(X) -> red(X) | green(X).
 edge(X,Y), red(X), red(Y) -> clash.
 edge(X,Y), green(X), green(Y) -> clash.
-`
-	prog := ntgd.MustParse(src)
+`)
 	elim, err := transform.EliminateDisjunction(prog.Database(), prog.Rules)
-	must(err)
-	fmt.Printf("rules: %d disjunctive -> %d normal\n", len(prog.Rules), len(elim.Rules))
-	native := soEngine(prog.Database(), prog.Rules, core.Options{})
-	elimEng := soEngine(elim.DB, elim.Rules, core.Options{})
+	x.must(err)
+	x.note("rules: %d disjunctive -> %d normal", len(prog.Rules), len(elim.Rules))
+	native := x.so(prog.Database(), prog.Rules, core.Options{})
+	eliminated := x.so(elim.DB, elim.Rules, core.Options{})
 	for _, qs := range []string{"?- clash.", "?- red(a).", "?- node(a), not clash."} {
 		q := ntgd.MustParse(qs).Queries[0]
-		a := cautiousCtx(native, q)
-		b := cautiousCtx(elimEng, q)
-		fmt.Printf("  %-28s native=%-12s eliminated=%-12s agree=%v\n", qs, verdict(a.Entailed), verdict(b.Entailed), a.Entailed == b.Entailed)
+		x.check(qs+" eliminated = native", verdict(x.cautious(eliminated, q)), verdict(x.cautious(native, q)))
 	}
 }
 
 // E11 — Theorems 15/16: DATALOG¬,∨ = WATGD¬.
-func runE11() {
-	header("E11", "Theorem 15 — DATALOG∨ vs WATGD¬ on 2-coloring saturation")
+func runE11(x *trial) {
 	for _, tc := range []struct {
 		name string
 		src  string
-		want bool // brave bad
+		bad  bool // brave bad: the graph is not 2-colorable
 	}{
 		{"path a-b (2-colorable)", `
 node(a). node(b). edge(a,b).
@@ -567,33 +520,35 @@ w -> bad.
 		prog := ntgd.MustParse(tc.src)
 		db := prog.Database()
 		q := ntgd.Query{Pos: []ntgd.Atom{ntgd.A("bad")}}
-		native := braveCtx(soEngine(db, prog.Rules, core.Options{}), q)
 		w, err := transform.DatalogToWATGD(transform.DatalogQuery{Rules: prog.Rules, QueryPred: "bad"}, 0)
-		must(err)
+		x.must(err)
 		qT := ntgd.Query{Pos: []ntgd.Atom{ntgd.A(w.QueryPred)}}
-		trans := braveCtx(soEngine(db, w.Rules, core.Options{}), qT)
-		fmt.Printf("  %-28s native=%v watgd=%v expected=%v weaklyAcyclic(translation)=%v\n",
-			tc.name, native.Entailed, trans.Entailed, tc.want, classify.IsWeaklyAcyclic(w.Rules))
+		x.check(tc.name+": native brave bad", x.brave(x.so(db, prog.Rules, core.Options{}), q), tc.bad)
+		x.check(tc.name+": WATGD¬ brave bad", x.brave(x.so(db, w.Rules, core.Options{}), qT), tc.bad)
+		x.check(tc.name+": translation weakly acyclic", classify.IsWeaklyAcyclic(w.Rules), true)
 	}
 }
 
 // E12 — Section 7.1: 2-QBF via the brave query language WATGD¬_b.
-func runE12() {
-	header("E12", "Section 7.1 — 2-QBF∃ via WATGD¬ under brave semantics")
+func runE12(x *trial) {
 	rng := rand.New(rand.NewSource(13))
+	var formulas []qbf.Formula
 	for i := 0; i < 4; i++ {
-		f := qbf.Random(rng, 1, 1, 2)
+		formulas = append(formulas, qbf.Random(rng, 1, 1, 2))
+	}
+	// The random formulas are all false; ∃x (x ∧ x ∧ x) is true.
+	x1 := qbf.Lit{Var: "x"}
+	formulas = append(formulas, qbf.Formula{Exists: []string{"x"}, Terms: []qbf.Term{{x1, x1, x1}}})
+	rules, q := encodings.QBFBraveQuery()
+	for _, f := range formulas {
 		db, err := encodings.QBFDatabase(f)
-		must(err)
-		rules, q := encodings.QBFBraveQuery()
-		res := braveCtx(soEngine(db, rules, core.Options{}), q)
-		fmt.Printf("  %-34s brave ans=%v brute=%v\n", f, res.Entailed, f.EvalBrute())
+		x.must(err)
+		x.check(fmt.Sprintf("%s: brave answer = brute force", f), x.brave(x.so(db, rules, core.Options{}), q), f.EvalBrute())
 	}
 }
 
 // E13 — Section 7.1: certain k-colorability.
-func runE13() {
-	header("E13", "Section 7.1 — certain k-colorability (CERT3COL-style)")
+func runE13(x *trial) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 4; i++ {
 		g := encodings.CertColGraph{K: 2}
@@ -609,14 +564,13 @@ func runE13() {
 			g.Edges = append(g.Edges, encodings.LabeledEdge{
 				U: g.Vertices[u], W: g.Vertices[w], Var: "p", Neg: rng.Intn(2) == 1})
 		}
-		res := braveCtx(soEngine(g.Database(), g.DatalogProgram(), core.Options{}), g.BadQuery())
-		fmt.Printf("  instance %d: encoding certain=%v brute=%v\n", i, !res.Entailed, g.BruteForce())
+		bad := x.brave(x.so(g.Database(), g.DatalogProgram(), core.Options{}), g.BadQuery())
+		x.check(fmt.Sprintf("instance %d: certain = brute force", i), !bad, g.BruteForce())
 	}
 }
 
 // E14 — Section 7.1: consistent query answering.
-func runE14() {
-	header("E14", "Section 7.1 — consistent query answering (⊆-repairs)")
+func runE14(x *trial) {
 	prog := ntgd.MustParse(`
 mgr(sales, ann).
 mgr(sales, bob).
@@ -634,35 +588,30 @@ mgr(D, X) -> emp(X).
 		}
 	}
 	repairs, err := inst.BruteForceRepairs()
-	must(err)
-	fmt.Printf("repairs: %d\n", len(repairs))
+	x.must(err)
+	x.note("repairs: %d", len(repairs))
+	opt := core.Options{Workers: x.workers}
 	for _, qs := range []string{"?- emp(eve).", "?- emp(ann).", "?- mgr(sales,X), emp(X)."} {
 		q := ntgd.MustParse(qs).Queries[0]
-		enc, err := inst.CertainEncoded(q, core.Options{})
-		must(err)
-		brute, err := inst.CertainBrute(q, core.Options{})
-		must(err)
-		fmt.Printf("  %-28s encoding=%v brute=%v agree=%v\n", qs, enc, brute, enc == brute)
+		enc, err := inst.CertainEncoded(q, opt)
+		x.must(err)
+		brute, err := inst.CertainBrute(q, opt)
+		x.must(err)
+		x.check(qs+" encoding = brute force", enc, brute)
 	}
 }
 
 // E15 — Theorems 19/20: the expressiveness gap between LP and SO.
-func runE15() {
-	header("E15", "Theorems 19/20 — LP vs SO model spaces")
+func runE15(x *trial) {
 	prog := ntgd.MustParse(fatherSrc)
 	db := prog.Database()
-	so := modelsCtx(soEngine(db, prog.Rules, core.Options{ExtraConstants: []ntgd.Term{ntgd.C("bob")}}), 0)
-	lpRes := modelsCtx(lpEngine(db, prog.Rules), 0)
-	fmt.Printf("SO stable models (witness pool incl. bob): %d\n", len(so.Models))
-	fmt.Printf("LP stable models:                          %d (Skolemization collapses the witness space)\n", len(lpRes.Models))
-}
-
-func indent(s string) string {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	for i := range lines {
-		lines[i] = "  " + lines[i]
-	}
-	return strings.Join(lines, "\n") + "\n"
+	// Under SO the father is any member of the witness pool: alice, a
+	// fresh null, and bob when he is a query constant.
+	withBob := x.so(db, prog.Rules, core.Options{ExtraConstants: []ntgd.Term{ntgd.C("bob")}})
+	x.check("SO stable models, witness pool incl. bob", len(x.models(withBob)), 3)
+	x.check("SO stable models, no extra constants", len(x.models(x.so(db, prog.Rules, core.Options{}))), 2)
+	// Skolemization collapses the witness space to one Skolem term.
+	x.check("LP stable models", len(x.models(x.lp(db, prog.Rules))), 1)
 }
 
 func sameModelSets(a, b []*ntgd.FactStore) bool {

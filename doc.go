@@ -58,7 +58,10 @@
 //	verdict, err := solver.Entails(ctx, prog.Queries[0], ntgd.Cautious)
 //
 // See the examples/ directory for runnable programs and cmd/smsbench
-// for the paper-reproduction experiments (E1–E15).
+// for the paper-reproduction experiments (E1–E15). Each experiment is
+// one table entry whose rows pair the engine's value with the paper's
+// verdict or an independent oracle; cmd/smsbench's TestExperiments
+// asserts every row, and the command prints them.
 //
 // # Solver sessions
 //
@@ -103,10 +106,11 @@
 // Options.MaxConcurrentRuns bounds how many are admitted at once.
 // Every terminal error matches exactly one class of a small taxonomy
 // under errors.Is: ErrBudget (node, atom, or — via ErrWallClock, which
-// is itself a budget — Options.MaxWallClock exhaustion), ErrMemory
-// (the Options.MaxMemory retained-allocation watermark: bytes of
-// packed tuples added across all branches plus stability-clause
-// literals), ErrAdmission
+// is itself a budget — Options.MaxWallClock exhaustion; under LP also
+// a grounding past its atom or term-size bound, which fails Compile),
+// ErrMemory (the Options.MaxMemory retained-allocation watermark:
+// bytes of packed tuples added across all branches plus
+// stability-clause literals), ErrAdmission
 // (the gate refused a run because its context ended while queued; the
 // context cause is wrapped), and ErrInternal (an engine panic,
 // recovered at the worker boundary and converted to a typed
@@ -134,20 +138,22 @@
 // compiled program in a single round trip. Programs are compiled once
 // and cached by canonical hash — facts and rules are sorted and
 // deduplicated, so submissions differing only in whitespace, comments,
-// or ordering share one entry — with single-flight compilation and LRU
-// eviction. Every request runs under a deadline (timeout_ms, clamped
-// by the server), client disconnects cancel the run through the same
-// context plumbing as Models(ctx), and one shared admission Gate
+// or ordering share one entry, and the canonical text quotes every name
+// that would not lex back as itself, so different programs never do —
+// with single-flight compilation and LRU eviction; uploaded fact bases
+// sit in a second instance of the same cache. Every request runs under
+// a deadline (timeout_ms, clamped by the server), client disconnects
+// cancel the run through the same context plumbing as Models(ctx), and
+// one shared admission Gate
 // (CompileOptions.Gate) bounds concurrent engine runs across all
 // cached programs. The error taxonomy above maps onto distinct HTTP
 // statuses mirroring the ntgdctl exit-code contract: 422 budget,
 // 429 admission, 504 timeout, 507 memory, 500 internal — every error
 // body carrying the partial Stats of the interrupted run. /healthz and
 // /statz expose liveness and cumulative cache/engine counters, and
-// SIGTERM drains gracefully. cmd/ntgdbench drives an experiments.json
-// grid against the daemon at rising client concurrency, reporting
-// p50/p95/p99 latency and models/sec into the BENCH_*.json trajectory;
-// see examples/server for a runnable quickstart.
+// SIGTERM drains gracefully. The repository benchmark (perfbench, its
+// serve workload) measures the daemon end to end; see examples/server
+// for a runnable quickstart.
 //
 // # Overload
 //
@@ -178,12 +184,11 @@
 // capped exponential backoff and full jitter, never sleeping less
 // than the server's Retry-After hint and never exceeding a per-call
 // retry budget; deterministic failures (400, 404, 413, 422, 500, 507)
-// surface immediately as *ntgdclient.APIError. ntgdbench -overload
-// measures the policy end to end — open-loop load at 1x/2x/4x
-// measured capacity against a shedding and a parking daemon —
-// recording in BENCH_*.json that shedding preserves goodput where
-// parking collapses; see examples/ntgdclient for a runnable
-// quickstart.
+// surface immediately as *ntgdclient.APIError. cmd/ntgdbench measures
+// the policy end to end — open-loop load at 1x/2x/4x measured capacity
+// against a shedding and a parking daemon, one JSON line per point —
+// to show that shedding preserves goodput where parking collapses; see
+// examples/ntgdclient for a runnable quickstart.
 //
 // # Storage
 //

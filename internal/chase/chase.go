@@ -12,11 +12,11 @@ package chase
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
 
+	"ntgd/internal/engine"
 	"ntgd/internal/failpoint"
 	"ntgd/internal/logic"
 )
@@ -47,7 +47,8 @@ func (v Variant) String() string {
 
 // ErrBudget is returned when the chase exceeds its atom or round
 // budget before reaching a fixpoint (e.g. on non-terminating inputs).
-var ErrBudget = errors.New("chase: atom/round budget exhausted before fixpoint")
+// It matches engine.ErrBudget under errors.Is.
+var ErrBudget = fmt.Errorf("chase: atom/round budget exhausted before fixpoint (%w)", engine.ErrBudget)
 
 // Options configures a chase run. The zero value uses the restricted
 // chase with generous defaults.
@@ -290,7 +291,7 @@ func CertainBCQ(db *logic.FactStore, rules []*logic.Rule, q logic.Query, opt Opt
 	return logic.ExistsHom(q.Pos, nil, res.Instance, logic.Subst{}), nil
 }
 
-// BudgetForStableSearch returns an atom budget for the stable model
+// BudgetForStableSearchCtx returns an atom budget for the stable model
 // search of a weakly-acyclic set Σ: the size of the oblivious chase of
 // Σ⁺ over the database extended with the query constants, doubled,
 // with a floor of 64. Proposition 9 guarantees that every stable
@@ -298,15 +299,10 @@ func CertainBCQ(db *logic.FactStore, rules []*logic.Rule, q logic.Query, opt Opt
 // sequence of Σ⁺, which the oblivious chase dominates. For
 // non-weakly-acyclic inputs the oblivious chase itself may not
 // terminate; the internal budget then caps it and the returned bound is
-// that cap. The engine itself probes once per compiled program through
-// ProbeStableSearch and bounds derived atoms instead.
-func BudgetForStableSearch(db *logic.FactStore, rules []*logic.Rule, extraConsts []logic.Term, cap int) int {
-	return BudgetForStableSearchCtx(context.Background(), db, rules, extraConsts, cap)
-}
-
-// BudgetForStableSearchCtx is BudgetForStableSearch with cancellation:
-// when ctx is cancelled mid-probe the cap is returned, letting the
-// caller's own context check abort promptly.
+// that cap, as it is when ctx is cancelled mid-probe (the caller's own
+// context check then aborts promptly). The engine itself probes once
+// per compiled program through ProbeStableSearch and bounds derived
+// atoms instead.
 func BudgetForStableSearchCtx(ctx context.Context, db *logic.FactStore, rules []*logic.Rule, extraConsts []logic.Term, cap int) int {
 	if cap <= 0 {
 		cap = 1 << 14

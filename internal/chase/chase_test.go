@@ -1,6 +1,7 @@
 package chase_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -140,7 +141,7 @@ person(X) -> hasFather(X,Y).
 hasFather(X,Y) -> sameAs(Y,Y).
 hasFather(X,Y), hasFather(X,Z), not sameAs(Y,Z) -> abnormal(X).
 `)
-	b := chase.BudgetForStableSearch(prog.Database(), prog.Rules, []logic.Term{logic.C("bob")}, 0)
+	b := chase.BudgetForStableSearchCtx(context.Background(), prog.Database(), prog.Rules, []logic.Term{logic.C("bob")}, 0)
 	if b < 5 {
 		t.Fatalf("budget %d too small to hold any stable model", b)
 	}
@@ -150,7 +151,7 @@ node(a).
 node(X) -> succ(X,Y).
 succ(X,Y) -> node(Y).
 `)
-	b2 := chase.BudgetForStableSearch(bad.Database(), bad.Rules, nil, 512)
+	b2 := chase.BudgetForStableSearchCtx(context.Background(), bad.Database(), bad.Rules, nil, 512)
 	if b2 != 512 {
 		t.Fatalf("cap fallback = %d, want 512", b2)
 	}

@@ -429,13 +429,6 @@ func StableModels(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Resul
 	return engine.CollectModels(context.Background(), c, engine.Params{}, opt.MaxModels)
 }
 
-// EnumStableModels streams stable models to visit (return false to
-// stop). The bool result reports budget exhaustion (the enumeration may
-// then be incomplete).
-func EnumStableModels(db *logic.FactStore, rules []*logic.Rule, opt Options, visit func(*logic.FactStore) bool) (Stats, bool, error) {
-	return enumStableModels(db, rules, opt, visit, false)
-}
-
 // enumStableModelsNaive runs the search with the full-rescan trigger
 // detection (findTriggerNaive) instead of the delta-driven agenda. It
 // is kept package-private as the differential-test oracle pinning the
@@ -1331,6 +1324,3 @@ func IsStableModel(db *logic.FactStore, rules []*logic.Rule, m *logic.FactStore)
 	}
 	return stableAgainstSubsets(db, rules, m)
 }
-
-// Describe renders a model deterministically for tests and tools.
-func Describe(m *logic.FactStore) string { return m.CanonicalString() }

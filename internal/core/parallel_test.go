@@ -51,10 +51,10 @@ func TestParallelMatchesSequentialSet(t *testing.T) {
 	db := prog.Database()
 	keysAt := func(workers int) []string {
 		var keys []string
-		_, exhausted, err := EnumStableModels(db, prog.Rules, Options{Workers: workers}, func(m *logic.FactStore) bool {
+		_, exhausted, err := enumStableModels(db, prog.Rules, Options{Workers: workers}, func(m *logic.FactStore) bool {
 			keys = append(keys, canonicalModelKey(m))
 			return true
-		})
+		}, false)
 		if err != nil || exhausted {
 			t.Fatalf("workers=%d: err=%v exhausted=%v", workers, err, exhausted)
 		}
@@ -159,8 +159,8 @@ func TestParallelEarlyVisitorStop(t *testing.T) {
 func TestParallelBudgetExhaustion(t *testing.T) {
 	prog := choiceProgram(t, 10)
 	baseline := runtime.NumGoroutine()
-	_, exhausted, err := EnumStableModels(prog.Database(), prog.Rules,
-		Options{Workers: 4, MaxNodes: 64}, func(m *logic.FactStore) bool { return true })
+	_, exhausted, err := enumStableModels(prog.Database(), prog.Rules,
+		Options{Workers: 4, MaxNodes: 64}, func(m *logic.FactStore) bool { return true }, false)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}

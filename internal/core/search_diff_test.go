@@ -88,14 +88,10 @@ func randomSearchProgram(rng *rand.Rand) *logic.Program {
 func canonicalModelSet(t *testing.T, db *logic.FactStore, rules []*logic.Rule, opt Options, naive bool) ([]string, bool) {
 	t.Helper()
 	var keys []string
-	run := EnumStableModels
-	if naive {
-		run = enumStableModelsNaive
-	}
-	_, exhausted, err := run(db, rules, opt, func(m *logic.FactStore) bool {
+	_, exhausted, err := enumStableModels(db, rules, opt, func(m *logic.FactStore) bool {
 		keys = append(keys, canonicalModelKey(m))
 		return true
-	})
+	}, naive)
 	if err != nil && !exhausted {
 		t.Fatalf("search error: %v", err)
 	}

@@ -221,7 +221,7 @@ func sessionCounts(t *testing.T, prog *logic.Program, workers int) (Stats, *stab
 	t.Helper()
 	var counts stabCounts
 	opt := Options{MaxAtoms: 256, Workers: workers, stabCounts: &counts}
-	st, _, err := EnumStableModels(prog.Database(), prog.Rules, opt, func(*logic.FactStore) bool { return true })
+	st, _, err := enumStableModels(prog.Database(), prog.Rules, opt, func(*logic.FactStore) bool { return true }, false)
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}

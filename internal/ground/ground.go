@@ -1,21 +1,28 @@
 package ground
 
 import (
-	"errors"
 	"fmt"
 
 	"ntgd/internal/asp"
+	"ntgd/internal/engine"
 	"ntgd/internal/logic"
 )
 
 // ErrBudget is returned when grounding exceeds its budget, e.g. for a
 // non-weakly-acyclic Skolemized program whose Herbrand expansion is
-// infinite.
-var ErrBudget = errors.New("ground: atom/instance budget exhausted")
+// infinite. It matches engine.ErrBudget under errors.Is.
+var ErrBudget = fmt.Errorf("ground: atom/instance budget exhausted (%w)", engine.ErrBudget)
+
+// keyBytesPerAtom sizes the bound on the bytes of term keys one
+// grounding interns: MaxAtoms atoms of this much key each.
+const keyBytesPerAtom = 256
 
 // Options bounds the grounding.
 type Options struct {
-	// MaxAtoms bounds the derivable Herbrand base (0 = 1<<18).
+	// MaxAtoms bounds the derivable Herbrand base (0 = 1<<18). It also
+	// bounds, at 256 bytes per atom, the total length of the keys of the
+	// terms the grounding interns: nested Skolem terms can grow those
+	// keys quadratically or exponentially in the number of atoms.
 	MaxAtoms int
 	// MaxInstances bounds the number of ground rules (0 = 1<<20).
 	MaxInstances int
@@ -86,6 +93,11 @@ func Ground(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Grounding, 
 	total := db.Len()
 	var sc logic.Scratch
 	var kb []byte
+	// The Symbols table is shared with db's other stores, so the key
+	// bound counts from what it holds now.
+	syms := db.Symbols()
+	keyLimit := keyBytesPerAtom * int64(opt.MaxAtoms)
+	maxKeyBytes := syms.KeyBytes() + keyLimit
 
 	// The derivable base, computed semi-naively: after the first round
 	// each rule's body homomorphisms are seeded from the atoms added in
@@ -125,6 +137,12 @@ func Ground(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Grounding, 
 								pending[string(key)] = id
 								additions = append(additions, key...)
 								ends = append(ends, int32(len(additions)))
+								// Only a new atom can hold a new term.
+								if syms.KeyBytes() > maxKeyBytes {
+									overflow = fmt.Errorf("%w: the grounding's term keys exceed %d bytes (%d per Options.MaxAtoms)",
+										ErrBudget, keyLimit, keyBytesPerAtom)
+									return false
+								}
 							}
 						}
 						in.heads = append(in.heads, id)

@@ -1,9 +1,11 @@
 package ground_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"ntgd/internal/engine"
 	"ntgd/internal/ground"
 	"ntgd/internal/logic"
 	"ntgd/internal/parser"
@@ -116,6 +118,27 @@ succ(X,Y) -> node(Y).
 	sk := ground.Skolemize(prog.Rules)
 	if _, err := ground.Ground(prog.Database(), sk, ground.Options{MaxAtoms: 64}); err == nil {
 		t.Fatalf("expected budget error")
+	}
+}
+
+// TestGroundTermSizeBudget: nested Skolem terms whose keys grow
+// quadratically (the first program) or like Fibonacci numbers (the
+// other two) stop at the term-size bound, 256 bytes per MaxAtoms, long
+// before MaxAtoms atoms, with an ErrBudget that is an engine.ErrBudget.
+func TestGroundTermSizeBudget(t *testing.T) {
+	for _, src := range []string{
+		"p(a). p(X) -> q(X,Y). q(X,Y) -> p(Y).",
+		"e(a,b). e(X,Y) -> e(Y,Z).",
+		"p(a,b). p(X,Y) -> p(Y,Z).",
+	} {
+		prog := parser.MustParse(src)
+		_, err := ground.Ground(prog.Database(), ground.Skolemize(prog.Rules), ground.Options{MaxAtoms: 4096})
+		if !errors.Is(err, ground.ErrBudget) || !errors.Is(err, engine.ErrBudget) {
+			t.Fatalf("%s: err = %v, want ErrBudget", src, err)
+		}
+		if !strings.Contains(err.Error(), "term keys") {
+			t.Fatalf("%s: err = %v, want the term-size bound", src, err)
+		}
 	}
 }
 

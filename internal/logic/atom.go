@@ -65,13 +65,17 @@ func (a Atom) Key() string {
 	return b.String()
 }
 
-// String renders the atom as p(t1,...,tn), or just p for 0-ary atoms.
+// String renders the atom as p(t1,...,tn), or just p for 0-ary atoms,
+// quoting symbols as Term.String does.
 func (a Atom) String() string {
-	if len(a.Args) == 0 {
+	if len(a.Args) == 0 && plainName(a.Pred) {
 		return a.Pred
 	}
 	var b strings.Builder
-	b.WriteString(a.Pred)
+	writeName(&b, a.Pred)
+	if len(a.Args) == 0 {
+		return b.String()
+	}
 	b.WriteByte('(')
 	for i, t := range a.Args {
 		if i > 0 {

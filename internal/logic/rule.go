@@ -206,20 +206,23 @@ func (r *Rule) name() string {
 }
 
 // String renders the rule in the surface syntax, e.g.
-// "p(X), not q(X) -> r(X,Y) | s(X)".
+// "p(X), not q(X) -> r(X,Y) | s(X)", and a constraint as
+// ":- p(X), q(X)".
 func (r *Rule) String() string {
 	var b strings.Builder
+	if r.IsConstraint() {
+		b.WriteString(":- ")
+	}
 	for i, l := range r.Body {
 		if i > 0 {
 			b.WriteString(", ")
 		}
 		b.WriteString(l.String())
 	}
-	b.WriteString(" -> ")
-	if len(r.Heads) == 0 {
-		b.WriteString("#false")
+	if r.IsConstraint() {
 		return b.String()
 	}
+	b.WriteString(" -> ")
 	for i, disj := range r.Heads {
 		if i > 0 {
 			b.WriteString(" | ")

@@ -67,9 +67,9 @@ func TestRuleString(t *testing.T) {
 			t.Fatalf("String() = %q missing %q", s, want)
 		}
 	}
-	c := &Rule{Body: []Literal{Pos(A("p", V("X")))}}
-	if !strings.Contains(c.String(), "#false") {
-		t.Fatalf("constraint renders %q", c.String())
+	c := &Rule{Body: []Literal{Pos(A("p", V("X"))), Neg(A("q", V("X")))}}
+	if got := c.String(); got != ":- p(X), not q(X)" {
+		t.Fatalf("constraint renders %q", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package logic
 import (
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 )
 
 // Symbols is a hash-consing interner mapping ground terms and predicate
@@ -37,6 +38,10 @@ type Symbols struct {
 
 	predNames []string
 	preds     map[string]uint32
+
+	// keyBytes totals the lengths of keys, for KeyBytes to read without
+	// the lock.
+	keyBytes atomic.Int64
 }
 
 type simpleKey struct {
@@ -206,10 +211,18 @@ func (s *Symbols) internLocked(t Term) uint32 {
 
 func (s *Symbols) pushLocked(t Term) uint32 {
 	id := uint32(len(s.terms))
+	key := t.Key()
 	s.terms = append(s.terms, t)
-	s.keys = append(s.keys, t.Key())
+	s.keys = append(s.keys, key)
+	s.keyBytes.Add(int64(len(key)))
 	return id
 }
+
+// KeyBytes returns the total length of the canonical keys of every term
+// interned so far. A nested term's key renders its arguments in full, so
+// this total, not the number of terms, is what a run of nested Skolem
+// terms grows without bound; ground.Ground bounds it.
+func (s *Symbols) KeyBytes() int64 { return s.keyBytes.Load() }
 
 // appendAtomKey appends the packed fact key of the ground atom — the
 // predicate id followed by one term id per argument, little-endian —

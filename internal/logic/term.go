@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode"
 )
 
 // TermKind discriminates the four kinds of terms.
@@ -121,7 +122,8 @@ func (t Term) Equal(u Term) bool {
 }
 
 // String renders the term: constants and variables by name, nulls as
-// _:label, function terms as f(args).
+// _:label, function terms as f(args). A constant or function symbol
+// that would not lex back as itself is quoted (see writeName).
 func (t Term) String() string {
 	var b strings.Builder
 	t.write(&b)
@@ -133,8 +135,10 @@ func (t Term) write(b *strings.Builder) {
 	case Null:
 		b.WriteString("_:")
 		b.WriteString(t.Name)
-	case Func:
+	case Var:
 		b.WriteString(t.Name)
+	case Func:
+		writeName(b, t.Name)
 		b.WriteByte('(')
 		for i, a := range t.Args {
 			if i > 0 {
@@ -144,9 +148,83 @@ func (t Term) write(b *strings.Builder) {
 		}
 		b.WriteByte(')')
 	default:
-		b.WriteString(t.Name)
+		writeName(b, t.Name)
 	}
 }
+
+// writeName writes a constant, function or predicate symbol so that the
+// parser reads it back as the same symbol: bare when it lexes as one
+// identifier that is not a variable or the keyword not, and in double
+// quotes otherwise. Quoting keeps the rendering of a parsed program
+// injective, which the daemon's cache key depends on.
+func writeName(b *strings.Builder, name string) {
+	if plainName(name) {
+		b.WriteString(name)
+		return
+	}
+	b.WriteByte('"')
+	b.WriteString(name)
+	b.WriteByte('"')
+}
+
+// plainName reports whether name lexes back as itself unquoted: a run
+// of digits and underscores starting with a digit, or a letter that is
+// not upper case followed by letters, digits, underscores and
+// apostrophes.
+func plainName(name string) bool {
+	if name == "" {
+		return false
+	}
+	switch first := byteClasses[name[0]]; {
+	case first&ByteConstStart != 0:
+		for i := 1; i < len(name); i++ {
+			if byteClasses[name[i]]&ByteNamePart == 0 {
+				return false
+			}
+		}
+		return name != "not"
+	case first&ByteDigit != 0:
+		for i := 1; i < len(name); i++ {
+			if c := name[i]; byteClasses[c]&ByteDigit == 0 && c != '_' {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// Byte classes of the surface syntax, which internal/parser's lexer
+// reads and writeName inverts. The lexer reads each byte as a Latin-1
+// rune, so a multi-byte UTF-8 letter lexes as whatever its bytes are.
+const (
+	ByteDigit      = 1 << iota // a decimal digit: starts a number
+	ByteConstStart             // a letter not upper case: starts a constant or predicate name
+	ByteVarStart               // an upper-case letter or underscore: starts a variable
+	ByteNamePart               // a letter, digit, underscore or apostrophe: continues a name
+)
+
+// ByteClass returns the byte classes c belongs to.
+func ByteClass(c byte) uint8 { return byteClasses[c] }
+
+var byteClasses = func() (t [256]uint8) {
+	for i := range t {
+		r := rune(i)
+		if unicode.IsDigit(r) {
+			t[i] |= ByteDigit
+		}
+		if unicode.IsLetter(r) && !unicode.IsUpper(r) {
+			t[i] |= ByteConstStart
+		}
+		if unicode.IsUpper(r) || r == '_' {
+			t[i] |= ByteVarStart
+		}
+		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '\'' {
+			t[i] |= ByteNamePart
+		}
+	}
+	return t
+}()
 
 // Key returns a canonical string usable as a map key. Distinct terms
 // have distinct keys (kind is encoded, so constant "x" and variable "x"

@@ -28,19 +28,6 @@ type Options struct {
 	Ground ground.Options
 	// Solve configures stable model enumeration.
 	Solve asp.SolveOptions
-	// MaxModels limits enumeration (0 = all).
-	MaxModels int
-}
-
-// Result is the outcome of stable model computation under the LP
-// approach.
-type Result struct {
-	// Models holds the stable models over the original vocabulary
-	// (atoms may contain Skolem function terms).
-	Models []*logic.FactStore
-	// Grounding gives access to the intermediate ground program.
-	Grounding *ground.Grounding
-	Stats     asp.Stats
 }
 
 // Compiled is the LP pipeline compiled for one program: rules
@@ -180,28 +167,14 @@ func (c *Compiled) Enumerate(ctx context.Context, _ engine.Params, visit func(*l
 }
 
 // StableModels computes the stable models of (D, Σ) under the LP
-// approach: SMS_LP(Π_{D,Σ}).
-func StableModels(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Result, error) {
+// approach, SMS_LP(Π_{D,Σ}), up to opt.Solve.MaxModels of them (0 =
+// all).
+func StableModels(db *logic.FactStore, rules []*logic.Rule, opt Options) (*engine.Result, error) {
 	c, err := Compile(db, rules, opt)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Grounding: c.g}
-	solveOpt := c.solve
-	solveOpt.MaxModels = opt.Solve.MaxModels
-	if solveOpt.MaxModels == 0 {
-		solveOpt.MaxModels = opt.MaxModels
-	}
-	store := c.modelStores()
-	stats, err := asp.Solve(c.g.Prog, solveOpt, func(m asp.Model) bool {
-		res.Models = append(res.Models, store(m))
-		return opt.MaxModels == 0 || len(res.Models) < opt.MaxModels
-	})
-	res.Stats = stats
-	if err != nil {
-		return res, err
-	}
-	return res, nil
+	return engine.CollectModels(context.Background(), c, engine.Params{}, opt.Solve.MaxModels)
 }
 
 // CautiousEntails decides whether q holds in every LP-stable model.
@@ -211,15 +184,5 @@ func CautiousEntails(db *logic.FactStore, rules []*logic.Rule, q logic.Query, op
 		return false, err
 	}
 	res, err := engine.CautiousEntails(context.Background(), c, engine.Params{}, q)
-	return res.Entailed, err
-}
-
-// BraveEntails decides whether q holds in some LP-stable model.
-func BraveEntails(db *logic.FactStore, rules []*logic.Rule, q logic.Query, opt Options) (bool, error) {
-	c, err := Compile(db, rules, opt)
-	if err != nil {
-		return false, err
-	}
-	res, err := engine.BraveEntails(context.Background(), c, engine.Params{}, q)
 	return res.Entailed, err
 }

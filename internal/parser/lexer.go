@@ -19,7 +19,8 @@ package parser
 import (
 	"fmt"
 	"strings"
-	"unicode"
+
+	"ntgd/internal/logic"
 )
 
 type tokenKind int
@@ -135,13 +136,8 @@ func (l *lexer) skipSpaceAndComments() {
 	}
 }
 
-func isIdentStart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c))
-}
-
-func isIdentPart(c byte) bool {
-	return c == '_' || c == '\'' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
-}
+// is reports whether byte c belongs to one of the logic.Byte* classes.
+func is(c byte, classes uint8) bool { return logic.ByteClass(c)&classes != 0 }
 
 func (l *lexer) next() (token, error) {
 	l.skipSpaceAndComments()
@@ -204,23 +200,22 @@ func (l *lexer) next() (token, error) {
 		}
 		l.advance() // closing quote
 		return token{tokIdent, b.String(), line, col}, nil
-	case unicode.IsDigit(rune(c)):
+	case is(c, logic.ByteDigit):
 		var b strings.Builder
-		for l.pos < len(l.src) && (unicode.IsDigit(rune(l.peekByte())) || l.peekByte() == '_') {
+		for l.pos < len(l.src) && (is(l.peekByte(), logic.ByteDigit) || l.peekByte() == '_') {
 			b.WriteByte(l.advance())
 		}
 		return token{tokIdent, b.String(), line, col}, nil
-	case isIdentStart(c):
+	case is(c, logic.ByteConstStart|logic.ByteVarStart):
 		var b strings.Builder
-		for l.pos < len(l.src) && isIdentPart(l.peekByte()) {
+		for l.pos < len(l.src) && is(l.peekByte(), logic.ByteNamePart) {
 			b.WriteByte(l.advance())
 		}
 		text := b.String()
 		if text == "not" {
 			return token{tokNot, text, line, col}, nil
 		}
-		first := rune(text[0])
-		if first == '_' || unicode.IsUpper(first) {
+		if is(text[0], logic.ByteVarStart) {
 			return token{tokVar, text, line, col}, nil
 		}
 		return token{tokIdent, text, line, col}, nil

@@ -97,8 +97,10 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestParseRoundTrip(t *testing.T) {
-	src := `p(a).
+	src := `p(a). p("a,b"). p("X"). "Q"("not", "", "1a", "_u", "é", 007).
 p(X), not q(X) -> r(X,Y) | s(X).
+:- p(X), not "Q"(X,X,X,X,X,X).
+q("X") -> r("X", f("Y")).
 ?- r(a,Y), not s(a).
 `
 	prog := MustParse(src)
@@ -108,6 +110,21 @@ p(X), not q(X) -> r(X,Y) | s(X).
 	}
 	if prog.String() != again.String() {
 		t.Fatalf("round trip unstable:\n%s\nvs\n%s", prog.String(), again.String())
+	}
+	// The reparse is the same program, not only the same text: quoted
+	// names stay constants, and the constraint stays a constraint.
+	for i, f := range prog.Facts {
+		if f.Key() != again.Facts[i].Key() {
+			t.Fatalf("fact %d: %s reparsed as %s", i, f.Key(), again.Facts[i].Key())
+		}
+	}
+	for i, r := range prog.Rules {
+		if got, want := again.Rules[i].IsConstraint(), r.IsConstraint(); got != want {
+			t.Fatalf("rule %d: constraint %v reparsed as %v", i, want, got)
+		}
+	}
+	if got := again.Rules[2].Heads[0][0].Args[0]; got.Kind != logic.Const || got.Name != "X" {
+		t.Fatalf("quoted constant reparsed as %v %q", got.Kind, got.Name)
 	}
 }
 

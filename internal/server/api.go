@@ -16,8 +16,9 @@
 //	                          shrink the payload instead of treating it
 //	                          as a syntax error — it is never retried
 //	                          as-is
-//	422 Unprocessable Entity  search budget exhausted (nodes, atoms,
-//	                          or the wall-clock budget — ntgdctl 3)
+//	422 Unprocessable Entity  budget exhausted: the search's nodes or
+//	                          atoms, the wall-clock budget, or an LP
+//	                          compile's grounding (ntgdctl 3)
 //	429 Too Many Requests     admission refused: the queue was at its
 //	                          bound (shed immediately), the deadline
 //	                          was provably hopeless (shed immediately),

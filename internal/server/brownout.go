@@ -74,7 +74,7 @@ func (s *Server) ObserveMemory(live uint64) PressureLevel {
 	if level >= PressureSoft {
 		// Re-purge on every pressured sample: the caches refill as
 		// traffic keeps arriving between watchdog ticks.
-		s.cache.purge()
+		s.programs.purge()
 		s.dbs.purge()
 	}
 	if level == prev {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -19,6 +20,12 @@ import (
 //   - whitespace and comments vanish (the parser discards them);
 //   - facts are sorted and deduplicated (a database is a set);
 //   - rules are sorted by their canonical rendering and deduplicated.
+//
+// The rendering quotes every constant and predicate name that would not
+// lex back as itself and prints a constraint as ":- body", so the
+// canonical source parses back to the canonical program: two programs
+// share a source, and a cache key, only when they have the same facts
+// and rules.
 //
 // Rule order is normalized on purpose: branch-trigger selection is by
 // rule index (PR 2/6), so two clients submitting the same rules in
@@ -35,35 +42,33 @@ func Canonicalize(src string) (*ntgd.Program, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	facts := make([]ntgd.Atom, len(p.Facts))
-	copy(facts, p.Facts)
-	sort.Slice(facts, func(i, j int) bool { return facts[i].String() < facts[j].String() })
-	facts = dedupBy(facts, func(a ntgd.Atom) string { return a.String() })
-	rules := make([]*ntgd.Rule, len(p.Rules))
-	copy(rules, p.Rules)
-	sort.Slice(rules, func(i, j int) bool { return rules[i].String() < rules[j].String() })
-	rules = dedupBy(rules, func(r *ntgd.Rule) string { return r.String() })
-
 	var b strings.Builder
-	for _, f := range facts {
-		b.WriteString(f.String())
-		b.WriteString(".\n")
-	}
-	for _, r := range rules {
-		b.WriteString(r.String())
-		b.WriteString(".\n")
-	}
+	facts := canonical(p.Facts, ntgd.Atom.String, &b)
+	rules := canonical(p.Rules, (*ntgd.Rule).String, &b)
 	return &ntgd.Program{Facts: facts, Rules: rules}, b.String(), nil
 }
 
-func dedupBy[T any](in []T, key func(T) string) []T {
-	out := in[:0]
-	prev := ""
-	for i, v := range in {
-		if k := key(v); i == 0 || k != prev {
-			out = append(out, v)
-			prev = k
+// canonical returns the items sorted by their rendering, without
+// repeats, and writes each kept item's rendering to b as one statement
+// per line. Each item is rendered once.
+func canonical[T any](items []T, render func(T) string, b *strings.Builder) []T {
+	type rendered struct {
+		text string
+		item T
+	}
+	rs := make([]rendered, len(items))
+	for i, it := range items {
+		rs[i] = rendered{render(it), it}
+	}
+	sort.Slice(rs, func(i, j int) bool { return rs[i].text < rs[j].text })
+	out := make([]T, 0, len(rs))
+	for i, r := range rs {
+		if i > 0 && r.text == rs[i-1].text {
+			continue
 		}
+		out = append(out, r.item)
+		b.WriteString(r.text)
+		b.WriteString(".\n")
 	}
 	return out
 }
@@ -82,8 +87,9 @@ func cacheKey(sem ntgd.Semantics, canonical, db string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// CacheStats is a point-in-time snapshot of the compiled-program
-// cache's counters, surfaced by /statz.
+// CacheStats is a point-in-time snapshot of a cache's counters,
+// surfaced by /statz. Compiles counts builds: program compiles in the
+// program cache, Database loads in the fact-base cache.
 type CacheStats struct {
 	Entries   int   `json:"entries"`
 	Hits      int64 `json:"hits"`
@@ -92,68 +98,46 @@ type CacheStats struct {
 	Compiles  int64 `json:"compiles"`
 }
 
-// progCache is the compiled-program cache: canonical-hash keyed, LRU
-// bounded, with single-flight compilation — concurrent submissions of
-// one canonical program trigger exactly one Compile; the rest wait on
-// the winner's entry. Failed compiles are reported to every waiter but
-// never cached, so a transient condition cannot poison the key.
-type progCache struct {
-	cap     int
-	compile func(*ntgd.Program, ntgd.Semantics, *ntgd.Database) (*ntgd.Solver, error)
+// cache is the daemon's bounded least-recently-used cache with
+// single-flight builds; one holds compiled programs, one uploaded fact
+// bases. Concurrent gets of one key run one build, and the others wait
+// for it, each until its own context ends. A failed build reaches every
+// waiter and leaves no entry, so a transient condition cannot poison
+// the key. Eviction, past the capacity or by purge, skips entries still
+// building: their waiters hold them, and the key is built again next
+// time.
+type cache[V any] struct {
+	cap int
+	// evicted, when set, is called under mu with each value evicted.
+	evicted func(V)
 
 	mu      sync.Mutex
-	entries map[string]*cacheEntry
-	lru     *list.List // front = most recently used; values *cacheEntry
+	entries map[string]*entry[V]
+	lru     list.List // front = most recently used; values *entry[V]
 
-	hits, misses, evictions, compiles int64
-	// retired accumulates the final cumulative Stats of evicted
-	// solvers so /statz keeps counting effort the cache no longer
-	// holds. (A solver evicted while a run is in flight contributes
-	// its stats as of eviction time.)
-	retired ntgd.Stats
+	hits, misses, evictions, builds int64
 }
 
-type cacheEntry struct {
+type entry[V any] struct {
 	key   string
 	elem  *list.Element
-	ready chan struct{} // closed when solver/err is set
-	prog  *ntgd.Program
-	sem   ntgd.Semantics
-	// exactly one of solver/err is set once ready is closed
-	solver *ntgd.Solver
-	err    error
+	ready chan struct{} // closed once val or err is set
+	built bool          // val is set; guarded by the cache's mu
+	val   V
+	err   error
 }
 
-func newProgCache(capacity int, compile func(*ntgd.Program, ntgd.Semantics, *ntgd.Database) (*ntgd.Solver, error)) *progCache {
-	if capacity <= 0 {
-		capacity = 128
-	}
-	return &progCache{
-		cap:     capacity,
-		compile: compile,
-		entries: make(map[string]*cacheEntry),
-		lru:     list.New(),
-	}
+func newCache[V any](capacity int, evicted func(V)) *cache[V] {
+	return &cache[V]{cap: capacity, evicted: evicted, entries: make(map[string]*entry[V])}
 }
 
-// get returns the compiled solver for the canonical program, compiling
-// it at most once however many requests race on the same key. The
-// returned program is the canonical form the solver was compiled from.
-func (c *progCache) get(ctx context.Context, src string, sem ntgd.Semantics) (*ntgd.Solver, *ntgd.Program, error) {
-	return c.getDB(ctx, src, sem, "", nil)
-}
+// errBuildPanicked is what waiters get when the build they wait for
+// panics; the panic itself goes on up the building request's stack.
+var errBuildPanicked = fmt.Errorf("%w: a cache build panicked", ntgd.ErrInternal)
 
-// getDB is get with an attached uploaded fact base: the handle extends
-// the cache key and the Database reaches Compile, whose snapshot-based
-// root sharing makes the per-compile cost independent of the base's
-// size.
-func (c *progCache) getDB(ctx context.Context, src string, sem ntgd.Semantics, dbHandle string, db *ntgd.Database) (*ntgd.Solver, *ntgd.Program, error) {
-	prog, canonical, err := Canonicalize(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	key := cacheKey(sem, canonical, dbHandle)
-
+// get returns the value cached under key, calling build on a miss. A hit
+// costs one map lookup and one LRU move under the lock.
+func (c *cache[V]) get(ctx context.Context, key string, build func() (V, error)) (V, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(e.elem)
@@ -161,83 +145,81 @@ func (c *progCache) getDB(ctx context.Context, src string, sem ntgd.Semantics, d
 		c.mu.Unlock()
 		select {
 		case <-e.ready:
+			return e.val, e.err
 		case <-ctx.Done():
-			return nil, nil, ctx.Err()
+			var zero V
+			return zero, ctx.Err()
 		}
-		if e.err != nil {
-			return nil, nil, e.err
-		}
-		return e.solver, e.prog, nil
 	}
-	e := &cacheEntry{key: key, ready: make(chan struct{}), prog: prog, sem: sem}
+	e := &entry[V]{key: key, ready: make(chan struct{}), err: errBuildPanicked}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
 	c.misses++
-	c.compiles++
+	c.builds++
 	c.mu.Unlock()
 
-	solver, cerr := c.compile(prog, sem, db)
-
-	c.mu.Lock()
-	if cerr != nil {
-		e.err = cerr
-		c.lru.Remove(e.elem)
-		delete(c.entries, key)
-	} else {
-		e.solver = solver
-		c.evictLocked()
-	}
-	c.mu.Unlock()
-	close(e.ready)
-	if cerr != nil {
-		return nil, nil, cerr
-	}
-	return solver, prog, nil
-}
-
-// evictLocked trims the LRU past capacity, skipping entries still
-// compiling (their waiters hold the entry; the winner will close ready
-// regardless, and the key simply has to be recompiled next time).
-func (c *progCache) evictLocked() {
-	for elem := c.lru.Back(); elem != nil && c.lru.Len() > c.cap; {
-		prev := elem.Prev()
-		e := elem.Value.(*cacheEntry)
-		if e.solver != nil {
-			c.retired.Add(e.solver.Stats())
-			c.lru.Remove(elem)
-			delete(c.entries, e.key)
-			c.evictions++
+	defer func() {
+		c.mu.Lock()
+		if e.err == nil {
+			e.built = true
+			c.trimLocked(c.cap)
+		} else {
+			c.lru.Remove(e.elem)
+			delete(c.entries, key)
 		}
-		elem = prev
-	}
+		c.mu.Unlock()
+		close(e.ready)
+	}()
+	e.val, e.err = build()
+	return e.val, e.err
 }
 
-// purge evicts every completed entry — the memory-pressure brownout's
-// soft response — folding final stats into the retired accumulator.
-// Entries still compiling are skipped (their waiters hold them; the
-// winner closes ready regardless) and fall to a later purge or the LRU.
-// Returns the number of entries evicted.
-func (c *progCache) purge() int {
+// lookup returns the value built under key without building one: a hit
+// moves the entry to the front, and a key that is absent or still
+// building is a miss.
+func (c *cache[V]) lookup(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for elem := c.lru.Back(); elem != nil; {
+	if e, ok := c.entries[key]; ok && e.built {
+		c.lru.MoveToFront(e.elem)
+		c.hits++
+		return e.val, true
+	}
+	c.misses++
+	var zero V
+	return zero, false
+}
+
+// purge evicts every built entry, the memory-pressure brownout's soft
+// response, and returns how many it evicted.
+func (c *cache[V]) purge() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.trimLocked(0)
+}
+
+// trimLocked evicts built entries, least recently used first, until at
+// most n entries remain or only entries still building are left over.
+func (c *cache[V]) trimLocked(n int) int {
+	evicted := 0
+	for elem := c.lru.Back(); elem != nil && c.lru.Len() > n; {
 		prev := elem.Prev()
-		e := elem.Value.(*cacheEntry)
-		if e.solver != nil {
-			c.retired.Add(e.solver.Stats())
+		if e := elem.Value.(*entry[V]); e.built {
+			if c.evicted != nil {
+				c.evicted(e.val)
+			}
 			c.lru.Remove(elem)
 			delete(c.entries, e.key)
-			c.evictions++
-			n++
+			evicted++
 		}
 		elem = prev
 	}
-	return n
+	c.evictions += int64(evicted)
+	return evicted
 }
 
-// stats snapshots the cache counters.
-func (c *progCache) stats() CacheStats {
+// stats snapshots the counters.
+func (c *cache[V]) stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
@@ -245,20 +227,21 @@ func (c *progCache) stats() CacheStats {
 		Hits:      c.hits,
 		Misses:    c.misses,
 		Evictions: c.evictions,
-		Compiles:  c.compiles,
+		Compiles:  c.builds,
 	}
 }
 
-// engineStats sums the cumulative solver Stats across live entries plus
-// the retired accumulator of evicted ones.
-func (c *progCache) engineStats() ntgd.Stats {
+// withValues calls fn with the built values under the lock the eviction
+// hook runs under, so what fn reads of the hook's state agrees with the
+// values it is given.
+func (c *cache[V]) withValues(fn func([]V)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := c.retired
+	vals := make([]V, 0, len(c.entries))
 	for _, e := range c.entries {
-		if e.solver != nil {
-			st.Add(e.solver.Stats())
+		if e.built {
+			vals = append(vals, e.val)
 		}
 	}
-	return st
+	fn(vals)
 }

@@ -4,18 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"ntgd"
 )
-
-// realCompile is the injectable compile function tests use when they
-// need genuine solvers but want to count or gate the calls.
-func realCompile(p *ntgd.Program, sem ntgd.Semantics, _ *ntgd.Database) (*ntgd.Solver, error) {
-	return ntgd.Compile(p, ntgd.CompileOptions{Semantics: sem})
-}
 
 // TestCanonicalizeEquivalence pins satellite #4's hashing half: the
 // same rule/fact sets under whitespace, comments, ordering, and
@@ -65,23 +63,158 @@ func TestCanonicalizeEquivalence(t *testing.T) {
 	}
 }
 
+// TestCanonicalizeInjective: programs that differ only in how a name
+// must be quoted get different canonical sources, and one program
+// keeps every fact and rule such names tell apart. Printed bare, the
+// names would give each pair below one source and one compiled solver.
+func TestCanonicalizeInjective(t *testing.T) {
+	for _, pair := range [][2]string{
+		{`p("a,b").`, `p(a,b).`},
+		{`q("X") -> r("X").`, `q(X) -> r(X).`},
+		{`p("not").`, `p(not_).`},
+		{`:- p(X), q(X).`, `p(X), q(X) -> "#false".`},
+	} {
+		_, a, err := Canonicalize(pair[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, b, err := Canonicalize(pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a == b {
+			t.Errorf("%s and %s both canonicalize to %q", pair[0], pair[1], a)
+		}
+	}
+	p, _, err := Canonicalize(`p("a,b"). p(a,b). q(X) -> r(X). q("X") -> r("X").`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Facts) != 2 || len(p.Rules) != 2 {
+		t.Fatalf("canonical program keeps %d facts and %d rules, want 2 and 2", len(p.Facts), len(p.Rules))
+	}
+
+	// Over HTTP: the binary fact's solver must not answer for the unary
+	// one.
+	_, hs := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		program string
+		want    bool
+	}{{`p(a,b).`, true}, {`p("a,b").`, false}} {
+		var res EntailsResponse
+		if code := post(t, hs.URL, "/v1/entails", Request{Program: tc.program, Query: "?- p(a,b)."}, &res); code != http.StatusOK {
+			t.Fatalf("%s: status %d", tc.program, code)
+		}
+		if res.Entailed != tc.want {
+			t.Fatalf("%s: ?- p(a,b). entailed = %v, want %v", tc.program, res.Entailed, tc.want)
+		}
+	}
+	if st := getStatz(t, hs.URL).Cache; st.Compiles != 2 {
+		t.Fatalf("program cache compiles = %d, want 2", st.Compiles)
+	}
+}
+
+// FuzzCanonicalize pins the round trip the daemon's cache key depends
+// on: for any source that parses, the canonical source parses back to
+// the canonical program and canonicalizes to itself, and the canonical
+// program keeps exactly the source's distinct facts and rules.
+func FuzzCanonicalize(f *testing.F) {
+	for _, seed := range []string{
+		`p("a,b"). p(a,b). q(X) -> r(X). q("X") -> r("X").`,
+		`p(a). p(X), not q(X) -> r(X,Y) | s(X). :- r(X,X), not p(X). ?- s(a).`,
+		`"not"("", "1a", "_u", "é", 007). -> p(X).`,
+		`e(a,b). e(X,Y) -> e(Y,Z). p(f(a), "F"(b)).`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		orig, err := ntgd.Parse(src)
+		if err != nil {
+			return
+		}
+		p, text, err := Canonicalize(src)
+		if err != nil {
+			t.Fatalf("Canonicalize fails on a source that parses: %v", err)
+		}
+		again, err := ntgd.Parse(text)
+		if err != nil {
+			t.Fatalf("canonical source %q does not parse: %v", text, err)
+		}
+		if got, want := programKeys(again), programKeys(p); got != want {
+			t.Fatalf("canonical source %q parses to\n%s\nwant\n%s", text, got, want)
+		}
+		if _, text2, err := Canonicalize(text); err != nil || text2 != text {
+			t.Fatalf("canonical source %q canonicalizes to %q (%v)", text, text2, err)
+		}
+		if got, want := distinctKeys(p), distinctKeys(orig); got != want {
+			t.Fatalf("canonical program keeps\n%s\nof the source's\n%s", got, want)
+		}
+	})
+}
+
+// programKeys renders a program's facts and rules, in order, by
+// Term.Key, which tells every two distinct terms apart.
+func programKeys(p *ntgd.Program) string {
+	var b strings.Builder
+	for _, a := range p.Facts {
+		fmt.Fprintf(&b, "%s\n", a.Key())
+	}
+	for _, r := range p.Rules {
+		b.WriteString(ruleKey(r))
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+func ruleKey(r *ntgd.Rule) string {
+	var b strings.Builder
+	for _, l := range r.Body {
+		fmt.Fprintf(&b, "%v %s;", l.Neg, l.Atom.Key())
+	}
+	b.WriteString("->")
+	for _, d := range r.Heads {
+		b.WriteString(" |")
+		for _, a := range d {
+			fmt.Fprintf(&b, " %s", a.Key())
+		}
+	}
+	return b.String()
+}
+
+// distinctKeys is the sorted set of a program's fact and rule keys.
+func distinctKeys(p *ntgd.Program) string {
+	set := map[string]bool{}
+	for _, a := range p.Facts {
+		set["fact "+a.Key()] = true
+	}
+	for _, r := range p.Rules {
+		set["rule "+ruleKey(r)] = true
+	}
+	keys := make([]string, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, "\n")
+}
+
 // TestCacheSingleFlight pins satellite #4's concurrency half: however
-// many requests race on one canonical program, it compiles exactly
-// once and everyone shares the one solver. The compile function blocks
-// until every contender is in flight, so the race is real rather than
-// sequenced by chance.
+// many gets race on one key, it builds exactly once and everyone shares
+// the one value. The build blocks until every contender is in flight,
+// so the race is real rather than sequenced by chance.
 func TestCacheSingleFlight(t *testing.T) {
 	const contenders = 16
-	var compiles atomic.Int64
+	var builds atomic.Int64
 	arrived := make(chan struct{})
-	c := newProgCache(8, func(p *ntgd.Program, sem ntgd.Semantics, _ *ntgd.Database) (*ntgd.Solver, error) {
-		compiles.Add(1)
-		<-arrived // hold the compile until every contender has queued
-		return realCompile(p, sem, nil)
-	})
+	c := newCache[*int](8, nil)
+	build := func() (*int, error) {
+		builds.Add(1)
+		<-arrived // hold the build until every contender has queued
+		return new(int), nil
+	}
 
 	var wg sync.WaitGroup
-	solvers := make([]*ntgd.Solver, contenders)
+	vals := make([]*int, contenders)
 	errs := make([]error, contenders)
 	var queued sync.WaitGroup
 	queued.Add(contenders)
@@ -90,95 +223,87 @@ func TestCacheSingleFlight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			queued.Done()
-			solvers[i], _, errs[i] = c.get(context.Background(), subsetSrc, ntgd.SO)
+			vals[i], errs[i] = c.get(context.Background(), "k", build)
 		}(i)
 	}
 	queued.Wait()
 	close(arrived)
 	wg.Wait()
 
-	if n := compiles.Load(); n != 1 {
-		t.Fatalf("%d compiles, want 1", n)
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("%d builds, want 1", n)
 	}
-	for i := range solvers {
+	for i := range vals {
 		if errs[i] != nil {
 			t.Fatalf("contender %d: %v", i, errs[i])
 		}
-		if solvers[i] != solvers[0] {
-			t.Fatalf("contender %d got a different solver", i)
+		if vals[i] != vals[0] {
+			t.Fatalf("contender %d got a different value", i)
 		}
 	}
 	st := c.stats()
 	if st.Compiles != 1 || st.Entries != 1 {
-		t.Fatalf("stats = %+v, want 1 compile, 1 entry", st)
+		t.Fatalf("stats = %+v, want 1 build, 1 entry", st)
 	}
 	if st.Hits+st.Misses != contenders {
 		t.Fatalf("hits %d + misses %d != %d contenders", st.Hits, st.Misses, contenders)
 	}
 }
 
-// TestCacheLRUEviction pins the LRU bound: past capacity the
-// least-recently-used program is evicted, a re-submission recompiles
-// it, and the evicted solver's effort survives in engineStats.
+// TestCacheLRUEviction pins the program cache's LRU bound: past
+// capacity the least-recently-used program is evicted, a re-submission
+// recompiles it, and the evicted solver's effort survives in
+// engineStats through the eviction hook.
 func TestCacheLRUEviction(t *testing.T) {
-	c := newProgCache(2, realCompile)
+	s := New(Config{CacheSize: 2})
 	src := func(i int) string { return fmt.Sprintf("p(c%d).\np(X) -> q(X).\n", i) }
-
-	s0, _, err := c.get(context.Background(), src(0), ntgd.SO)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Give the soon-evicted solver some effort to retire.
-	if _, err := s0.Collect(context.Background(), 0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 2; i++ {
-		if _, _, err := c.get(context.Background(), src(i), ntgd.SO); err != nil {
+	get := func(i int) *ntgd.Solver {
+		t.Helper()
+		sv, err := s.program(context.Background(), &Request{Program: src(i)})
+		if err != nil {
 			t.Fatal(err)
 		}
+		return sv
 	}
-	st := c.stats()
+
+	// Give the soon-evicted solver some effort to retire.
+	if _, err := get(0).Collect(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	get(1)
+	get(2)
+	st := s.programs.stats()
 	if st.Entries != 2 || st.Evictions != 1 || st.Compiles != 3 {
 		t.Fatalf("stats = %+v, want 2 entries, 1 eviction, 3 compiles", st)
 	}
-	if c.engineStats().Nodes == 0 {
+	if s.engineStats().Nodes == 0 {
 		t.Error("evicted solver's effort vanished from engineStats")
 	}
 
 	// Program 0 was evicted: getting it again is a miss and recompile.
-	if _, _, err := c.get(context.Background(), src(0), ntgd.SO); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.stats(); st.Compiles != 4 {
+	get(0)
+	if st := s.programs.stats(); st.Compiles != 4 {
 		t.Fatalf("compiles = %d after re-get of evicted entry, want 4", st.Compiles)
 	}
 
 	// Recency matters: touch program 1, insert program 3, and program 0
 	// (now least recent) goes — program 1 stays.
-	if _, _, err := c.get(context.Background(), src(1), ntgd.SO); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.get(context.Background(), src(3), ntgd.SO); err != nil {
-		t.Fatal(err)
-	}
-	before := c.stats().Compiles
-	if _, _, err := c.get(context.Background(), src(1), ntgd.SO); err != nil {
-		t.Fatal(err)
-	}
-	if c.stats().Compiles != before {
+	get(1)
+	get(3)
+	before := s.programs.stats().Compiles
+	get(1)
+	if s.programs.stats().Compiles != before {
 		t.Error("recently-touched program 1 was evicted")
 	}
 }
 
 // TestCacheHitFastPath pins the hot path under -race: once compiled, a
-// flood of concurrent hits shares the entry without recompiling.
+// flood of concurrent requests for the program shares the entry
+// without recompiling.
 func TestCacheHitFastPath(t *testing.T) {
-	var compiles atomic.Int64
-	c := newProgCache(8, func(p *ntgd.Program, sem ntgd.Semantics, _ *ntgd.Database) (*ntgd.Solver, error) {
-		compiles.Add(1)
-		return realCompile(p, sem, nil)
-	})
-	if _, _, err := c.get(context.Background(), subsetSrc, ntgd.SO); err != nil {
+	s := New(Config{})
+	req := &Request{Program: subsetSrc}
+	if _, err := s.program(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -186,76 +311,150 @@ func TestCacheHitFastPath(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s, _, err := c.get(context.Background(), subsetSrc, ntgd.SO)
-			if err != nil || s == nil {
-				t.Errorf("hit: (%v, %v)", s, err)
+			sv, err := s.program(context.Background(), req)
+			if err != nil || sv == nil {
+				t.Errorf("hit: (%v, %v)", sv, err)
 			}
 		}()
 	}
 	wg.Wait()
-	if n := compiles.Load(); n != 1 {
-		t.Fatalf("%d compiles after hit flood, want 1", n)
-	}
-	if st := c.stats(); st.Hits != 32 {
-		t.Fatalf("hits = %d, want 32", st.Hits)
+	if st := s.programs.stats(); st.Compiles != 1 || st.Hits != 32 {
+		t.Fatalf("stats = %+v after hit flood, want 1 compile and 32 hits", st)
 	}
 }
 
 // TestCacheFailedCompileNotCached pins the poisoning guard: a failed
-// compile is reported to its waiters but leaves no entry, so the next
-// submission retries.
+// build is reported to its waiters but leaves no entry, so the next
+// get retries.
 func TestCacheFailedCompileNotCached(t *testing.T) {
 	fail := errors.New("transient")
 	var calls atomic.Int64
-	c := newProgCache(8, func(p *ntgd.Program, sem ntgd.Semantics, _ *ntgd.Database) (*ntgd.Solver, error) {
+	c := newCache[int](8, nil)
+	build := func() (int, error) {
 		if calls.Add(1) == 1 {
-			return nil, fail
+			return 0, fail
 		}
-		return realCompile(p, sem, nil)
-	})
-	if _, _, err := c.get(context.Background(), subsetSrc, ntgd.SO); !errors.Is(err, fail) {
-		t.Fatalf("first get err = %v, want the compile failure", err)
+		return 1, nil
+	}
+	if _, err := c.get(context.Background(), "k", build); !errors.Is(err, fail) {
+		t.Fatalf("first get err = %v, want the build failure", err)
 	}
 	if st := c.stats(); st.Entries != 0 {
-		t.Fatalf("failed compile left %d entries", st.Entries)
+		t.Fatalf("failed build left %d entries", st.Entries)
 	}
-	if _, _, err := c.get(context.Background(), subsetSrc, ntgd.SO); err != nil {
-		t.Fatalf("retry after failed compile: %v", err)
+	if v, err := c.get(context.Background(), "k", build); err != nil || v != 1 {
+		t.Fatalf("retry after failed build: (%d, %v)", v, err)
 	}
 	if calls.Load() != 2 {
-		t.Fatalf("compile calls = %d, want 2", calls.Load())
+		t.Fatalf("build calls = %d, want 2", calls.Load())
+	}
+
+	// A build that panics fails its waiters with ErrInternal, re-panics
+	// in the building goroutine, and leaves no entry either.
+	hold := make(chan struct{})
+	building := make(chan struct{})
+	go func() {
+		defer func() { recover() }()
+		c.get(context.Background(), "p", func() (int, error) {
+			close(building)
+			<-hold
+			panic("build fault")
+		})
+	}()
+	<-building
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := c.get(context.Background(), "p", build)
+		waiter <- err
+	}()
+	for c.stats().Hits < 1 { // until the waiter finds the building entry
+		runtime.Gosched()
+	}
+	close(hold)
+	if err := <-waiter; !errors.Is(err, ntgd.ErrInternal) {
+		t.Fatalf("waiter on a panicking build: err = %v, want ErrInternal", err)
+	}
+	if _, ok := c.lookup("p"); ok {
+		t.Fatal("panicked build left an entry")
 	}
 }
 
 // TestCacheWaiterCancellation: a waiter whose context ends while the
-// single-flight compile is still running gets its context error; the
-// compile itself finishes and serves later requests.
+// single-flight build is still running gets its context error; the
+// build itself finishes and serves later gets.
 func TestCacheWaiterCancellation(t *testing.T) {
 	hold := make(chan struct{})
-	compiling := make(chan struct{})
-	c := newProgCache(8, func(p *ntgd.Program, sem ntgd.Semantics, _ *ntgd.Database) (*ntgd.Solver, error) {
-		close(compiling)
+	building := make(chan struct{})
+	c := newCache[int](8, nil)
+	build := func() (int, error) {
+		close(building)
 		<-hold
-		return realCompile(p, sem, nil)
-	})
+		return 1, nil
+	}
 	winnerDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.get(context.Background(), subsetSrc, ntgd.SO)
+		_, err := c.get(context.Background(), "k", build)
 		winnerDone <- err
 	}()
-	<-compiling // the entry exists and its compile is in flight
+	<-building // the entry exists and its build is in flight
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := c.get(ctx, subsetSrc, ntgd.SO); !errors.Is(err, context.Canceled) {
+	if _, err := c.get(ctx, "k", build); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled waiter err = %v, want context.Canceled", err)
+	}
+	if _, ok := c.lookup("k"); ok {
+		t.Fatal("lookup found an entry still building")
 	}
 
 	close(hold)
 	if err := <-winnerDone; err != nil {
 		t.Fatalf("winner: %v", err)
 	}
-	if _, _, err := c.get(context.Background(), subsetSrc, ntgd.SO); err != nil {
-		t.Fatalf("after compile completes: %v", err)
+	if v, err := c.get(context.Background(), "k", build); err != nil || v != 1 {
+		t.Fatalf("after the build completes: (%d, %v)", v, err)
+	}
+}
+
+// TestCachePurgeSkipsBuilding: purge and the LRU bound evict built
+// entries only, handing each to the eviction hook; an entry still
+// building survives both and completes.
+func TestCachePurgeSkipsBuilding(t *testing.T) {
+	var evicted []int
+	c := newCache(2, func(v int) { evicted = append(evicted, v) })
+	hold := make(chan struct{})
+	building := make(chan struct{})
+	done := make(chan int, 1)
+	go func() {
+		v, _ := c.get(context.Background(), "slow", func() (int, error) {
+			close(building)
+			<-hold
+			return 7, nil
+		})
+		done <- v
+	}()
+	<-building
+	// Over capacity with "slow" building: "a" is evicted once "b" is
+	// built, and "slow" stays.
+	for i, k := range []string{"a", "b"} {
+		if _, err := c.get(context.Background(), k, func() (int, error) { return i + 1, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := c.purge(); n != 1 {
+		t.Fatalf("purge evicted %d entries, want 1", n)
+	}
+	if st := c.stats(); st.Entries != 1 || st.Evictions != 2 {
+		t.Fatalf("stats = %+v, want the building entry left and 2 evictions", st)
+	}
+	close(hold)
+	if v := <-done; v != 7 {
+		t.Fatalf("building entry completed with %d, want 7", v)
+	}
+	if v, ok := c.lookup("slow"); !ok || v != 7 {
+		t.Fatalf("lookup after the build = (%d, %v), want (7, true)", v, ok)
+	}
+	if fmt.Sprint(evicted) != "[1 2]" {
+		t.Fatalf("eviction hook saw %v, want [1 2]", evicted)
 	}
 }

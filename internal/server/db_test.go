@@ -1,9 +1,13 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -147,5 +151,50 @@ func TestDBCacheEviction(t *testing.T) {
 	var solve SolveResponse
 	if code := post(t, hs.URL, "/v1/solve", Request{Program: "p(X) -> q(X).", DB: handles[2]}, &solve); code != http.StatusOK {
 		t.Fatalf("live handle: status = %d, want 200", code)
+	}
+}
+
+// TestDBConcurrentIdenticalUploads: racing uploads of one fact set, in
+// different formats, load one Database and leave one entry; every
+// uploader gets the same handle.
+func TestDBConcurrentIdenticalUploads(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	var facts strings.Builder
+	for i := 0; i < 4000; i++ {
+		fmt.Fprintf(&facts, "e(c%d,c%d).\n", i, i+1)
+	}
+	const uploaders = 8
+	handles := make([]string, uploaders)
+	var wg sync.WaitGroup
+	for i := 0; i < uploaders; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			src := facts.String()
+			if i%2 == 1 {
+				src = strings.ReplaceAll(src, "\n", " ")
+			}
+			body, _ := json.Marshal(Request{Facts: src})
+			resp, err := http.Post(hs.URL+"/v1/db", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Errorf("upload %d: %v", i, err)
+				return
+			}
+			defer resp.Body.Close()
+			var up DBResponse
+			if err := json.NewDecoder(resp.Body).Decode(&up); err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("upload %d: status %d, %v", i, resp.StatusCode, err)
+			}
+			handles[i] = up.Handle
+		}(i)
+	}
+	wg.Wait()
+	for i := range handles {
+		if handles[i] != handles[0] {
+			t.Fatalf("upload %d got handle %s, upload 0 got %s", i, handles[i], handles[0])
+		}
+	}
+	if st := getStatz(t, hs.URL).DBCache; st.Compiles != 1 || st.Entries != 1 || st.Hits+st.Misses != uploaders {
+		t.Fatalf("db_cache = %+v, want 1 load, 1 entry, %d uploads", st, uploaders)
 	}
 }

@@ -108,11 +108,18 @@ type Config struct {
 // Server is the daemon state behind the HTTP handler. Create one with
 // New; it is safe for concurrent use by any number of requests.
 type Server struct {
-	cfg   Config
-	gate  *ntgd.Gate
-	cache *progCache
-	dbs   *dbCache
-	start time.Time
+	cfg      Config
+	gate     *ntgd.Gate
+	programs *cache[*ntgd.Solver]
+	dbs      *cache[*ntgd.Database]
+	start    time.Time
+
+	// retired accumulates the final cumulative Stats of evicted solvers
+	// so /statz keeps counting effort the cache no longer holds (a solver
+	// evicted mid-run contributes its stats as of eviction). The program
+	// cache's eviction hook writes it under the cache's lock, and
+	// engineStats reads it under the same lock.
+	retired ntgd.Stats
 
 	draining atomic.Bool
 	inFlight atomic.Int64
@@ -137,13 +144,16 @@ func New(cfg Config) *Server {
 		requests: make(map[string]int64),
 		errors:   make(map[string]int64),
 	}
-	s.cache = newProgCache(cfg.CacheSize, func(p *ntgd.Program, sem ntgd.Semantics, db *ntgd.Database) (*ntgd.Solver, error) {
-		opt := cfg.Options
-		opt.MaxConcurrentRuns = 0 // the shared gate governs admission
-		return ntgd.Compile(p, ntgd.CompileOptions{Semantics: sem, Options: opt, Gate: s.gate, Database: db})
-	})
-	s.dbs = newDBCache(cfg.DBCacheSize)
+	s.programs = newCache(positiveOr(cfg.CacheSize, 128), func(sv *ntgd.Solver) { s.retired.Add(sv.Stats()) })
+	s.dbs = newCache[*ntgd.Database](positiveOr(cfg.DBCacheSize, 64), nil)
 	return s
+}
+
+func positiveOr(n, def int) int {
+	if n > 0 {
+		return n
+	}
+	return def
 }
 
 // queueBound translates the Config.MaxQueuedRuns convention (0 =
@@ -382,9 +392,11 @@ func (s *Server) count(m map[string]int64, key string) {
 
 // program resolves the request's program through the compiled-program
 // cache, attaching the uploaded fact base when the request references
-// one by handle. Context errors (a deadline expiring while waiting on
-// a single-flight compile) pass through; an unknown db handle is 404;
-// everything else — parse or validation failures — is a bad request.
+// one by handle. An unknown db handle is 404. A compile error in the
+// taxonomy passes through to its status: a deadline expiring while
+// waiting on a single-flight compile, or an LP grounding past its
+// budget (422). Everything else — parse or validation failures — is a
+// bad request.
 func (s *Server) program(ctx context.Context, req *Request) (*ntgd.Solver, error) {
 	if strings.TrimSpace(req.Program) == "" {
 		return nil, badReqf("missing program")
@@ -395,16 +407,25 @@ func (s *Server) program(ctx context.Context, req *Request) (*ntgd.Solver, error
 	}
 	var db *ntgd.Database
 	if req.DB != "" {
-		if db = s.dbs.get(req.DB); db == nil {
+		var ok bool
+		if db, ok = s.dbs.lookup(req.DB); !ok {
 			return nil, notFoundf("unknown db handle %q (never uploaded, or evicted — re-upload via POST /v1/db)", req.DB)
 		}
 	}
-	solver, _, err := s.cache.getDB(ctx, req.Program, sem, req.DB, db)
+	prog, canonical, err := Canonicalize(req.Program)
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			return nil, err
-		}
 		return nil, badReqf("%v", err)
+	}
+	solver, err := s.programs.get(ctx, cacheKey(sem, canonical, req.DB), func() (*ntgd.Solver, error) {
+		opt := s.cfg.Options
+		opt.MaxConcurrentRuns = 0 // the shared gate governs admission
+		return ntgd.Compile(prog, ntgd.CompileOptions{Semantics: sem, Options: opt, Gate: s.gate, Database: db})
+	})
+	if err != nil {
+		if _, class := statusFor(err); class == ClassError {
+			return nil, badReqf("%v", err)
+		}
+		return nil, err
 	}
 	return solver, nil
 }
@@ -649,9 +670,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // Statz is the /statz body: cumulative request counters, error counts
-// by taxonomy class, compiled-program cache counters, and the engine
-// effort aggregated across every solver the cache holds or has
-// evicted.
+// by taxonomy class, the counters of the compiled-program cache and of
+// the fact-base cache, and the engine effort aggregated across every
+// solver the program cache holds or has evicted. In DBCache, Compiles
+// counts Database loads, one per distinct fact set however many
+// identical uploads race, and Hits and Misses count both uploads and
+// handle lookups.
 type Statz struct {
 	UptimeMS int64            `json:"uptime_ms"`
 	InFlight int64            `json:"in_flight"`
@@ -684,10 +708,23 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		Requests: reqs,
 		Errors:   errs,
 		Gate:     gateStatsJSON(s.gate.Snapshot()),
-		Cache:    s.cache.stats(),
+		Cache:    s.programs.stats(),
 		DBCache:  s.dbs.stats(),
-		Engine:   statsJSON(s.cache.engineStats()),
+		Engine:   statsJSON(s.engineStats()),
 	})
+}
+
+// engineStats sums the cumulative Stats of the cached solvers and of the
+// evicted ones.
+func (s *Server) engineStats() ntgd.Stats {
+	var st ntgd.Stats
+	s.programs.withValues(func(live []*ntgd.Solver) {
+		st = s.retired
+		for _, sv := range live {
+			st.Add(sv.Stats())
+		}
+	})
+	return st
 }
 
 // writeJSON encodes one response body under the configured per-request

@@ -464,3 +464,24 @@ func TestServerStatz(t *testing.T) {
 		t.Errorf("cache.entries = %d, want 1", stz.Cache.Entries)
 	}
 }
+
+// TestServerGroundingBudget: an LP program whose grounding outgrows its
+// budget (nested Skolem terms whose keys grow quadratically) answers
+// 422/budget instead of taking the daemon down, and the daemon keeps
+// serving.
+func TestServerGroundingBudget(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	var er ErrorResponse
+	code := post(t, hs.URL, "/v1/entails", Request{
+		Program:   "p(a). p(X) -> q(X,Y). q(X,Y) -> p(Y).",
+		Semantics: "lp",
+		Query:     "?- p(a).",
+	}, &er)
+	if code != http.StatusUnprocessableEntity || er.Class != ClassBudget {
+		t.Fatalf("status = %d class = %q (%s), want 422 %q", code, er.Class, er.Error, ClassBudget)
+	}
+	var res EntailsResponse
+	if code := post(t, hs.URL, "/v1/entails", Request{Program: subsetSrc, Semantics: "lp", Query: "?- item(i0)."}, &res); code != http.StatusOK || !res.Entailed {
+		t.Fatalf("after the budget error: status %d, entailed %v", code, res.Entailed)
+	}
+}

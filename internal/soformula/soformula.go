@@ -114,12 +114,23 @@ func renderDB(db *logic.FactStore, starred bool) string {
 		if starred {
 			a = logic.Atom{Pred: a.Pred + starSuffix, Args: a.Args}
 		}
-		parts[i] = a.String()
+		parts[i] = renderAtom(a)
 	}
 	if len(parts) == 0 {
 		return "⊤"
 	}
 	return strings.Join(parts, " ∧ ")
+}
+
+// renderAtom renders an atom whose predicate may carry the star
+// suffix, which stays outside the quotes a predicate name may need.
+func renderAtom(a logic.Atom) string {
+	p, starred := strings.CutSuffix(a.Pred, starSuffix)
+	if !starred {
+		return a.String()
+	}
+	pred := logic.A(p).String()
+	return pred + starSuffix + logic.Atom{Pred: p, Args: a.Args}.String()[len(pred):]
 }
 
 func renderRules(rules []*logic.Rule) string {
@@ -147,7 +158,7 @@ func renderRule(r *logic.Rule) string {
 		if l.Neg {
 			b.WriteString("¬")
 		}
-		b.WriteString(l.Atom.String())
+		b.WriteString(renderAtom(l.Atom))
 	}
 	if len(r.Body) == 0 {
 		b.WriteString("⊤")
@@ -180,7 +191,12 @@ func renderRule(r *logic.Rule) string {
 		if len(d) > 1 {
 			b.WriteString("(")
 		}
-		b.WriteString(logic.AtomsString(d))
+		for j, a := range d {
+			if j > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(renderAtom(a))
+		}
 		if len(d) > 1 {
 			b.WriteString(")")
 		}

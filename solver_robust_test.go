@@ -3,7 +3,9 @@ package ntgd_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -182,5 +184,31 @@ func TestSolverSeqReinvocation(t *testing.T) {
 	// the contract is set equality.
 	if len(first) != 16 || !equalStringSlices(canonicalSet(first), canonicalSet(second)) {
 		t.Fatalf("invocations diverged: %d vs %d models", len(first), len(second))
+	}
+}
+
+// TestCompileLPGroundingBudget: under LP, a program whose grounding
+// outgrows its default budget fails to compile with ErrBudget, both when
+// nested Skolem terms outgrow the term-size bound (the first three) and
+// when the Herbrand base outgrows the atom bound (70³ t atoms).
+func TestCompileLPGroundingBudget(t *testing.T) {
+	var cube strings.Builder
+	for i := 0; i < 70; i++ {
+		fmt.Fprintf(&cube, "d(c%d). ", i)
+	}
+	cube.WriteString("d(X), d(Y), d(Z) -> t(X,Y,Z).")
+	for name, src := range map[string]string{
+		"quadratic": "p(a). p(X) -> q(X,Y). q(X,Y) -> p(Y).",
+		"fibonacci": "e(a,b). e(X,Y) -> e(Y,Z).",
+		"pairs":     "p(a,b). p(X,Y) -> p(Y,Z).",
+		"cube":      cube.String(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			_, err := ntgd.Compile(ntgd.MustParse(src), ntgd.CompileOptions{Semantics: ntgd.LP})
+			if !errors.Is(err, ntgd.ErrBudget) {
+				t.Fatalf("Compile = %v, want ErrBudget", err)
+			}
+		})
 	}
 }
