@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"ntgd"
-	"ntgd/internal/baget"
 	"ntgd/internal/chase"
 	"ntgd/internal/classify"
 	"ntgd/internal/core"
@@ -210,9 +209,7 @@ func (x *trial) so(db *ntgd.FactStore, rules []*ntgd.Rule, opt core.Options) eng
 }
 
 func (x *trial) op(db *ntgd.FactStore, rules []*ntgd.Rule) engine.Engine {
-	c, err := baget.Compile(db, rules, core.Options{Workers: x.workers})
-	x.must(err)
-	return c
+	return x.so(db, rules, core.Options{WitnessPolicy: core.WitnessFreshOnly})
 }
 
 func (x *trial) lp(db *ntgd.FactStore, rules []*ntgd.Rule) engine.Engine {

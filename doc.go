@@ -17,8 +17,9 @@
 //     Semantics SO;
 //   - the classical LP approach (Skolemization + grounding + ground
 //     ASP solving, Section 3.1) — Semantics LP;
-//   - the operational chase-based semantics of Baget et al. [3] —
-//     Semantics Operational;
+//   - the operational chase-based semantics of Baget et al. [3], which
+//     is the SO search under internal/core's fresh-only witness policy
+//     — Semantics Operational;
 //   - the bounded equality-friendly well-founded semantics of [21] —
 //     internal/efwfs via ntgd.EFWFSEntails;
 //   - the decidability paradigms (weak-acyclicity, stickiness with the
@@ -81,11 +82,15 @@
 // run hands out a snapshot of that store without searching. Such an
 // artifact is published only when complete, so a run that is
 // cancelled, panics or hits a budget while building it leaves the next
-// run to build it again. All three semantics run behind one internal
-// engine interface, so Models, Entails, Answers, and Consistent behave
-// uniformly: the same options plumbing, the same Stats and Exhausted
-// reporting, the same budget error (ErrBudget, whose text names the
-// bound that was hit).
+// run to build it again. The three semantics run on two engines, the SO
+// search (Operational is its fresh-only witness policy) and the LP
+// pipeline, behind one internal engine interface, so Models, Entails,
+// Answers, and Consistent behave uniformly: the same options plumbing,
+// the same Stats and Exhausted reporting, the same budget error
+// (ErrBudget, whose text names the bound that was hit). Compiling an
+// engine and running internal/engine's algorithms on it with a context
+// is the only way into internal/core and internal/lp; neither has
+// context-free one-shot helpers.
 //
 // Solver.Models returns an iter.Seq2 stream: models are delivered as
 // the search finds them, breaking out of the range loop releases the
@@ -139,7 +144,9 @@
 // and cached by canonical hash — facts and rules are sorted and
 // deduplicated, so submissions differing only in whitespace, comments,
 // or ordering share one entry, and the canonical text quotes every name
-// that would not lex back as itself, so different programs never do —
+// that would not lex back as itself, so different programs never do;
+// the kept rules are relabelled r1…rn in canonical order, so LP's
+// Skolem names do not depend on which submission compiled the entry —
 // with single-flight compilation and LRU eviction; uploaded fact bases
 // sit in a second instance of the same cache. Every request runs under
 // a deadline (timeout_ms, clamped by the server), client disconnects
@@ -179,7 +186,9 @@
 // reports the gate's queue depth, per-reason shed counters, the run
 // time EWMA, and the current pressure level.
 //
-// The ntgdclient package is the matching client: it retries exactly
+// The ntgdclient package is the matching client and holds the one
+// definition of the wire schema, whose types the daemon names through
+// aliases. It retries exactly
 // the transient statuses (429, 503, 504, and transport errors) with
 // capped exponential backoff and full jitter, never sleeping less
 // than the server's Retry-After hint and never exceeding a per-call
@@ -257,12 +266,13 @@
 //     has a stable store index, so "the atoms derived last round" is an
 //     index window, and FindHomsFrom enumerates exactly the
 //     homomorphisms that use at least one window atom. The chase
-//     (internal/chase), the grounder's derivable base
-//     (internal/ground), and the T∞ operator (internal/core) all seed
-//     their rounds this way, turning O(rounds × store) re-scans into
-//     O(new facts) work. Since each homomorphism is found in exactly
-//     one round, the grounder records every ground rule at its match
-//     and grounds in that one join pass. The same discipline drives the propositional
+//     (internal/chase) and the grounder's derivable base
+//     (internal/ground) seed their rounds this way, turning
+//     O(rounds × store) re-scans into O(new facts) work; so does the
+//     T∞ operator with which internal/core's tests check Lemma 7.
+//     Since each homomorphism is found in exactly one round, the
+//     grounder records every ground rule at its match and grounds in
+//     that one join pass. The same discipline drives the propositional
 //     well-founded fixpoint (internal/asp) via occurrence lists and
 //     counters, and the circumscription subset checks (internal/core)
 //     via rule instances materialized once and replayed as bitmask
@@ -344,7 +354,7 @@
 //
 // The pre-index code paths are retained package-privately
 // (logic.naiveFindHoms, chase.runNaive, asp.gammaNaive, the naive
-// minimality enumerations, core.findTriggerNaive — the full-rescan
+// minimality check, core.findTriggerNaive — the full-rescan
 // trigger detection behind the agenda-based search — and
 // core.stableAgainstSubsetsNaive, the full-rebuild stability encoder
 // behind the sessions) as oracles: randomized differential tests pin

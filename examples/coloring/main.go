@@ -7,13 +7,27 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"ntgd/internal/core"
+	"ntgd"
 	"ntgd/internal/encodings"
-	"ntgd/internal/logic"
 )
+
+// bravelyEntailed compiles the facts and rules under the SO semantics
+// and reports whether some stable model satisfies q.
+func bravelyEntailed(db *ntgd.FactStore, rules []*ntgd.Rule, q ntgd.Query) bool {
+	s, err := ntgd.Compile(&ntgd.Program{Facts: db.Atoms(), Rules: rules}, ntgd.CompileOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := s.Entails(context.Background(), q, ntgd.Brave)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res.Entailed
+}
 
 func main() {
 	g := encodings.CertColGraph{
@@ -33,11 +47,7 @@ func main() {
 	fmt.Printf("graph: %d vertices, %d labeled edges, k=%d\n", len(g.Vertices), len(g.Edges), g.K)
 
 	// Native disjunctive run.
-	res, err := core.BraveEntails(g.Database(), g.DatalogProgram(), g.BadQuery(), core.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	native := !res.Entailed
+	native := !bravelyEntailed(g.Database(), g.DatalogProgram(), g.BadQuery())
 	fmt.Printf("native WATGD¬,∨ verdict:    certainly %d-colorable = %v\n", g.K, native)
 
 	// Theorem 15 translation.
@@ -45,21 +55,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	qT := logic.Query{Pos: []logic.Atom{logic.A(w.QueryPred)}}
-	resT, err := core.BraveEntails(g.Database(), w.Rules, qT, core.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("Theorem 15 WATGD¬ verdict:  certainly %d-colorable = %v\n", g.K, !resT.Entailed)
+	qT := ntgd.Query{Pos: []ntgd.Atom{ntgd.A(w.QueryPred)}}
+	fmt.Printf("Theorem 15 WATGD¬ verdict:  certainly %d-colorable = %v\n", g.K, !bravelyEntailed(g.Database(), w.Rules, qT))
 
 	// Brute force reference.
 	fmt.Printf("brute force reference:      certainly %d-colorable = %v\n", g.K, g.BruteForce())
 
 	// With three colors every assignment is fine.
 	g.K = 3
-	res3, err := core.BraveEntails(g.Database(), g.DatalogProgram(), g.BadQuery(), core.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nwith k=3: certainly colorable = %v (brute: %v)\n", !res3.Entailed, g.BruteForce())
+	fmt.Printf("\nwith k=3: certainly colorable = %v (brute: %v)\n", !bravelyEntailed(g.Database(), g.DatalogProgram(), g.BadQuery()), g.BruteForce())
 }

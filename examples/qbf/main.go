@@ -7,13 +7,28 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"ntgd/internal/core"
+	"ntgd"
 	"ntgd/internal/encodings"
 	"ntgd/internal/qbf"
 )
+
+// entails compiles the facts and rules under the SO semantics and
+// answers q in the given mode.
+func entails(db *ntgd.FactStore, rules []*ntgd.Rule, q ntgd.Query, mode ntgd.Mode) bool {
+	s, err := ntgd.Compile(&ntgd.Program{Facts: db.Atoms(), Rules: rules}, ntgd.CompileOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := s.Entails(context.Background(), q, mode)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res.Entailed
+}
 
 func main() {
 	l := func(v string) qbf.Lit { return qbf.Lit{Var: v} }
@@ -40,19 +55,11 @@ func main() {
 		fmt.Printf("  database: %d facts, fixed Σ: %d NTGDs\n", inst.DB.Len(), len(inst.Rules))
 
 		// Cautious reduction: satisfiable iff error is NOT entailed.
-		res, err := core.CautiousEntails(inst.DB, inst.Rules, inst.Query, core.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		sat := !res.Entailed
+		sat := !entails(inst.DB, inst.Rules, inst.Query, ntgd.Cautious)
 		fmt.Printf("  encoding verdict: satisfiable=%v  (brute force: %v)\n", sat, f.EvalBrute())
 
 		// Brave variant of Section 7.1: Σ ∪ {¬error → ans}.
 		braveRules, braveQ := encodings.QBFBraveQuery()
-		bres, err := core.BraveEntails(inst.DB, braveRules, braveQ, core.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  brave variant (ans bravely entailed): %v\n\n", bres.Entailed)
+		fmt.Printf("  brave variant (ans bravely entailed): %v\n\n", entails(inst.DB, braveRules, braveQ, ntgd.Brave))
 	}
 }

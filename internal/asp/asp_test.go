@@ -1,7 +1,9 @@
 package asp
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -27,18 +29,33 @@ func seeded(p *Program) SolveOptions {
 	return SolveOptions{WFS: wfs}
 }
 
+// allModels validates p, as the LP pipeline does once at compile, and
+// collects a copy of every stable model.
+func allModels(t testing.TB, p *Program, opt SolveOptions) ([]Model, Stats, error) {
+	t.Helper()
+	if err := p.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	var out []Model
+	stats, err := SolveCtx(context.Background(), p, opt, func(m Model) bool {
+		out = append(out, append(Model(nil), m...))
+		return true
+	})
+	return out, stats, err
+}
+
 func modelsOf(t *testing.T, p *Program) []Model {
 	t.Helper()
-	ms, _, err := AllModels(p, seeded(p))
+	ms, _, err := allModels(t, p, seeded(p))
 	if err != nil {
-		t.Fatalf("AllModels: %v", err)
+		t.Fatalf("allModels: %v", err)
 	}
 	return ms
 }
 
 func TestFactsOnly(t *testing.T) {
 	ms := modelsOf(t, prog(2, fact(0)))
-	if len(ms) != 1 || !ms[0].Has(0) || ms[0].Has(1) {
+	if len(ms) != 1 || !slices.Contains(ms[0], 0) || slices.Contains(ms[0], 1) {
 		t.Fatalf("models = %v", ms)
 	}
 }
@@ -78,7 +95,7 @@ func TestConstraintPruning(t *testing.T) {
 		normal(1, nil, []int{0}),
 		Rule{Pos: []int{0}})
 	ms := modelsOf(t, p)
-	if len(ms) != 1 || !ms[0].Has(1) {
+	if len(ms) != 1 || !slices.Contains(ms[0], 1) {
 		t.Fatalf("constraint should keep only {b}: %v", ms)
 	}
 }
@@ -87,7 +104,7 @@ func TestConjunctiveHead(t *testing.T) {
 	// (a ∧ b) :- not c.
 	p := prog(3, Rule{Disjuncts: [][]int{{0, 1}}, Neg: []int{2}})
 	ms := modelsOf(t, p)
-	if len(ms) != 1 || !ms[0].Has(0) || !ms[0].Has(1) {
+	if len(ms) != 1 || !slices.Contains(ms[0], 0) || !slices.Contains(ms[0], 1) {
 		t.Fatalf("conjunctive head: %v", ms)
 	}
 }
@@ -126,7 +143,7 @@ func TestWellFoundedStratified(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WellFounded: %v", err)
 	}
-	if !w.IsTrue(0) || !w.IsTrue(1) || !w.IsFalse(2) || len(w.Undefined) != 0 {
+	if !w.IsTrue(0) || !w.IsTrue(1) || !slices.Contains(w.False, 2) || len(w.Undefined) != 0 {
 		t.Fatalf("WFS = T%v F%v U%v", w.True, w.False, w.Undefined)
 	}
 }
@@ -296,9 +313,9 @@ func TestRandomNormalAgainstBrute(t *testing.T) {
 			p.Rules = append(p.Rules, r)
 		}
 		opt := seeded(p)
-		got, stats, err := AllModels(p, opt)
+		got, stats, err := allModels(t, p, opt)
 		if err != nil {
-			t.Fatalf("AllModels: %v", err)
+			t.Fatalf("allModels: %v", err)
 		}
 		want := bruteStable(p)
 		if !equalModelSets(got, want) {
@@ -340,9 +357,9 @@ func TestRandomDisjunctiveAgainstBrute(t *testing.T) {
 			}
 			p.Rules = append(p.Rules, r)
 		}
-		got, _, err := AllModels(p, SolveOptions{})
+		got, _, err := allModels(t, p, SolveOptions{})
 		if err != nil {
-			t.Fatalf("AllModels: %v", err)
+			t.Fatalf("allModels: %v", err)
 		}
 		want := bruteStable(p)
 		if !equalModelSets(got, want) {
@@ -374,12 +391,12 @@ func TestWFSSoundForStableModels(t *testing.T) {
 		}
 		for _, m := range bruteStable(p) {
 			for _, a := range w.True {
-				if !m.Has(a) {
+				if !slices.Contains(m, a) {
 					t.Fatalf("iter %d: WFS-true atom %d missing from stable model %v", iter, a, m)
 				}
 			}
 			for _, a := range w.False {
-				if m.Has(a) {
+				if slices.Contains(m, a) {
 					t.Fatalf("iter %d: WFS-false atom %d inside stable model %v", iter, a, m)
 				}
 			}

@@ -1,6 +1,7 @@
 package asp
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -25,7 +26,7 @@ func BenchmarkEnumerateChoices(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				count := 0
-				if _, err := Solve(p, opt, func(Model) bool {
+				if _, err := SolveCtx(context.Background(), p, opt, func(Model) bool {
 					count++
 					return true
 				}); err != nil {
@@ -71,7 +72,7 @@ func BenchmarkDisjunctiveMinimality(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := AllModels(p, SolveOptions{}); err != nil {
+		if _, _, err := allModels(b, p, SolveOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

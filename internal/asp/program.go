@@ -35,11 +35,6 @@ type Rule struct {
 // IsConstraint reports whether the rule has no head.
 func (r Rule) IsConstraint() bool { return len(r.Disjuncts) == 0 }
 
-// IsFact reports whether the rule has an empty body and one disjunct.
-func (r Rule) IsFact() bool {
-	return len(r.Pos) == 0 && len(r.Neg) == 0 && len(r.Disjuncts) == 1
-}
-
 // Program is a ground program over atoms 0..NAtoms-1. Names is
 // optional (used for rendering); when nil atoms print as a<id>.
 type Program struct {
@@ -151,12 +146,6 @@ func NewModel(ids []int) Model {
 	return m
 }
 
-// Has reports membership via binary search.
-func (m Model) Has(id int) bool {
-	i := sort.SearchInts(m, id)
-	return i < len(m) && m[i] == id
-}
-
 // Equal reports set equality.
 func (m Model) Equal(o Model) bool {
 	if len(m) != len(o) {
@@ -168,15 +157,6 @@ func (m Model) Equal(o Model) bool {
 		}
 	}
 	return true
-}
-
-// String renders the model using the program's atom names.
-func (m Model) String(p *Program) string {
-	parts := make([]string, len(m))
-	for i, id := range m {
-		parts[i] = p.AtomName(id)
-	}
-	return "{" + strings.Join(parts, ", ") + "}"
 }
 
 // truthValue is a three-valued assignment entry.

@@ -10,8 +10,6 @@ var ErrBudget = errors.New("asp: search node budget exhausted")
 
 // SolveOptions configures stable model enumeration.
 type SolveOptions struct {
-	// MaxModels stops after this many stable models (0 = all).
-	MaxModels int
 	// MaxNodes aborts after this many search nodes (0 = 4M).
 	MaxNodes int64
 	// WFS, when non-nil, is the program's well-founded model (see
@@ -23,10 +21,6 @@ type SolveOptions struct {
 	// and no stability check. Otherwise the search starts with its true
 	// and false atoms fixed, which prunes it dramatically.
 	WFS *WFSResult
-	// SkipValidation skips the per-call Program.Validate pass. Set it
-	// only when the program was validated once at compile time (the LP
-	// pipeline's compiled engine does this).
-	SkipValidation bool
 }
 
 // Stats reports search effort.
@@ -36,26 +30,18 @@ type Stats struct {
 	Checks    int64 // full-assignment stability checks
 }
 
-// Solve enumerates the stable models of the program, invoking visit for
-// each (the model is shared and must not be modified; callers must copy
-// if they keep it).
-// Returning false from visit stops the search. Solve returns the
-// search stats and an error only on budget exhaustion (models already
-// delivered remain valid).
-func Solve(p *Program, opt SolveOptions, visit func(Model) bool) (Stats, error) {
-	return SolveCtx(context.Background(), p, opt, visit)
-}
-
-// SolveCtx is Solve with cancellation: the search checks ctx
-// periodically (every 16 nodes, starting at the first) and aborts with
-// ctx.Err() and the partial stats when the context is cancelled or its
-// deadline expires.
+// SolveCtx enumerates the stable models of the program, invoking visit
+// for each (the model is shared and must not be modified; callers must
+// copy if they keep it). Returning false from visit stops the search.
+// The program must have passed Program.Validate: SolveCtx does not
+// check atom ids.
+//
+// The search checks ctx periodically (every 16 nodes, starting at the
+// first) and aborts with ctx.Err() and the partial stats when the
+// context is cancelled or its deadline expires. Otherwise SolveCtx
+// returns an error only on budget exhaustion (models already delivered
+// remain valid).
 func SolveCtx(ctx context.Context, p *Program, opt SolveOptions, visit func(Model) bool) (Stats, error) {
-	if !opt.SkipValidation {
-		if err := p.Validate(); err != nil {
-			return Stats{}, err
-		}
-	}
 	if wfs := opt.WFS; wfs != nil && len(wfs.Undefined) == 0 {
 		// The search's first node would check the context, find every
 		// atom decided and emit the true set after a stability check
@@ -87,16 +73,6 @@ func SolveCtx(ctx context.Context, p *Program, opt SolveOptions, visit func(Mode
 		return s.stats, ErrBudget
 	}
 	return s.stats, nil
-}
-
-// AllModels collects every stable model (subject to options).
-func AllModels(p *Program, opt SolveOptions) ([]Model, Stats, error) {
-	var out []Model
-	stats, err := Solve(p, opt, func(m Model) bool {
-		out = append(out, append(Model(nil), m...))
-		return opt.MaxModels == 0 || len(out) < opt.MaxModels
-	})
-	return out, stats, err
 }
 
 type solver struct {

@@ -9,14 +9,10 @@ type WFSResult struct {
 	False     []int
 	Undefined []int
 	trueSet   []bool
-	falseSet  []bool
 }
 
 // IsTrue reports whether the atom is well-founded true.
 func (w *WFSResult) IsTrue(id int) bool { return w.trueSet[id] }
-
-// IsFalse reports whether the atom is well-founded false.
-func (w *WFSResult) IsFalse(id int) bool { return w.falseSet[id] }
 
 // WellFounded computes the well-founded model of a normal program via
 // the alternating fixpoint of Van Gelder: with Γ(S) the least model of
@@ -44,13 +40,12 @@ func WellFounded(p *Program) (*WFSResult, error) {
 		}
 		u, v = u2, v2
 	}
-	res := &WFSResult{trueSet: u, falseSet: make([]bool, p.NAtoms)}
+	res := &WFSResult{trueSet: u}
 	for a := 0; a < p.NAtoms; a++ {
 		switch {
 		case u[a]:
 			res.True = append(res.True, a)
 		case !v[a]:
-			res.falseSet[a] = true
 			res.False = append(res.False, a)
 		default:
 			res.Undefined = append(res.Undefined, a)

@@ -97,8 +97,8 @@ b(X,Y) -> c(Y,Z).
 			t.Errorf("rank(%s) = %d, want %d", pos, got, want)
 		}
 	}
-	if max, ok := classify.MaxRank(rules); !ok || max != 2 {
-		t.Errorf("MaxRank = %d/%v, want 2/true", max, ok)
+	if rep := classify.Classify(rules); !rep.WeaklyAcyclic || rep.MaxRank != 2 {
+		t.Errorf("Classify: weakly acyclic %v, MaxRank %d, want true and 2", rep.WeaklyAcyclic, rep.MaxRank)
 	}
 }
 
@@ -107,7 +107,7 @@ func TestGuardedness(t *testing.T) {
 g(X,Y), p(X), not q(Y) -> r(X).
 person(X) -> hasFather(X,Y).
 `).Rules
-	if !classify.IsGuarded(guarded) {
+	if !classify.Classify(guarded).Guarded {
 		t.Fatalf("set should be guarded")
 	}
 	if a, ok := classify.GuardOf(guarded[0]); !ok || a.Pred != "g" {
@@ -116,7 +116,7 @@ person(X) -> hasFather(X,Y).
 	unguarded := parser.MustParse(`
 p(X), q(Y) -> r(X,Y).
 `).Rules
-	if classify.IsGuarded(unguarded) {
+	if classify.Classify(unguarded).Guarded {
 		t.Fatalf("cartesian product rule is unguarded")
 	}
 }
@@ -142,7 +142,7 @@ succ(X,Y) -> node(Y).
 	guardedGrow := parser.MustParse(`
 g(X,Y), not stop(Y) -> g(Y,Z).
 `).Rules
-	if !classify.IsGuarded(guardedGrow) {
+	if !classify.Classify(guardedGrow).Guarded {
 		t.Fatalf("the growing-guard gadget must be guarded")
 	}
 }

@@ -36,14 +36,3 @@ func GuardOf(r *logic.Rule) (logic.Atom, bool) {
 	}
 	return logic.Atom{}, false
 }
-
-// IsGuarded reports whether every rule of the set is guarded (GTGD¬
-// membership).
-func IsGuarded(rules []*logic.Rule) bool {
-	for _, r := range rules {
-		if _, ok := GuardOf(r); !ok {
-			return false
-		}
-	}
-	return true
-}

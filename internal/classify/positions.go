@@ -235,19 +235,3 @@ func (g *PositionGraph) Ranks() (map[Position]int, bool) {
 func IsWeaklyAcyclic(rules []*logic.Rule) bool {
 	return !BuildPositionGraph(rules).HasSpecialCycle()
 }
-
-// MaxRank returns the maximum position rank of a weakly-acyclic rule
-// set, and false if the set is not weakly acyclic.
-func MaxRank(rules []*logic.Rule) (int, bool) {
-	ranks, ok := BuildPositionGraph(rules).Ranks()
-	if !ok {
-		return 0, false
-	}
-	max := 0
-	for _, r := range ranks {
-		if r > max {
-			max = r
-		}
-	}
-	return max, true
-}

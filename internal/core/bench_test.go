@@ -40,7 +40,7 @@ func BenchmarkStableSearchChoiceWide(b *testing.B) {
 		b.Run(fmt.Sprintf("items=%d/pad=%d", cfg.items, cfg.pad), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := core.StableModels(db, prog.Rules, opt)
+				res, err := stableModels(b, db, prog.Rules, opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -73,7 +73,7 @@ func BenchmarkParallelSearch(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := core.StableModels(db, prog.Rules, opt)
+				res, err := stableModels(b, db, prog.Rules, opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -122,7 +122,7 @@ func BenchmarkStableSearchDisjunctiveExistential(b *testing.B) {
 		b.Run(fmt.Sprintf("nodes=%d/pad=%d", cfg.nodes, cfg.pad), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := core.StableModels(db, prog.Rules, opt)
+				res, err := stableModels(b, db, prog.Rules, opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -171,7 +171,7 @@ func BenchmarkStabilitySession(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/workers=%d", shape.name, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res, err := core.StableModels(db, prog.Rules, opt)
+					res, err := stableModels(b, db, prog.Rules, opt)
 					if err != nil {
 						b.Fatal(err)
 					}

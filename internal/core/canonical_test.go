@@ -17,7 +17,7 @@ a(x).
 a(X) -> p(X,Y).
 a(X) -> q(X,Z).
 `)
-	res, err := core.StableModels(prog.Database(), prog.Rules, core.Options{})
+	res, err := stableModels(t, prog.Database(), prog.Rules, core.Options{})
 	if err != nil {
 		t.Fatalf("StableModels: %v", err)
 	}
@@ -88,7 +88,7 @@ q(X) -> p(X).
 	if core.IsStableModel(db, prog.Rules, m) {
 		t.Fatalf("circular support must fail the SM[D,Σ] subset check")
 	}
-	res, err := core.StableModels(db, prog.Rules, core.Options{})
+	res, err := stableModels(t, db, prog.Rules, core.Options{})
 	if err != nil {
 		t.Fatalf("StableModels: %v", err)
 	}

@@ -10,9 +10,9 @@
 //   - the stability check of Proposition 11 (no J with D ⊆ J ⊊ M⁺
 //     models the τ_{p▷s}-transformed program), encoded in CNF and
 //     decided by internal/sat;
-//   - the immediate consequence operator T_{Σ,I} of Section 5.1;
-//   - cautious and brave query answering for normal (Boolean)
-//     conjunctive queries (SMS-QAns, Sections 3.4 and 7.1).
+//   - a Compiled engine that internal/engine's cautious, brave,
+//     answers and consistency algorithms (SMS-QAns, Sections 3.4 and
+//     7.1) run against.
 //
 // The key semantic point (Examples 2 and 4) is that an existential head
 // variable may be witnessed by any domain element — including a
@@ -24,6 +24,10 @@
 // isomorphisms fixing the query constants, this restricted pool is
 // complete for certain-answer computation. Setting WitnessFreshOnly
 // reproduces the operational semantics of Baget et al. [3].
+//
+// The immediate consequence operator T_{Σ,I} of Section 5.1 and its
+// fixpoint T∞ live in the package's tests, which check Lemma 7 with
+// them.
 package core
 
 import (
@@ -49,9 +53,20 @@ const (
 	// WitnessAnyDomain draws witnesses from the current domain, the
 	// extra constants, and fresh nulls — the paper's SO semantics.
 	WitnessAnyDomain WitnessPolicy = iota
-	// WitnessFreshOnly always invents fresh nulls — the operational
-	// chase-based semantics of Baget et al. [3], provided for
-	// comparison (Example 2 shows it yields unintended answers).
+	// WitnessFreshOnly always invents fresh nulls. It realizes the
+	// operational, chase-based semantics of Baget, Garreau, Mugnier
+	// and Rocher ("Revisiting chase termination for existential rules
+	// and their extension to nonmonotonic negation", NMR 2014),
+	// reference [3] of the paper: a (possibly infinite) set of atoms M
+	// is a stable model of (D ∧ Σ) if it is obtained by a complete and
+	// sound chase of Σ⁺ from D — every applicable unblocked TGD is
+	// eventually applied, no applied TGD has a negative literal in M,
+	// and every existential variable is witnessed by a freshly invented
+	// null, never by a constant. That last point is what the paper
+	// criticizes (Section 1, Example 2): with fresh-only witnesses no
+	// stable model contains hasFather(alice, bob), so
+	// ¬hasFather(alice, bob) is (unexpectedly) entailed. Compiled's
+	// Semantics reports "operational" under this policy.
 	WitnessFreshOnly
 )
 
@@ -418,15 +433,6 @@ func (c *Compiled) enumerate(ctx context.Context, p engine.Params, visit func(*l
 		r.rootLen = fr.store.Len()
 	}
 	return r.execute(root, resolveWorkers(opt.Workers, p.Workers, naive), visit)
-}
-
-// StableModels enumerates SMS(D,Σ).
-func StableModels(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Result, error) {
-	c, err := Compile(db, rules, opt)
-	if err != nil {
-		return nil, err
-	}
-	return engine.CollectModels(context.Background(), c, engine.Params{}, opt.MaxModels)
 }
 
 // enumStableModelsNaive runs the search with the full-rescan trigger

@@ -1,9 +1,11 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"ntgd/internal/core"
+	"ntgd/internal/engine"
 	"ntgd/internal/logic"
 	"ntgd/internal/parser"
 )
@@ -25,6 +27,34 @@ func mustParse(t *testing.T, src string) *logic.Program {
 		t.Fatalf("parse: %v", err)
 	}
 	return p
+}
+
+// compile compiles (db, rules) for one test, failing it on an error.
+func compile(t testing.TB, db *logic.FactStore, rules []*logic.Rule, opt core.Options) *core.Compiled {
+	t.Helper()
+	c, err := core.Compile(db, rules, opt)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	return c
+}
+
+// stableModels compiles (db, rules) and collects up to opt.MaxModels of
+// its stable models (0 = all).
+func stableModels(t testing.TB, db *logic.FactStore, rules []*logic.Rule, opt core.Options) (*core.Result, error) {
+	return engine.CollectModels(context.Background(), compile(t, db, rules, opt), engine.Params{}, opt.MaxModels)
+}
+
+// cautiousEntails decides (D,Σ) |=SMS q (Section 3.4) on a fresh
+// compile of (db, rules).
+func cautiousEntails(t testing.TB, db *logic.FactStore, rules []*logic.Rule, q logic.Query, opt core.Options) (engine.QAResult, error) {
+	return engine.CautiousEntails(context.Background(), compile(t, db, rules, opt), engine.Params{}, q)
+}
+
+// braveEntails decides whether some stable model of (db, rules)
+// satisfies q (Section 7.1).
+func braveEntails(t testing.TB, db *logic.FactStore, rules []*logic.Rule, q logic.Query, opt core.Options) (engine.QAResult, error) {
+	return engine.BraveEntails(context.Background(), compile(t, db, rules, opt), engine.Params{}, q)
 }
 
 // TestExample4StableModelWithConstantWitness reproduces Example 4: the
@@ -70,7 +100,7 @@ func TestExample2QueryNotEntailed(t *testing.T) {
 	db := prog.Database()
 	q := prog.Queries[0]
 
-	res, err := core.CautiousEntails(db, prog.Rules, q, core.Options{})
+	res, err := cautiousEntails(t, db, prog.Rules, q, core.Options{})
 	if err != nil {
 		t.Fatalf("CautiousEntails: %v", err)
 	}
@@ -90,7 +120,7 @@ func TestExample2BagetSemanticsEntailsWrongly(t *testing.T) {
 	db := prog.Database()
 	q := prog.Queries[0]
 
-	res, err := core.CautiousEntails(db, prog.Rules, q, core.Options{WitnessPolicy: core.WitnessFreshOnly})
+	res, err := cautiousEntails(t, db, prog.Rules, q, core.Options{WitnessPolicy: core.WitnessFreshOnly})
 	if err != nil {
 		t.Fatalf("CautiousEntails: %v", err)
 	}
@@ -108,7 +138,7 @@ func TestExample1NormalAbnormal(t *testing.T) {
 `)
 	db := prog.Database()
 
-	res, err := core.CautiousEntails(db, prog.Rules, prog.Queries[0], core.Options{})
+	res, err := cautiousEntails(t, db, prog.Rules, prog.Queries[0], core.Options{})
 	if err != nil {
 		t.Fatalf("q2: %v", err)
 	}
@@ -116,7 +146,7 @@ func TestExample1NormalAbnormal(t *testing.T) {
 		t.Fatalf("q2 = person ∧ ¬abnormal should be cautiously entailed")
 	}
 
-	res, err = core.BraveEntails(db, prog.Rules, prog.Queries[1], core.Options{})
+	res, err = braveEntails(t, db, prog.Rules, prog.Queries[1], core.Options{})
 	if err != nil {
 		t.Fatalf("q3: %v", err)
 	}
@@ -136,7 +166,7 @@ p(X), not t(X) -> r(X).
 r(X) -> t(X).
 `)
 	db := prog.Database()
-	res, err := core.StableModels(db, prog.Rules, core.Options{})
+	res, err := stableModels(t, db, prog.Rules, core.Options{})
 	if err != nil {
 		t.Fatalf("StableModels: %v", err)
 	}
@@ -162,7 +192,7 @@ r(X) -> t(X).
 func TestEnumerationFatherExample(t *testing.T) {
 	prog := mustParse(t, fatherProgram)
 	db := prog.Database()
-	res, err := core.StableModels(db, prog.Rules, core.Options{})
+	res, err := stableModels(t, db, prog.Rules, core.Options{})
 	if err != nil {
 		t.Fatalf("StableModels: %v", err)
 	}
@@ -190,7 +220,7 @@ func TestEnumerationFatherExample(t *testing.T) {
 func TestLemma7FixpointCharacterization(t *testing.T) {
 	prog := mustParse(t, fatherProgram)
 	db := prog.Database()
-	res, err := core.StableModels(db, prog.Rules, core.Options{})
+	res, err := stableModels(t, db, prog.Rules, core.Options{})
 	if err != nil {
 		t.Fatalf("StableModels: %v", err)
 	}
@@ -226,7 +256,7 @@ node(X) -> red(X) | green(X).
 :- green(X).
 `)
 	db := prog.Database()
-	res, err := core.StableModels(db, prog.Rules, core.Options{})
+	res, err := stableModels(t, db, prog.Rules, core.Options{})
 	if err != nil {
 		t.Fatalf("StableModels: %v", err)
 	}
@@ -249,7 +279,7 @@ green(X) -> false.
 false, not aux -> aux.
 `)
 	db := prog.Database()
-	res, err := core.StableModels(db, prog.Rules, core.Options{})
+	res, err := stableModels(t, db, prog.Rules, core.Options{})
 	if err != nil {
 		t.Fatalf("StableModels: %v", err)
 	}

@@ -161,7 +161,7 @@ func (c *compiledModelCheck) isModel(jmask uint32) bool {
 }
 
 // splitExtra returns the non-database atoms of the universe, preserving
-// insertion order (the naive oracles' helper).
+// insertion order (the naive oracle's helper).
 func splitExtra(db, universe *logic.FactStore) []logic.Atom {
 	var extra []logic.Atom
 	for _, a := range universe.Atoms() {
@@ -235,95 +235,4 @@ func isMinimalModelNaive(db *logic.FactStore, rules []*logic.Rule, m *logic.Fact
 		}
 	}
 	return true
-}
-
-// MinimalModels enumerates the minimal models of (D, Σ) over candidate
-// atom sets drawn from the universe store (typically a chase result or
-// a stable-model search space); used by the E4 experiment to contrast
-// MM[D,Σ] with SM[D,Σ] on small instances. Model checking per subset
-// uses the same compiled instances as IsMinimalModel.
-func MinimalModels(db *logic.FactStore, rules []*logic.Rule, universe *logic.FactStore) []*logic.FactStore {
-	u, extra := indexUniverse(db, universe)
-	n := len(extra)
-	if n > 20 {
-		panic("core: MinimalModels is limited to 20 non-database atoms")
-	}
-	c := compileModelCheck(rules, universe, u)
-	// A proper subset of a bitmask is numerically smaller, so the
-	// ascending enumeration meets every minimal model before any model
-	// it is contained in: one subset check against the kept masks is
-	// exact.
-	var modelMasks []uint32
-	for mask := uint32(0); mask < 1<<n; mask++ {
-		if !c.isModel(mask) {
-			continue
-		}
-		minimal := true
-		for _, prev := range modelMasks {
-			if prev&mask == prev {
-				minimal = false
-				break
-			}
-		}
-		if minimal {
-			modelMasks = append(modelMasks, mask)
-		}
-	}
-	var out []*logic.FactStore
-	for _, mi := range modelMasks {
-		j := db.Clone()
-		for b := 0; b < n; b++ {
-			if mi&(1<<b) != 0 {
-				j.Add(extra[b])
-			}
-		}
-		out = append(out, j)
-	}
-	return out
-}
-
-// minimalModelsNaive is the original enumeration kept as the
-// differential-test oracle for MinimalModels.
-func minimalModelsNaive(db *logic.FactStore, rules []*logic.Rule, universe *logic.FactStore) []*logic.FactStore {
-	extra := splitExtra(db, universe)
-	n := len(extra)
-	if n > 20 {
-		panic("core: MinimalModels is limited to 20 non-database atoms")
-	}
-	var out []*logic.FactStore
-	for mask := 0; mask < 1<<n; mask++ {
-		j := db.Clone()
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				j.Add(extra[i])
-			}
-		}
-		if !logic.IsModel(rules, j) {
-			continue
-		}
-		minimal := true
-		for _, prev := range out {
-			if prev.SubsetOf(j) {
-				minimal = false
-				break
-			}
-		}
-		if minimal {
-			out = append(out, j)
-		}
-	}
-	var filtered []*logic.FactStore
-	for i, mi := range out {
-		minimal := true
-		for k, mk := range out {
-			if i != k && mk.SubsetOf(mi) && !mk.Equal(mi) {
-				minimal = false
-				break
-			}
-		}
-		if minimal {
-			filtered = append(filtered, mi)
-		}
-	}
-	return filtered
 }

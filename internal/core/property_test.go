@@ -64,7 +64,7 @@ func TestRandomWAProgramsCrossValidated(t *testing.T) {
 	for iter := 0; iter < iters; iter++ {
 		prog := randomWAProgram(rng)
 		db := prog.Database()
-		res, err := core.StableModels(db, prog.Rules, core.Options{MaxModels: 20, MaxNodes: 200000})
+		res, err := stableModels(t, db, prog.Rules, core.Options{MaxModels: 20, MaxNodes: 200000})
 		if err != nil {
 			skipped++ // budget hit on an unlucky instance
 			continue
@@ -112,7 +112,7 @@ func TestRandomModelsRejectedCorrectly(t *testing.T) {
 	for iter := 0; iter < iters; iter++ {
 		prog := randomWAProgram(rng)
 		db := prog.Database()
-		res, err := core.StableModels(db, prog.Rules, core.Options{MaxModels: 3, MaxNodes: 100000})
+		res, err := stableModels(t, db, prog.Rules, core.Options{MaxModels: 3, MaxNodes: 100000})
 		if err != nil || len(res.Models) == 0 {
 			skipped++
 			continue
@@ -156,7 +156,7 @@ func TestRandomModelsRejectedCorrectly(t *testing.T) {
 func TestStableImpliesModelAndContainsDB(t *testing.T) {
 	prog := mustParse(t, fatherProgram)
 	db := prog.Database()
-	res, err := core.StableModels(db, prog.Rules, core.Options{})
+	res, err := stableModels(t, db, prog.Rules, core.Options{})
 	if err != nil {
 		t.Fatalf("StableModels: %v", err)
 	}

@@ -1,9 +1,11 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"ntgd/internal/core"
+	"ntgd/internal/engine"
 	"ntgd/internal/logic"
 )
 
@@ -16,7 +18,7 @@ node(a).
 node(X) -> succ(X,Y).
 succ(X,Y) -> node(Y).
 `)
-	res, err := core.StableModels(prog.Database(), prog.Rules, core.Options{MaxAtoms: 24, MaxNodes: 50000})
+	res, err := stableModels(t, prog.Database(), prog.Rules, core.Options{MaxAtoms: 24, MaxNodes: 50000})
 	if err == nil && !res.Exhausted {
 		t.Fatalf("expected exhaustion on a non-terminating program")
 	}
@@ -34,14 +36,15 @@ in(a) -> marked(a).
 	db := prog.Database()
 	q := logic.Query{AnswerVars: []string{"X"}, Pos: []logic.Atom{logic.A("in", logic.V("X"))}}
 
-	brave, ok, err := core.Answers(db, prog.Rules, q, true, core.Options{})
+	c := compile(t, db, prog.Rules, core.Options{})
+	brave, ok, _, _, err := engine.Answers(context.Background(), c, engine.Params{}, q, true)
 	if err != nil || !ok {
 		t.Fatalf("brave answers: %v ok=%v", err, ok)
 	}
 	if len(brave) != 2 {
 		t.Fatalf("brave answers should be {a, b}: %v", brave)
 	}
-	cautious, ok, err := core.Answers(db, prog.Rules, q, false, core.Options{})
+	cautious, ok, _, _, err := engine.Answers(context.Background(), c, engine.Params{}, q, false)
 	if err != nil || !ok {
 		t.Fatalf("cautious answers: %v ok=%v", err, ok)
 	}
@@ -60,14 +63,14 @@ r(X) -> t(X).
 ?- r(0).
 `)
 	db := prog.Database()
-	c, err := core.CautiousEntails(db, prog.Rules, prog.Queries[0], core.Options{})
+	c, err := cautiousEntails(t, db, prog.Rules, prog.Queries[0], core.Options{})
 	if err != nil {
 		t.Fatalf("cautious: %v", err)
 	}
 	if !c.Entailed || !c.NoModels {
 		t.Fatalf("cautious entailment over empty SMS is vacuous: %+v", c)
 	}
-	b, err := core.BraveEntails(db, prog.Rules, prog.Queries[0], core.Options{})
+	b, err := braveEntails(t, db, prog.Rules, prog.Queries[0], core.Options{})
 	if err != nil {
 		t.Fatalf("brave: %v", err)
 	}
@@ -84,7 +87,7 @@ func TestSharedFreshNullWitnesses(t *testing.T) {
 seed(a).
 seed(X) -> pair(Y,Z).
 `)
-	res, err := core.StableModels(prog.Database(), prog.Rules, core.Options{})
+	res, err := stableModels(t, prog.Database(), prog.Rules, core.Options{})
 	if err != nil {
 		t.Fatalf("StableModels: %v", err)
 	}
@@ -116,7 +119,7 @@ e(a,b). e(b,c). e(c,d).
 e(X,Y) -> t(X,Y).
 t(X,Y), e(Y,Z) -> t(X,Z).
 `)
-	res, err := core.StableModels(prog.Database(), prog.Rules, core.Options{})
+	res, err := stableModels(t, prog.Database(), prog.Rules, core.Options{})
 	if err != nil {
 		t.Fatalf("StableModels: %v", err)
 	}
@@ -138,7 +141,7 @@ item(a). item(b). item(c).
 item(X), not out(X) -> in(X).
 item(X), not in(X) -> out(X).
 `)
-	res, err := core.StableModels(prog.Database(), prog.Rules, core.Options{MaxModels: 3})
+	res, err := stableModels(t, prog.Database(), prog.Rules, core.Options{MaxModels: 3})
 	if err != nil {
 		t.Fatalf("StableModels: %v", err)
 	}
@@ -155,7 +158,7 @@ item(a). item(b). item(c).
 item(X), not out(X) -> in(X).
 item(X), not in(X) -> out(X).
 `)
-	res, err := core.StableModels(prog.Database(), prog.Rules, core.Options{})
+	res, err := stableModels(t, prog.Database(), prog.Rules, core.Options{})
 	if err != nil {
 		t.Fatalf("StableModels: %v", err)
 	}
@@ -179,11 +182,11 @@ a(X), not p(X) -> q(X).
 `
 	prog := mustParse(t, src)
 	db := prog.Database()
-	anyDom, err := core.StableModels(db, prog.Rules, core.Options{})
+	anyDom, err := stableModels(t, db, prog.Rules, core.Options{})
 	if err != nil {
 		t.Fatalf("any-domain: %v", err)
 	}
-	fresh, err := core.StableModels(db, prog.Rules, core.Options{WitnessPolicy: core.WitnessFreshOnly})
+	fresh, err := stableModels(t, db, prog.Rules, core.Options{WitnessPolicy: core.WitnessFreshOnly})
 	if err != nil {
 		t.Fatalf("fresh-only: %v", err)
 	}
@@ -196,12 +199,12 @@ a(X), not p(X) -> q(X).
 // TestConsistent reports SMS emptiness.
 func TestConsistent(t *testing.T) {
 	yes := mustParse(t, `p(a). p(X) -> q(X).`)
-	ok, err := core.Consistent(yes.Database(), yes.Rules, core.Options{})
+	ok, _, _, err := engine.Consistent(context.Background(), compile(t, yes.Database(), yes.Rules, core.Options{}), engine.Params{})
 	if err != nil || !ok {
 		t.Fatalf("consistent program: ok=%v err=%v", ok, err)
 	}
 	no := mustParse(t, `p(0). p(X), not t(X) -> r(X). r(X) -> t(X).`)
-	ok, err = core.Consistent(no.Database(), no.Rules, core.Options{})
+	ok, _, _, err = engine.Consistent(context.Background(), compile(t, no.Database(), no.Rules, core.Options{}), engine.Params{})
 	if err != nil || ok {
 		t.Fatalf("inconsistent program: ok=%v err=%v", ok, err)
 	}
@@ -218,7 +221,7 @@ p(X), s(Y) -> t(X,Y).
 t(X,Y) -> u(Y,Z).
 u(Y,Z) -> s(Z).
 `)
-	res, err := core.StableModels(prog.Database(), prog.Rules, core.Options{
+	res, err := stableModels(t, prog.Database(), prog.Rules, core.Options{
 		MaxAtoms: 24, MaxNodes: 1 << 20, MaxModels: 1,
 		WitnessPolicy: core.WitnessFreshOnly,
 	})
@@ -226,7 +229,7 @@ u(Y,Z) -> s(Z).
 	if !res.Exhausted {
 		t.Fatalf("fresh-only witnesses must diverge on the grid gadget")
 	}
-	soRes, err := core.StableModels(prog.Database(), prog.Rules, core.Options{
+	soRes, err := stableModels(t, prog.Database(), prog.Rules, core.Options{
 		MaxAtoms: 24, MaxNodes: 1 << 20, MaxModels: 1,
 	})
 	if err != nil && len(soRes.Models) == 0 {
@@ -242,11 +245,11 @@ u(Y,Z) -> s(Z).
 func TestQueryConstantEnlargesModelSet(t *testing.T) {
 	prog := mustParse(t, fatherProgram)
 	db := prog.Database()
-	plain, err := core.StableModels(db, prog.Rules, core.Options{})
+	plain, err := stableModels(t, db, prog.Rules, core.Options{})
 	if err != nil {
 		t.Fatalf("plain: %v", err)
 	}
-	withBob, err := core.StableModels(db, prog.Rules, core.Options{
+	withBob, err := stableModels(t, db, prog.Rules, core.Options{
 		ExtraConstants: []logic.Term{logic.C("bob")},
 	})
 	if err != nil {

@@ -4,6 +4,10 @@ import (
 	"ntgd/internal/logic"
 )
 
+// T∞ is test code: the search never calls it, and the tests use it to
+// check Lemma 7 on the models the search finds. The two exported names
+// below are visible to the external core_test package as well.
+
 // ImmediateConsequences computes T_{Σ,I}(S), the immediate consequence
 // operator of Section 5.1 relative to the oracle interpretation I
 // (given by its positive part): an atom p(t̄) ∈ I⁺ is an immediate

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ntgd/internal/classify"
-	"ntgd/internal/core"
 	"ntgd/internal/encodings"
 )
 
@@ -14,10 +13,7 @@ import (
 // engine (WATGD¬,∨): YES iff bad is not bravely entailed.
 func solveCertCol(t *testing.T, g encodings.CertColGraph) bool {
 	t.Helper()
-	res, err := core.BraveEntails(g.Database(), g.DatalogProgram(), g.BadQuery(), core.Options{})
-	if err != nil {
-		t.Fatalf("brave entailment: %v", err)
-	}
+	res := entails(t, g.Database(), g.DatalogProgram(), g.BadQuery(), true)
 	if res.Exhausted {
 		t.Fatalf("budget exhausted")
 	}

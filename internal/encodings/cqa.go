@@ -1,10 +1,12 @@
 package encodings
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"ntgd/internal/core"
+	"ntgd/internal/engine"
 	"ntgd/internal/logic"
 )
 
@@ -279,12 +281,9 @@ func (in *CQAInstance) CertainBrute(q logic.Query, opt core.Options) (bool, erro
 		return false, err
 	}
 	for _, rep := range repairs {
-		res, err := core.CautiousEntails(rep, in.TGDs, q, opt)
-		if err != nil {
+		ok, err := certain(rep, in.TGDs, q, opt)
+		if err != nil || !ok {
 			return false, err
-		}
-		if !res.Entailed {
-			return false, nil
 		}
 	}
 	return true, nil
@@ -297,7 +296,17 @@ func (in *CQAInstance) CertainEncoded(q logic.Query, opt core.Options) (bool, er
 	if err != nil {
 		return false, err
 	}
-	res, err := core.CautiousEntails(db, rules, q, opt)
+	return certain(db, rules, q, opt)
+}
+
+// certain compiles (db, rules) under the SO semantics and decides
+// whether q holds in every stable model.
+func certain(db *logic.FactStore, rules []*logic.Rule, q logic.Query, opt core.Options) (bool, error) {
+	c, err := core.Compile(db, rules, opt)
+	if err != nil {
+		return false, err
+	}
+	res, err := engine.CautiousEntails(context.Background(), c, engine.Params{}, q)
 	if err != nil {
 		return false, err
 	}

@@ -1,13 +1,35 @@
 package encodings_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"ntgd/internal/core"
 	"ntgd/internal/encodings"
+	"ntgd/internal/engine"
+	"ntgd/internal/logic"
 	"ntgd/internal/qbf"
 )
+
+// entails compiles (db, rules) under the SO semantics and decides q
+// bravely or cautiously.
+func entails(t *testing.T, db *logic.FactStore, rules []*logic.Rule, q logic.Query, brave bool) engine.QAResult {
+	t.Helper()
+	c, err := core.Compile(db, rules, core.Options{})
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	decide := engine.CautiousEntails
+	if brave {
+		decide = engine.BraveEntails
+	}
+	res, err := decide(context.Background(), c, engine.Params{}, q)
+	if err != nil {
+		t.Fatalf("query answering: %v", err)
+	}
+	return res
+}
 
 // solveViaEncoding decides 2-QBF∃ satisfiability through the paper's
 // reduction: ϕ is satisfiable iff (Dϕ, Σ) ⊭SMS error.
@@ -17,10 +39,7 @@ func solveViaEncoding(t *testing.T, f qbf.Formula) bool {
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	res, err := core.CautiousEntails(inst.DB, inst.Rules, inst.Query, core.Options{})
-	if err != nil {
-		t.Fatalf("query answering: %v", err)
-	}
+	res := entails(t, inst.DB, inst.Rules, inst.Query, false)
 	if res.Exhausted {
 		t.Fatalf("budget exhausted on %s", f)
 	}

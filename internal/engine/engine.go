@@ -1,17 +1,20 @@
 // Package engine defines the uniform evaluation interface behind the
-// public ntgd.Solver: one Engine contract that the three stable model
-// semantics of the paper — the SO-based semantics (internal/core), the
-// Skolemized-LP approach (internal/lp), and the operational chase
-// semantics of Baget et al. (internal/baget) — all implement. A
-// compiled engine holds every artifact derivable from the program
-// alone (validation, budgets, Skolemization, grounding), so repeated
-// enumeration and query answering amortize that work, and every run is
-// context-aware: cancellation or a deadline aborts mid-search with the
-// partial Stats accumulated so far.
+// public ntgd.Solver: one Engine contract that two engines implement.
+// The SO search (internal/core) serves the paper's SO-based semantics
+// and, under its fresh-only witness policy, the operational chase
+// semantics of Baget et al.; the LP pipeline (internal/lp) serves the
+// Skolemized-LP approach. A compiled engine holds every artifact
+// derivable from the program alone (validation, budgets,
+// Skolemization, grounding), so repeated enumeration and query
+// answering amortize that work, and every run is context-aware:
+// cancellation or a deadline aborts mid-search with the partial Stats
+// accumulated so far.
 //
 // The generic query-answering algorithms (cautious/brave entailment,
 // n-ary answers, consistency) live here too, written once against the
-// Engine interface instead of per semantics.
+// Engine interface instead of per semantics. Compiling an engine and
+// running these algorithms on it is the one way callers reach core and
+// lp.
 package engine
 
 import (
@@ -22,8 +25,8 @@ import (
 )
 
 // ErrBudget is reported (alongside partial results) when an engine's
-// search budget was hit before the enumeration completed. All three
-// engines normalize their internal budget errors to this value.
+// search budget was hit before the enumeration completed. Both engines
+// normalize their internal budget errors to this value.
 var ErrBudget = errors.New("ntgd: search budget exhausted; enumeration may be incomplete")
 
 // Params carries the per-call knobs of an enumeration run. Everything

@@ -60,77 +60,3 @@ func IsModel(rules []*Rule, store *FactStore) bool {
 	}
 	return true
 }
-
-// FindViolations returns up to max violations across all rules (all of
-// them if max <= 0).
-func FindViolations(rules []*Rule, store *FactStore, max int) []Violation {
-	var out []Violation
-	for _, r := range rules {
-		pos, neg := SplitLiterals(r.Body)
-		FindHoms(pos, neg, store, Subst{}, func(h Subst) bool {
-			if headSatisfied(r, h, store) {
-				return true
-			}
-			out = append(out, Violation{Rule: r, Hom: h.Clone()})
-			return max <= 0 || len(out) < max
-		})
-		if max > 0 && len(out) >= max {
-			break
-		}
-	}
-	return out
-}
-
-// Witness is the paper's Definition 4: for an NTGD σ and interpretation
-// I, the witness W^σ_I collects every homomorphism h with h(B(σ)) ⊆ I
-// together with the set E of extensions µ ⊇ h with µ(H(σ)) ⊆ I. The
-// witness is negative if some entry has no extensions. For disjunctive
-// rules the extensions record the disjunct index.
-type Witness struct {
-	Rule    *Rule
-	Entries []WitnessEntry
-}
-
-// WitnessEntry pairs one body homomorphism with its head extensions.
-type WitnessEntry struct {
-	Hom        Subst
-	Extensions []WitnessExtension
-}
-
-// WitnessExtension is one way of satisfying the head: an extension of
-// the body homomorphism into a particular disjunct.
-type WitnessExtension struct {
-	Disjunct int
-	Hom      Subst
-}
-
-// IsPositive reports whether every entry has at least one extension
-// (Definition 4: the witness is positive).
-func (w *Witness) IsPositive() bool {
-	for _, e := range w.Entries {
-		if len(e.Extensions) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// ComputeWitness materializes W^σ_I for rule r over store. By Lemma 10,
-// store |= Σ iff ComputeWitness(σ, store).IsPositive() for every σ ∈ Σ.
-func ComputeWitness(r *Rule, store *FactStore) *Witness {
-	w := &Witness{Rule: r}
-	pos, neg := SplitLiterals(r.Body)
-	FindHoms(pos, neg, store, Subst{}, func(h Subst) bool {
-		entry := WitnessEntry{Hom: h.Clone()}
-		for i := range r.Heads {
-			disj := i
-			FindHoms(r.Heads[i], nil, store, h, func(mu Subst) bool {
-				entry.Extensions = append(entry.Extensions, WitnessExtension{Disjunct: disj, Hom: mu.Clone()})
-				return true
-			})
-		}
-		w.Entries = append(w.Entries, entry)
-		return true
-	})
-	return w
-}

@@ -58,9 +58,6 @@ func SetJoinPlanning(on bool) (restore func()) {
 	return func() { joinPlanningOff.Store(!prev) }
 }
 
-// JoinPlanningEnabled reports whether the join planner is active.
-func JoinPlanningEnabled() bool { return !joinPlanningOff.Load() }
-
 // Re-plan threshold: a cached plan is invalidated when any body
 // predicate's fact count exceeds 2x its count at plan time plus slack.
 // Growth-only invalidation keeps sibling search branches of different

@@ -43,45 +43,6 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// Schema returns the predicates (with arities) occurring in rules,
-// facts and queries. An error is returned if a predicate is used with
-// two different arities.
-func (p *Program) Schema() (map[string]int, error) {
-	out := make(map[string]int)
-	add := func(pred string, ar int, where string) error {
-		if prev, ok := out[pred]; ok && prev != ar {
-			return fmt.Errorf("predicate %s used with arities %d and %d (%s)", pred, prev, ar, where)
-		}
-		out[pred] = ar
-		return nil
-	}
-	for _, r := range p.Rules {
-		for pred, ar := range r.Preds() {
-			if err := add(pred, ar, r.String()); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, f := range p.Facts {
-		if err := add(f.Pred, f.Arity(), "database"); err != nil {
-			return nil, err
-		}
-	}
-	for _, q := range p.Queries {
-		for _, a := range q.Pos {
-			if err := add(a.Pred, a.Arity(), "query"); err != nil {
-				return nil, err
-			}
-		}
-		for _, a := range q.Neg {
-			if err := add(a.Pred, a.Arity(), "query"); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
 // String renders the program in surface syntax.
 func (p *Program) String() string {
 	var b strings.Builder
@@ -98,24 +59,6 @@ func (p *Program) String() string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// ActiveDomain returns the constants occurring in the database, sorted.
-func (p *Program) ActiveDomain() []Term {
-	seen := make(map[string]Term)
-	for _, f := range p.Facts {
-		for _, t := range f.Args {
-			if t.Kind == Const {
-				seen[t.Key()] = t
-			}
-		}
-	}
-	out := make([]Term, 0, len(seen))
-	for _, t := range seen {
-		out = append(out, t)
-	}
-	SortTerms(out)
-	return out
 }
 
 // Query is an n-ary normal conjunctive query (NCQ, Section 2):

@@ -22,27 +22,6 @@ func TestProgramDatabase(t *testing.T) {
 	}
 }
 
-func TestProgramSchema(t *testing.T) {
-	schema, err := progFixture().Schema()
-	if err != nil {
-		t.Fatalf("Schema: %v", err)
-	}
-	if schema["p"] != 1 || schema["q"] != 2 || schema["s"] != 2 {
-		t.Fatalf("Schema = %v", schema)
-	}
-	clash := &Program{Facts: []Atom{A("p", C("a")), A("p", C("a"), C("b"))}}
-	if _, err := clash.Schema(); err == nil {
-		t.Fatalf("arity clash should be detected")
-	}
-}
-
-func TestProgramActiveDomain(t *testing.T) {
-	dom := progFixture().ActiveDomain()
-	if len(dom) != 2 || dom[0].Name != "a" || dom[1].Name != "b" {
-		t.Fatalf("ActiveDomain = %v", dom)
-	}
-}
-
 func TestProgramStringRendersAll(t *testing.T) {
 	s := progFixture().String()
 	for _, frag := range []string{"p(a).", "q(b,a).", "p(X) -> s(X,Y).", "?- s(X,Y)."} {
@@ -77,37 +56,7 @@ func TestSubstHelpers(t *testing.T) {
 	if _, leaked := s["Y"]; leaked {
 		t.Fatalf("Clone not isolated")
 	}
-	l := s.ApplyLiteral(Neg(A("p", V("X"), V("Z"))))
-	if !l.Neg || l.Atom.Args[0].Name != "a" || l.Atom.Args[1].Kind != Var {
-		t.Fatalf("ApplyLiteral wrong: %v", l)
-	}
 	if got := s.String(); got != "{X->a}" {
 		t.Fatalf("String = %q", got)
-	}
-}
-
-func TestRenameNulls(t *testing.T) {
-	a := A("p", N("n1"), F("f", N("n2")), C("c"))
-	out := RenameNulls(a, map[string]string{"n1": "m1", "n2": "m2"})
-	if out.Args[0].Name != "m1" || out.Args[1].Args[0].Name != "m2" || out.Args[2].Name != "c" {
-		t.Fatalf("RenameNulls wrong: %v", out)
-	}
-	// Unknown labels survive.
-	out2 := RenameNulls(a, map[string]string{})
-	if out2.Args[0].Name != "n1" {
-		t.Fatalf("unmapped null should be kept")
-	}
-}
-
-func TestViolationReporting(t *testing.T) {
-	r := NewRule("r", []Literal{Pos(A("p", V("X")))}, []Atom{A("q", V("X"))})
-	s := StoreOf(A("p", C("a")), A("p", C("b")), A("q", C("a")))
-	vs := FindViolations([]*Rule{r}, s, 0)
-	if len(vs) != 1 || vs[0].Hom["X"].Name != "b" {
-		t.Fatalf("violations = %+v", vs)
-	}
-	vsCapped := FindViolations([]*Rule{r}, StoreOf(A("p", C("a")), A("p", C("b"))), 1)
-	if len(vsCapped) != 1 {
-		t.Fatalf("cap ignored: %d", len(vsCapped))
 	}
 }

@@ -109,25 +109,6 @@ func (r *Rule) PosBodyVars() map[string]bool {
 	return set
 }
 
-// Frontier returns the variables shared between the positive body and
-// disjunct i, in first-occurrence order.
-func (r *Rule) Frontier(i int) []string {
-	pb := r.PosBodyVars()
-	var out []string
-	seen := make(map[string]bool)
-	var buf []string
-	for _, a := range r.Heads[i] {
-		buf = a.Vars(buf[:0])
-		for _, v := range buf {
-			if pb[v] && !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-	}
-	return out
-}
-
 // ExistVars returns the existentially quantified variables of disjunct
 // i (head variables not occurring in the positive body), in
 // first-occurrence order.
@@ -242,38 +223,6 @@ func (r *Rule) Preds() map[string]int {
 		for _, a := range disj {
 			out[a.Pred] = a.Arity()
 		}
-	}
-	return out
-}
-
-// Rename returns a copy of the rule with every variable prefixed, used
-// to keep rule variables disjoint across instantiation contexts.
-func (r *Rule) Rename(prefix string) *Rule {
-	s := make(Subst)
-	var collect func(a Atom)
-	var buf []string
-	collect = func(a Atom) {
-		buf = a.Vars(buf[:0])
-		for _, v := range buf {
-			if _, ok := s[v]; !ok {
-				s[v] = V(prefix + v)
-			}
-		}
-	}
-	for _, l := range r.Body {
-		collect(l.Atom)
-	}
-	for _, d := range r.Heads {
-		for _, a := range d {
-			collect(a)
-		}
-	}
-	out := &Rule{Label: r.Label}
-	for _, l := range r.Body {
-		out.Body = append(out.Body, s.ApplyLiteral(l))
-	}
-	for _, d := range r.Heads {
-		out.Heads = append(out.Heads, s.ApplyAtoms(d))
 	}
 	return out
 }

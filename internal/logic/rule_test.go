@@ -37,12 +37,6 @@ func TestRuleAccessors(t *testing.T) {
 	if got := r.ExistVars(1); len(got) != 0 {
 		t.Fatalf("ExistVars(1) = %v", got)
 	}
-	if got := r.Frontier(0); len(got) != 1 || got[0] != "X" {
-		t.Fatalf("Frontier(0) = %v", got)
-	}
-	if got := r.Frontier(1); len(got) != 1 || got[0] != "Y" {
-		t.Fatalf("Frontier(1) = %v", got)
-	}
 }
 
 func TestRuleValidateSafety(t *testing.T) {
@@ -73,21 +67,6 @@ func TestRuleString(t *testing.T) {
 	}
 }
 
-func TestRuleRenameDisjointness(t *testing.T) {
-	r := ruleFixture()
-	rn := r.Rename("v_")
-	set := rn.BodyVars()
-	for v := range set {
-		if !strings.HasPrefix(v, "v_") {
-			t.Fatalf("rename missed %s", v)
-		}
-	}
-	// Original untouched.
-	if _, ok := r.BodyVars()["v_X"]; ok {
-		t.Fatalf("rename mutated the receiver")
-	}
-}
-
 func TestRulePreds(t *testing.T) {
 	preds := ruleFixture().Preds()
 	if preds["p"] != 2 || preds["q"] != 1 || preds["r"] != 2 || preds["s"] != 1 {
@@ -109,40 +88,6 @@ func TestSatisfiesRuleAndWitness(t *testing.T) {
 	v := FirstViolation(r, unsat)
 	if v == nil || v.Hom["X"].Name != "a" {
 		t.Fatalf("violation witness wrong: %+v", v)
-	}
-	w := ComputeWitness(r, sat)
-	if !w.IsPositive() || len(w.Entries) != 1 || len(w.Entries[0].Extensions) != 1 {
-		t.Fatalf("witness structure wrong: %+v", w)
-	}
-	wNeg := ComputeWitness(r, unsat)
-	if wNeg.IsPositive() {
-		t.Fatalf("witness should be negative (Lemma 10)")
-	}
-}
-
-// TestLemma10 checks the equivalence of Lemma 10: I |= Σ iff every
-// witness is positive.
-func TestLemma10(t *testing.T) {
-	rules := []*Rule{
-		NewRule("r1", []Literal{Pos(A("p", V("X")))}, []Atom{A("q", V("X"))}),
-		NewRule("r2", []Literal{Pos(A("q", V("X"))), Neg(A("s", V("X")))}, []Atom{A("t", V("X"))}),
-	}
-	stores := []*FactStore{
-		StoreOf(A("p", C("a"))),
-		StoreOf(A("p", C("a")), A("q", C("a"))),
-		StoreOf(A("p", C("a")), A("q", C("a")), A("t", C("a"))),
-		StoreOf(A("p", C("a")), A("q", C("a")), A("s", C("a"))),
-	}
-	for _, st := range stores {
-		allPositive := true
-		for _, r := range rules {
-			if !ComputeWitness(r, st).IsPositive() {
-				allPositive = false
-			}
-		}
-		if allPositive != IsModel(rules, st) {
-			t.Fatalf("Lemma 10 violated on %s", st.CanonicalString())
-		}
 	}
 }
 

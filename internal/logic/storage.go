@@ -17,18 +17,6 @@ import (
 // allocation-free map lookup, which the hot paths rely on.
 type FactKey string
 
-// Pred returns the interned predicate id of the packed key.
-func (k FactKey) Pred() uint32 { return binary.LittleEndian.Uint32([]byte(k[:4])) }
-
-// Arity returns the number of argument ids in the packed key.
-func (k FactKey) Arity() int { return len(k)/4 - 1 }
-
-// Arg returns the interned term id of the argument at 0-based position
-// i.
-func (k FactKey) Arg(i int) uint32 {
-	return binary.LittleEndian.Uint32([]byte(k[4+4*i : 8+4*i]))
-}
-
 // factKeyBytes returns the number of bytes a fact with the given arity
 // occupies as a packed tuple; it is the unit of the MaxMemory
 // watermark.

@@ -78,14 +78,6 @@ func (s *Symbols) NumTerms() int {
 	return n
 }
 
-// NumPreds returns the number of interned predicate names.
-func (s *Symbols) NumPreds() int {
-	s.mu.RLock()
-	n := len(s.predNames)
-	s.mu.RUnlock()
-	return n
-}
-
 // TermOf returns the interned term with the given id.
 func (s *Symbols) TermOf(id uint32) Term {
 	s.mu.RLock()

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"ntgd/internal/core"
-	"ntgd/internal/lp"
 	"ntgd/internal/parser"
 )
 
@@ -36,23 +34,15 @@ gifted(X) -> happy.`,
 		src := src
 		t.Run(fmt.Sprintf("program%d", i), func(t *testing.T) {
 			prog := parser.MustParse(src)
-			db := prog.Database()
-			lpRes, err := lp.StableModels(db, prog.Rules, lp.Options{})
-			if err != nil {
-				t.Fatalf("lp: %v", err)
-			}
-			soRes, err := core.StableModels(db, prog.Rules, core.Options{})
-			if err != nil {
-				t.Fatalf("so: %v", err)
-			}
+			lpModels, soModels := lpAndSOModels(t, prog.Database(), prog.Rules)
 			lpSet := map[string]bool{}
-			for _, m := range lpRes.Models {
+			for _, m := range lpModels {
 				lpSet[m.CanonicalString()] = true
 			}
-			if len(lpSet) != len(soRes.Models) {
-				t.Fatalf("model counts differ: lp=%d so=%d on %q", len(lpSet), len(soRes.Models), src)
+			if len(lpSet) != len(soModels) {
+				t.Fatalf("model counts differ: lp=%d so=%d on %q", len(lpSet), len(soModels), src)
 			}
-			for _, m := range soRes.Models {
+			for _, m := range soModels {
 				if !lpSet[m.CanonicalString()] {
 					t.Fatalf("SO model missing from LP: %s", m.CanonicalString())
 				}
@@ -90,21 +80,13 @@ func TestTheorem20Random(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		db := prog.Database()
-		lpRes, err := lp.StableModels(db, prog.Rules, lp.Options{})
-		if err != nil {
-			t.Fatalf("lp: %v on\n%s", err, src)
-		}
-		soRes, err := core.StableModels(db, prog.Rules, core.Options{})
-		if err != nil {
-			t.Fatalf("so: %v on\n%s", err, src)
-		}
+		lpModels, soModels := lpAndSOModels(t, prog.Database(), prog.Rules)
 		lpSet := map[string]bool{}
-		for _, m := range lpRes.Models {
+		for _, m := range lpModels {
 			lpSet[m.CanonicalString()] = true
 		}
 		soSet := map[string]bool{}
-		for _, m := range soRes.Models {
+		for _, m := range soModels {
 			soSet[m.CanonicalString()] = true
 		}
 		if len(lpSet) != len(soSet) {

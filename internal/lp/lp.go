@@ -22,10 +22,9 @@ import (
 	"ntgd/internal/logic"
 )
 
-// Options configures the pipeline.
+// Options configures the pipeline. The grounding runs under
+// ground.Options' default bounds.
 type Options struct {
-	// Ground bounds the grounding phase.
-	Ground ground.Options
 	// Solve configures stable model enumeration.
 	Solve asp.SolveOptions
 }
@@ -59,16 +58,15 @@ type Compiled struct {
 // Skolemization weakness the paper's Examples 2 and 4 exhibit.
 func Compile(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Compiled, error) {
 	sk := ground.Skolemize(rules)
-	g, err := ground.Ground(db, sk, opt.Ground)
+	g, err := ground.Ground(db, sk, ground.Options{})
 	if err != nil {
 		return nil, err
 	}
+	// Validated once here: asp.SolveCtx does not validate.
 	if err := g.Prog.Validate(); err != nil {
 		return nil, err
 	}
 	solveOpt := opt.Solve
-	solveOpt.MaxModels = 0         // enumeration is visitor-driven
-	solveOpt.SkipValidation = true // validated once just above
 	solveOpt.WFS = nil
 	if wfs, err := asp.WellFounded(g.Prog); err == nil {
 		solveOpt.WFS = wfs
@@ -164,25 +162,4 @@ func (c *Compiled) Enumerate(ctx context.Context, _ engine.Params, visit func(*l
 		exhausted = true
 	}
 	return es, exhausted, err
-}
-
-// StableModels computes the stable models of (D, Σ) under the LP
-// approach, SMS_LP(Π_{D,Σ}), up to opt.Solve.MaxModels of them (0 =
-// all).
-func StableModels(db *logic.FactStore, rules []*logic.Rule, opt Options) (*engine.Result, error) {
-	c, err := Compile(db, rules, opt)
-	if err != nil {
-		return nil, err
-	}
-	return engine.CollectModels(context.Background(), c, engine.Params{}, opt.Solve.MaxModels)
-}
-
-// CautiousEntails decides whether q holds in every LP-stable model.
-func CautiousEntails(db *logic.FactStore, rules []*logic.Rule, q logic.Query, opt Options) (bool, error) {
-	c, err := Compile(db, rules, opt)
-	if err != nil {
-		return false, err
-	}
-	res, err := engine.CautiousEntails(context.Background(), c, engine.Params{}, q)
-	return res.Entailed, err
 }

@@ -1,16 +1,49 @@
 package lp_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"ntgd/internal/core"
+	"ntgd/internal/engine"
 	"ntgd/internal/ground"
 	"ntgd/internal/logic"
 	"ntgd/internal/lp"
 	"ntgd/internal/parser"
 )
+
+// mustLP compiles (db, rules) under the LP pipeline.
+func mustLP(t *testing.T, db *logic.FactStore, rules []*logic.Rule) *lp.Compiled {
+	t.Helper()
+	c, err := lp.Compile(db, rules, lp.Options{})
+	if err != nil {
+		t.Fatalf("lp: %v", err)
+	}
+	return c
+}
+
+// models enumerates every stable model of e.
+func models(t *testing.T, e engine.Engine) []*logic.FactStore {
+	t.Helper()
+	res, err := engine.CollectModels(context.Background(), e, engine.Params{}, 0)
+	if err != nil {
+		t.Fatalf("%s: %v", e.Semantics(), err)
+	}
+	return res.Models
+}
+
+// lpAndSOModels returns SMS_LP and SMS_SO of (db, rules), each compiled
+// once.
+func lpAndSOModels(t *testing.T, db *logic.FactStore, rules []*logic.Rule) (lpModels, soModels []*logic.FactStore) {
+	t.Helper()
+	so, err := core.Compile(db, rules, core.Options{})
+	if err != nil {
+		t.Fatalf("so: %v", err)
+	}
+	return models(t, mustLP(t, db, rules)), models(t, so)
+}
 
 const fatherProgram = `
 person(alice).
@@ -25,14 +58,12 @@ hasFather(X,Y), hasFather(X,Z), not sameAs(Y,Z) -> abnormal(X).
 func TestLPSkolemizedFatherExample(t *testing.T) {
 	prog := parser.MustParse(fatherProgram)
 	db := prog.Database()
-	res, err := lp.StableModels(db, prog.Rules, lp.Options{})
-	if err != nil {
-		t.Fatalf("StableModels: %v", err)
+	c := mustLP(t, db, prog.Rules)
+	ms := models(t, c)
+	if len(ms) != 1 {
+		t.Fatalf("LP approach: expected exactly one stable model, got %d", len(ms))
 	}
-	if len(res.Models) != 1 {
-		t.Fatalf("LP approach: expected exactly one stable model, got %d", len(res.Models))
-	}
-	m := res.Models[0]
+	m := ms[0]
 	if m.CountPred("hasFather") != 1 {
 		t.Fatalf("expected a single hasFather atom, got %s", m.CanonicalString())
 	}
@@ -42,11 +73,11 @@ func TestLPSkolemizedFatherExample(t *testing.T) {
 	}
 
 	q := parser.MustParse("?- person(alice), not hasFather(alice,bob).").Queries[0]
-	entailed, err := lp.CautiousEntails(db, prog.Rules, q, lp.Options{})
+	res, err := engine.CautiousEntails(context.Background(), c, engine.Params{}, q)
 	if err != nil {
 		t.Fatalf("CautiousEntails: %v", err)
 	}
-	if !entailed {
+	if !res.Entailed {
 		t.Fatalf("the LP approach should (unintendedly) entail ¬hasFather(alice,bob)")
 	}
 }
@@ -84,23 +115,13 @@ func compareLPvsSO(t *testing.T, src string) {
 	if !ground.IsSkolemized(prog.Rules) {
 		t.Fatalf("Theorem 1 comparison needs a Skolemized program")
 	}
-	db := prog.Database()
-
-	lpRes, err := lp.StableModels(db, prog.Rules, lp.Options{})
-	if err != nil {
-		t.Fatalf("lp: %v", err)
-	}
-	soRes, err := core.StableModels(db, prog.Rules, core.Options{})
-	if err != nil {
-		t.Fatalf("so: %v", err)
-	}
-
+	lpModels, soModels := lpAndSOModels(t, prog.Database(), prog.Rules)
 	lpSet := map[string]bool{}
-	for _, m := range lpRes.Models {
+	for _, m := range lpModels {
 		lpSet[m.CanonicalString()] = true
 	}
 	soSet := map[string]bool{}
-	for _, m := range soRes.Models {
+	for _, m := range soModels {
 		soSet[m.CanonicalString()] = true
 	}
 	if len(lpSet) != len(soSet) {

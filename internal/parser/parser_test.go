@@ -128,13 +128,6 @@ q("X") -> r("X", f("Y")).
 	}
 }
 
-func TestArityConsistencyViaSchema(t *testing.T) {
-	prog := MustParse(`p(a). p(a,b).`)
-	if _, err := prog.Schema(); err == nil {
-		t.Fatalf("arity clash should be reported by Schema")
-	}
-}
-
 func TestVariableLexing(t *testing.T) {
 	prog := MustParse(`p(a). p(X) -> q(X). p(_under) -> r(_under).`)
 	if prog.Rules[0].PosBody()[0].Args[0].Kind != logic.Var {

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -19,7 +20,8 @@ import (
 //
 //   - whitespace and comments vanish (the parser discards them);
 //   - facts are sorted and deduplicated (a database is a set);
-//   - rules are sorted by their canonical rendering and deduplicated.
+//   - rules are sorted by their canonical rendering and deduplicated,
+//     and the kept rules are relabelled r1…rn in that order.
 //
 // The rendering quotes every constant and predicate name that would not
 // lex back as itself and prints a constraint as ":- body", so the
@@ -32,7 +34,10 @@ import (
 // different orders would otherwise be served from one cache entry yet
 // expect potentially different (equally sound) model subsets. The
 // daemon always evaluates the canonical form, making responses a pure
-// function of the rule/fact sets.
+// function of the rule/fact sets. The relabelling serves the same end:
+// the parser labels rules in source order, and LP's Skolem functions
+// are named after the labels, so a cached program compiled from one
+// order would otherwise name them differently from another order's.
 //
 // Queries embedded in the source ("?- ...") are validated by the parse
 // but dropped from the canonical program: the HTTP API carries queries
@@ -45,6 +50,9 @@ func Canonicalize(src string) (*ntgd.Program, string, error) {
 	var b strings.Builder
 	facts := canonical(p.Facts, ntgd.Atom.String, &b)
 	rules := canonical(p.Rules, (*ntgd.Rule).String, &b)
+	for i, r := range rules {
+		r.Label = "r" + strconv.Itoa(i+1)
+	}
 	return &ntgd.Program{Facts: facts, Rules: rules}, b.String(), nil
 }
 

@@ -149,6 +149,11 @@ func FuzzCanonicalize(f *testing.F) {
 		if got, want := distinctKeys(p), distinctKeys(orig); got != want {
 			t.Fatalf("canonical program keeps\n%s\nof the source's\n%s", got, want)
 		}
+		for i, r := range p.Rules {
+			if want := fmt.Sprintf("r%d", i+1); r.Label != want {
+				t.Fatalf("canonical rule %d (%s) is labelled %q, want %q", i, r, r.Label, want)
+			}
+		}
 	})
 }
 

@@ -82,6 +82,37 @@ func directModels(t *testing.T, src string) []string {
 	return out
 }
 
+// TestSkolemNamesIndependentOfCache pins that a response depends on the
+// request alone. LP names Skolem functions after rule labels, so the
+// daemon labels the canonical rules in canonical order: the same rules
+// in either order answer with the same Skolem names, on a fresh daemon
+// and on one that has already cached the other order.
+func TestSkolemNamesIndependentOfCache(t *testing.T) {
+	orders := []string{
+		`p(a). p(X) -> r(X,Y). p(X) -> q(X,Y).`,
+		`p(a). p(X) -> q(X,Y). p(X) -> r(X,Y).`,
+	}
+	const want = "p(a), q(a,sk_r1_Y(a)), r(a,sk_r2_Y(a))"
+	solve := func(base, src string) string {
+		t.Helper()
+		var res SolveResponse
+		if code := post(t, base, "/v1/solve", Request{Program: src, Semantics: "lp"}, &res); code != http.StatusOK || len(res.Models) != 1 {
+			t.Fatalf("solve %q: status %d, %d models", src, code, len(res.Models))
+		}
+		return res.Models[0]
+	}
+	_, shared := newTestServer(t, Config{})
+	for _, src := range orders {
+		_, fresh := newTestServer(t, Config{})
+		if got := solve(fresh.URL, src); got != want {
+			t.Errorf("fresh daemon, %q: got %s, want %s", src, got, want)
+		}
+		if got := solve(shared.URL, src); got != want {
+			t.Errorf("shared daemon, %q: got %s, want %s", src, got, want)
+		}
+	}
+}
+
 // TestServerEndToEnd pins the core acceptance: concurrent clients
 // running a mix of solve, entails, answers, consistent, and batch
 // against one cached program all get exactly the answers a direct

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"ntgd/internal/core"
 	"ntgd/internal/parser"
 	"ntgd/internal/transform"
 )
@@ -47,26 +46,11 @@ func TestLemma13RandomAgreement(t *testing.T) {
 			t.Fatalf("EliminateDisjunction: %v on\n%s", err, src)
 		}
 		for _, brave := range []bool{false, true} {
-			var a, b core.QAResult
-			if brave {
-				a, err = core.BraveEntails(db, prog.Rules, q, core.Options{})
-			} else {
-				a, err = core.CautiousEntails(db, prog.Rules, q, core.Options{})
-			}
-			if err != nil {
-				t.Fatalf("native: %v on\n%s", err, src)
-			}
-			if brave {
-				b, err = core.BraveEntails(elim.DB, elim.Rules, q, core.Options{})
-			} else {
-				b, err = core.CautiousEntails(elim.DB, elim.Rules, q, core.Options{})
-			}
-			if err != nil {
-				t.Fatalf("eliminated: %v on\n%s", err, src)
-			}
-			if a.Entailed != b.Entailed {
+			a := entails(t, db, prog.Rules, q, brave)
+			b := entails(t, elim.DB, elim.Rules, q, brave)
+			if a != b {
 				t.Fatalf("iter %d brave=%v: native=%v eliminated=%v on\n%s query %s",
-					iter, brave, a.Entailed, b.Entailed, src, probe)
+					iter, brave, a, b, src, probe)
 			}
 		}
 		checked++

@@ -1,18 +1,39 @@
 package transform_test
 
 import (
+	"context"
 	"testing"
 
 	"ntgd/internal/asp"
 	"ntgd/internal/classify"
 	"ntgd/internal/core"
+	"ntgd/internal/engine"
 	"ntgd/internal/ground"
 	"ntgd/internal/logic"
 	"ntgd/internal/parser"
 	"ntgd/internal/transform"
 )
 
-// agree checks that the original disjunctive program and its Lemma 13
+// entails compiles (db, rules) under the SO semantics and decides q
+// bravely or cautiously.
+func entails(t *testing.T, db *logic.FactStore, rules []*logic.Rule, q logic.Query, brave bool) bool {
+	t.Helper()
+	c, err := core.Compile(db, rules, core.Options{})
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	decide := engine.CautiousEntails
+	if brave {
+		decide = engine.BraveEntails
+	}
+	res, err := decide(context.Background(), c, engine.Params{}, q)
+	if err != nil {
+		t.Fatalf("brave=%v %s on %v: %v", brave, q, rules, err)
+	}
+	return res.Entailed
+}
+
+// agreeOnQuery checks that the original disjunctive program and its Lemma 13
 // elimination give the same verdict on a query, both cautiously and
 // bravely.
 func agreeOnQuery(t *testing.T, src, query string) {
@@ -31,29 +52,11 @@ func agreeOnQuery(t *testing.T, src, query string) {
 		}
 	}
 
-	for _, mode := range []string{"cautious", "brave"} {
-		var orig, tran core.QAResult
-		if mode == "cautious" {
-			orig, err = core.CautiousEntails(db, prog.Rules, q, core.Options{})
-			if err != nil {
-				t.Fatalf("original %s: %v", mode, err)
-			}
-			tran, err = core.CautiousEntails(elim.DB, elim.Rules, q, core.Options{})
-			if err != nil {
-				t.Fatalf("translated %s: %v", mode, err)
-			}
-		} else {
-			orig, err = core.BraveEntails(db, prog.Rules, q, core.Options{})
-			if err != nil {
-				t.Fatalf("original %s: %v", mode, err)
-			}
-			tran, err = core.BraveEntails(elim.DB, elim.Rules, q, core.Options{})
-			if err != nil {
-				t.Fatalf("translated %s: %v", mode, err)
-			}
-		}
-		if orig.Entailed != tran.Entailed {
-			t.Fatalf("%s disagreement on %q: original=%v translated=%v", mode, query, orig.Entailed, tran.Entailed)
+	for _, brave := range []bool{false, true} {
+		orig := entails(t, db, prog.Rules, q, brave)
+		tran := entails(t, elim.DB, elim.Rules, q, brave)
+		if orig != tran {
+			t.Fatalf("brave=%v disagreement on %q: original=%v translated=%v", brave, query, orig, tran)
 		}
 	}
 }
@@ -143,7 +146,10 @@ w -> bad.
 		t.Fatalf("ground: %v", err)
 	}
 	braveASP := false
-	if _, err := asp.Solve(g.Prog, asp.SolveOptions{}, func(m asp.Model) bool {
+	if err := g.Prog.Validate(); err != nil {
+		t.Fatalf("ground program: %v", err)
+	}
+	if _, err := asp.SolveCtx(context.Background(), g.Prog, asp.SolveOptions{}, func(m asp.Model) bool {
 		if q.Holds(g.ModelStore(m)) {
 			braveASP = true
 			return false
@@ -154,10 +160,7 @@ w -> bad.
 	}
 
 	// (b) native NDTGD engine.
-	resNative, err := core.BraveEntails(db, prog.Rules, q, core.Options{})
-	if err != nil {
-		t.Fatalf("native: %v", err)
-	}
+	native := entails(t, db, prog.Rules, q, true)
 
 	// (c) Theorem 15 translation.
 	w, err := transform.DatalogToWATGD(transform.DatalogQuery{Rules: prog.Rules, QueryPred: "bad"}, 0)
@@ -165,15 +168,12 @@ w -> bad.
 		t.Fatalf("DatalogToWATGD: %v", err)
 	}
 	qT := logic.Query{Pos: []logic.Atom{logic.A(w.QueryPred)}}
-	resT, err := core.BraveEntails(db, w.Rules, qT, core.Options{})
-	if err != nil {
-		t.Fatalf("translated: %v", err)
-	}
+	translated := entails(t, db, w.Rules, qT, true)
 
 	// The triangle is 3-colorable, so no stable model contains w.
-	if braveASP || resNative.Entailed || resT.Entailed {
+	if braveASP || native || translated {
 		t.Fatalf("triangle is 3-colorable: asp=%v native=%v watgd=%v (all should be false)",
-			braveASP, resNative.Entailed, resT.Entailed)
+			braveASP, native, translated)
 	}
 }
 
@@ -195,11 +195,7 @@ w -> bad.
 	db := prog.Database()
 	q := logic.Query{Pos: []logic.Atom{logic.A("bad")}}
 
-	resNative, err := core.BraveEntails(db, prog.Rules, q, core.Options{})
-	if err != nil {
-		t.Fatalf("native: %v", err)
-	}
-	if !resNative.Entailed {
+	if !entails(t, db, prog.Rules, q, true) {
 		t.Fatalf("triangle is not 2-colorable: native engine should bravely entail bad")
 	}
 
@@ -211,11 +207,7 @@ w -> bad.
 		t.Fatalf("Theorem 15 translation must be weakly acyclic")
 	}
 	qT := logic.Query{Pos: []logic.Atom{logic.A(w.QueryPred)}}
-	resT, err := core.BraveEntails(db, w.Rules, qT, core.Options{})
-	if err != nil {
-		t.Fatalf("translated: %v", err)
-	}
-	if !resT.Entailed {
+	if !entails(t, db, w.Rules, qT, true) {
 		t.Fatalf("translated program should bravely entail the answer predicate")
 	}
 }

@@ -38,7 +38,7 @@ type (
 	// Result is a stable model enumeration outcome.
 	Result = core.Result
 	// QAResult is a query answering outcome.
-	QAResult = core.QAResult
+	QAResult = engine.QAResult
 	// Stats is the uniform search-effort report shared by all three
 	// semantics.
 	Stats = core.Stats

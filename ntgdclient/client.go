@@ -289,7 +289,7 @@ func (c *Client) once(ctx context.Context, path string, body []byte, out any) *A
 		return nil
 	}
 	apiErr := &APIError{Status: resp.StatusCode}
-	var eresp errorResponse
+	var eresp ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&eresp); err == nil {
 		apiErr.Class = eresp.Class
 		apiErr.Message = eresp.Error

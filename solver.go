@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"ntgd/internal/asp"
-	"ntgd/internal/baget"
 	"ntgd/internal/classify"
 	"ntgd/internal/core"
 	"ntgd/internal/engine"
@@ -145,7 +144,11 @@ func Compile(p *Program, opt CompileOptions) (*Solver, error) {
 	case SO:
 		eng, err = core.Compile(db, p.Rules, opt.Options)
 	case Operational:
-		eng, err = baget.Compile(db, p.Rules, opt.Options)
+		// The operational semantics of [3] is the SO search with every
+		// existential witnessed by a fresh null.
+		o := opt.Options
+		o.WitnessPolicy = core.WitnessFreshOnly
+		eng, err = core.Compile(db, p.Rules, o)
 	case LP:
 		// MaxModels is enforced by Solver.Models' own counter (the
 		// engine contract is visitor-driven), so only the node budget
@@ -356,5 +359,4 @@ func (s *Solver) Program() *Program { return s.prog }
 var (
 	_ engine.Engine = (*core.Compiled)(nil)
 	_ engine.Engine = (*lp.Compiled)(nil)
-	_ engine.Engine = (*baget.Compiled)(nil)
 )
