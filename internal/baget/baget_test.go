@@ -1,4 +1,9 @@
-package ntgd_test
+// Package baget_test checks the operational semantics of Baget et al.
+// [3]: the SO search with every existential witnessed by a fresh null,
+// which core implements as its WitnessFreshOnly policy. The directory
+// holds no package code; the tests reach the semantics through the
+// public API, Compile with Semantics Operational.
+package baget_test
 
 import (
 	"context"
@@ -8,16 +13,23 @@ import (
 	"ntgd/internal/logic"
 )
 
-// The operational semantics of Baget et al. [3] is the SO search with
-// every existential witnessed by a fresh null; these tests reach it
-// through the public API, Compile with Semantics Operational.
-
 const fatherProgram = `
 person(alice).
 person(X) -> hasFather(X,Y).
 hasFather(X,Y) -> sameAs(Y,Y).
 hasFather(X,Y), hasFather(X,Z), not sameAs(Y,Z) -> abnormal(X).
 `
+
+// operationalModels compiles prog under the operational semantics and
+// collects all of its stable models.
+func operationalModels(t *testing.T, prog *ntgd.Program) []*ntgd.FactStore {
+	t.Helper()
+	res, err := ntgd.MustCompile(prog, ntgd.CompileOptions{Semantics: ntgd.Operational}).Collect(context.Background(), 0)
+	if err != nil {
+		t.Fatalf("Collect: %v", err)
+	}
+	return res.Models
+}
 
 // entails compiles prog under sem and answers q in the given mode.
 func entails(t *testing.T, prog *ntgd.Program, sem ntgd.Semantics, q ntgd.Query, mode ntgd.Mode) bool {
@@ -34,10 +46,7 @@ func entails(t *testing.T, prog *ntgd.Program, sem ntgd.Semantics, q ntgd.Query,
 // renaming) witnesses the father with a null, never with alice or bob.
 func TestOperationalSemanticsFreshNullsOnly(t *testing.T) {
 	prog := ntgd.MustParse(fatherProgram)
-	models, err := collectModels(context.Background(), ntgd.MustCompile(prog, ntgd.CompileOptions{Semantics: ntgd.Operational}))
-	if err != nil {
-		t.Fatalf("Models: %v", err)
-	}
+	models := operationalModels(t, prog)
 	if len(models) != 1 {
 		t.Fatalf("expected exactly one operational stable model, got %d", len(models))
 	}
@@ -66,10 +75,7 @@ func TestSection1Criticism(t *testing.T) {
 // witnesses are a special case of arbitrary witnesses).
 func TestOperationalModelsAreSOStable(t *testing.T) {
 	prog := ntgd.MustParse(fatherProgram)
-	models, err := collectModels(context.Background(), ntgd.MustCompile(prog, ntgd.CompileOptions{Semantics: ntgd.Operational}))
-	if err != nil {
-		t.Fatalf("Models: %v", err)
-	}
+	models := operationalModels(t, prog)
 	for _, m := range models {
 		if !ntgd.IsStableModel(prog, m) {
 			t.Fatalf("operational model is not SO-stable: %s", m.CanonicalString())

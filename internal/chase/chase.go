@@ -276,6 +276,21 @@ func runNaive(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Result, e
 	return res, ErrBudget
 }
 
+// CertainBCQ answers a Boolean conjunctive query under (positive) TGDs
+// by chasing and evaluating the query over the (universal) result:
+// (D,Σ) |= q iff q maps homomorphically into the chase. The query must
+// be negation-free (certain answers under TGDs are defined for CQs).
+func CertainBCQ(db *logic.FactStore, rules []*logic.Rule, q logic.Query, opt Options) (bool, error) {
+	if len(q.Neg) != 0 {
+		return false, fmt.Errorf("chase: CertainBCQ requires a negation-free query")
+	}
+	res, err := Run(db, rules, opt)
+	if err != nil {
+		return false, err
+	}
+	return logic.ExistsHom(q.Pos, nil, res.Instance, logic.Subst{}), nil
+}
+
 // BudgetForStableSearchCtx returns an atom budget for the stable model
 // search of a weakly-acyclic set Σ: the size of the oblivious chase of
 // Σ⁺ over the database extended with the query constants, doubled,

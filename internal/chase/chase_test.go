@@ -73,6 +73,67 @@ p(X), not q(X) -> r(X).
 	}
 }
 
+func TestCertainBCQ(t *testing.T) {
+	prog := parser.MustParse(`
+emp(ann). mgr(ann, bob).
+emp(X) -> dept(X, D).
+mgr(X, Y) -> emp(Y).
+?- dept(bob, D).
+?- dept(ann, ann).
+`)
+	ok, err := chase.CertainBCQ(prog.Database(), prog.Rules, prog.Queries[0], chase.Options{})
+	if err != nil {
+		t.Fatalf("CertainBCQ: %v", err)
+	}
+	if !ok {
+		t.Fatalf("bob is an employee, so bob has a department")
+	}
+	ok, err = chase.CertainBCQ(prog.Database(), prog.Rules, prog.Queries[1], chase.Options{})
+	if err != nil {
+		t.Fatalf("CertainBCQ: %v", err)
+	}
+	if ok {
+		t.Fatalf("dept(ann,ann) is not certain")
+	}
+}
+
+func TestCertainBCQRejectsNegation(t *testing.T) {
+	prog := parser.MustParse(`
+p(a).
+p(X) -> q(X).
+?- p(X), not q(X).
+`)
+	if _, err := chase.CertainBCQ(prog.Database(), prog.Rules, prog.Queries[0], chase.Options{}); err == nil {
+		t.Fatalf("certain answering under TGDs is defined for positive queries")
+	}
+}
+
+// TestChaseUniversality (property on a fixed family): the restricted
+// chase maps homomorphically into every model of (D, Σ).
+func TestChaseUniversality(t *testing.T) {
+	prog := parser.MustParse(`
+r(a,b).
+r(X,Y) -> s(Y,Z).
+s(X,Y) -> t(X).
+`)
+	res, err := chase.Run(prog.Database(), prog.Rules, chase.Options{})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	// Build a model by hand (with constants as witnesses).
+	model := logic.StoreOf(
+		logic.A("r", logic.C("a"), logic.C("b")),
+		logic.A("s", logic.C("b"), logic.C("w")),
+		logic.A("t", logic.C("b")),
+	)
+	if !logic.IsModel(prog.Rules, model) {
+		t.Fatalf("hand-built interpretation is not a model")
+	}
+	if !logic.MapsTo(res.Instance.Atoms(), model) {
+		t.Fatalf("chase must map into every model (universality)")
+	}
+}
+
 func TestBudgetForStableSearch(t *testing.T) {
 	prog := parser.MustParse(`
 person(alice).

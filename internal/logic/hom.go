@@ -228,3 +228,45 @@ func naiveExtendHom(pos []Atom, i int, neg []Atom, store *FactStore, h Subst, fn
 	}
 	return true
 }
+
+// MapsTo reports whether there is a homomorphism from the atom set src
+// to the atom set dst (both possibly containing nulls; nulls in src are
+// treated as variables, per the standard "homomorphism between
+// instances" notion used for the restricted chase and BCQ evaluation
+// over instances with nulls). Constants are fixed.
+func MapsTo(src []Atom, dst *FactStore) bool {
+	vars := make(map[string]string) // null label -> fresh var name
+	pats := make([]Atom, len(src))
+	for i, a := range src {
+		pats[i] = nullsToVars(a, vars)
+	}
+	return ExistsHom(pats, nil, dst, Subst{})
+}
+
+func nullsToVars(a Atom, ren map[string]string) Atom {
+	args := make([]Term, len(a.Args))
+	for i, t := range a.Args {
+		args[i] = nullsToVarsTerm(t, ren)
+	}
+	return Atom{Pred: a.Pred, Args: args}
+}
+
+func nullsToVarsTerm(t Term, ren map[string]string) Term {
+	switch t.Kind {
+	case Null:
+		v, ok := ren[t.Name]
+		if !ok {
+			v = "$null_" + t.Name
+			ren[t.Name] = v
+		}
+		return Term{Kind: Var, Name: v}
+	case Func:
+		args := make([]Term, len(t.Args))
+		for i, a := range t.Args {
+			args[i] = nullsToVarsTerm(a, ren)
+		}
+		return Term{Kind: Func, Name: t.Name, Args: args}
+	default:
+		return t
+	}
+}

@@ -104,6 +104,18 @@ func TestFindHomsFunctionTerms(t *testing.T) {
 	}
 }
 
+func TestMapsToTreatsNullsAsVariables(t *testing.T) {
+	src := []Atom{A("p", N("x")), A("q", N("x"), C("a"))}
+	dst := StoreOf(A("p", C("c")), A("q", C("c"), C("a")))
+	if !MapsTo(src, dst) {
+		t.Fatalf("nulls should map onto constants")
+	}
+	dst2 := StoreOf(A("p", C("c")), A("q", C("d"), C("a")))
+	if MapsTo(src, dst2) {
+		t.Fatalf("shared null must map consistently")
+	}
+}
+
 func TestExistsHom(t *testing.T) {
 	store := StoreOf(A("p", C("a")))
 	if !ExistsHom([]Atom{A("p", V("X"))}, nil, store, Subst{}) {

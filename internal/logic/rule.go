@@ -226,3 +226,35 @@ func (r *Rule) Preds() map[string]int {
 	}
 	return out
 }
+
+// Rename returns a copy of the rule with every variable prefixed, used
+// to keep rule variables disjoint across instantiation contexts.
+func (r *Rule) Rename(prefix string) *Rule {
+	s := make(Subst)
+	var collect func(a Atom)
+	var buf []string
+	collect = func(a Atom) {
+		buf = a.Vars(buf[:0])
+		for _, v := range buf {
+			if _, ok := s[v]; !ok {
+				s[v] = V(prefix + v)
+			}
+		}
+	}
+	for _, l := range r.Body {
+		collect(l.Atom)
+	}
+	for _, d := range r.Heads {
+		for _, a := range d {
+			collect(a)
+		}
+	}
+	out := &Rule{Label: r.Label}
+	for _, l := range r.Body {
+		out.Body = append(out.Body, s.ApplyLiteral(l))
+	}
+	for _, d := range r.Heads {
+		out.Heads = append(out.Heads, s.ApplyAtoms(d))
+	}
+	return out
+}

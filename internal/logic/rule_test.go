@@ -67,6 +67,21 @@ func TestRuleString(t *testing.T) {
 	}
 }
 
+func TestRuleRenameDisjointness(t *testing.T) {
+	r := ruleFixture()
+	rn := r.Rename("v_")
+	set := rn.BodyVars()
+	for v := range set {
+		if !strings.HasPrefix(v, "v_") {
+			t.Fatalf("rename missed %s", v)
+		}
+	}
+	// Original untouched.
+	if _, ok := r.BodyVars()["v_X"]; ok {
+		t.Fatalf("rename mutated the receiver")
+	}
+}
+
 func TestRulePreds(t *testing.T) {
 	preds := ruleFixture().Preds()
 	if preds["p"] != 2 || preds["q"] != 1 || preds["r"] != 2 || preds["s"] != 1 {
@@ -88,6 +103,56 @@ func TestSatisfiesRuleAndWitness(t *testing.T) {
 	v := FirstViolation(r, unsat)
 	if v == nil || v.Hom["X"].Name != "a" {
 		t.Fatalf("violation witness wrong: %+v", v)
+	}
+	if !witnessPositive(r, sat) {
+		t.Fatalf("witness should be positive")
+	}
+	if witnessPositive(r, unsat) {
+		t.Fatalf("witness should be negative (Lemma 10)")
+	}
+}
+
+// witnessPositive reports whether the witness W^σ_I of Definition 4 is
+// positive: every homomorphism h with h(B(σ)) ⊆ I has an extension
+// µ ⊇ h mapping some head disjunct into I.
+func witnessPositive(r *Rule, store *FactStore) bool {
+	pos, neg := SplitLiterals(r.Body)
+	positive := true
+	FindHoms(pos, neg, store, Subst{}, func(h Subst) bool {
+		for _, d := range r.Heads {
+			if ExistsHom(d, nil, store, h) {
+				return true
+			}
+		}
+		positive = false
+		return false
+	})
+	return positive
+}
+
+// TestLemma10 checks the equivalence of Lemma 10: I |= Σ iff every
+// witness is positive.
+func TestLemma10(t *testing.T) {
+	rules := []*Rule{
+		NewRule("r1", []Literal{Pos(A("p", V("X")))}, []Atom{A("q", V("X"))}),
+		NewRule("r2", []Literal{Pos(A("q", V("X"))), Neg(A("s", V("X")))}, []Atom{A("t", V("X"))}),
+	}
+	stores := []*FactStore{
+		StoreOf(A("p", C("a"))),
+		StoreOf(A("p", C("a")), A("q", C("a"))),
+		StoreOf(A("p", C("a")), A("q", C("a")), A("t", C("a"))),
+		StoreOf(A("p", C("a")), A("q", C("a")), A("s", C("a"))),
+	}
+	for _, st := range stores {
+		allPositive := true
+		for _, r := range rules {
+			if !witnessPositive(r, st) {
+				allPositive = false
+			}
+		}
+		if allPositive != IsModel(rules, st) {
+			t.Fatalf("Lemma 10 violated on %s", st.CanonicalString())
+		}
 	}
 }
 

@@ -63,6 +63,11 @@ func (s Subst) ApplyAtoms(atoms []Atom) []Atom {
 	return out
 }
 
+// ApplyLiteral applies the substitution to a literal.
+func (s Subst) ApplyLiteral(l Literal) Literal {
+	return Literal{Neg: l.Neg, Atom: s.ApplyAtom(l.Atom)}
+}
+
 // String renders the substitution deterministically as {X->t, ...}.
 func (s Subst) String() string {
 	keys := make([]string, 0, len(s))
@@ -126,4 +131,32 @@ func (s Subst) MatchAtom(pattern, ground Atom) bool {
 		}
 	}
 	return true
+}
+
+// RenameNulls returns a copy of the atom in which every null label is
+// replaced according to ren; labels missing from ren are kept.
+func RenameNulls(a Atom, ren map[string]string) Atom {
+	args := make([]Term, len(a.Args))
+	for i, t := range a.Args {
+		args[i] = renameNullsTerm(t, ren)
+	}
+	return Atom{Pred: a.Pred, Args: args}
+}
+
+func renameNullsTerm(t Term, ren map[string]string) Term {
+	switch t.Kind {
+	case Null:
+		if n, ok := ren[t.Name]; ok {
+			return Term{Kind: Null, Name: n}
+		}
+		return t
+	case Func:
+		args := make([]Term, len(t.Args))
+		for i, a := range t.Args {
+			args[i] = renameNullsTerm(a, ren)
+		}
+		return Term{Kind: Func, Name: t.Name, Args: args}
+	default:
+		return t
+	}
 }

@@ -223,3 +223,21 @@ func Random(rng *rand.Rand, nExists, nForall, nTerms int) Formula {
 	}
 	return f
 }
+
+// Negate2QBFForall converts a 2-QBF∀ formula ∀X∃Y ψ' into the
+// equivalent statement "¬(∃X∀Y ¬ψ')": the returned 2-QBF∃ formula is
+// satisfiable iff the original 2-QBF∀ formula is falsifiable. Callers
+// evaluating universal formulas should negate the verdict. ψ' must be
+// given in 3CNF (clauses of three literals); its negation is the 3DNF
+// matrix of the result.
+func Negate2QBFForall(forallVars, existsVars []string, clauses []Term) Formula {
+	neg := make([]Term, len(clauses))
+	for i, c := range clauses {
+		neg[i] = Term{
+			Lit{Var: c[0].Var, Neg: !c[0].Neg},
+			Lit{Var: c[1].Var, Neg: !c[1].Neg},
+			Lit{Var: c[2].Var, Neg: !c[2].Neg},
+		}
+	}
+	return Formula{Exists: forallVars, Forall: existsVars, Terms: neg}
+}

@@ -81,6 +81,20 @@ func TestEvalAgreement(t *testing.T) {
 	}
 }
 
+func TestNegate2QBFForall(t *testing.T) {
+	// ∀x ∃∅: x (as a "3CNF" clause x∨x∨x) is falsifiable (x=false),
+	// so its negation ∃x∀∅: ¬x must be satisfiable.
+	neg := Negate2QBFForall([]string{"x"}, nil, []Term{{l("x"), l("x"), l("x")}})
+	if !neg.EvalBrute() {
+		t.Fatalf("negation should be satisfiable")
+	}
+	// ∀x: x∨¬x is valid, so the negation is unsatisfiable.
+	neg2 := Negate2QBFForall([]string{"x"}, nil, []Term{{l("x"), nl("x"), l("x")}})
+	if neg2.EvalBrute() {
+		t.Fatalf("negation of a valid formula must be unsatisfiable")
+	}
+}
+
 func TestStringRendering(t *testing.T) {
 	f := Formula{Exists: []string{"x"}, Forall: []string{"y"},
 		Terms: []Term{{l("x"), nl("y"), l("x")}}}
