@@ -1,14 +1,16 @@
 package ntgd_test
 
 // Benchmarks of the public API at scale: the chase over a growing
-// database, the Solver's compile-once amortization, and a compiled
-// Solver's per-query cost over a large database. The paper's
+// database, the Solver's compile-once amortization, a compiled Solver's
+// per-query cost over a large database, and a new database version's
+// compile and first reads. The paper's
 // experiments E1–E15 are timed by cmd/smsbench's BenchmarkExperiments,
 // which also checks their verdicts.
 
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"ntgd"
@@ -129,6 +131,62 @@ func BenchmarkSolverQueryDB(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkDatabaseVersion pins the write path of a versioned database:
+// each iteration compiles the SO and the LP rules of perfbench's bulkdb
+// workload against a frozen Database of its shape — 10⁴ random edges
+// over 10³ nodes, 10³ employees in 100 departments, 10 hubs and 30
+// managers — and answers one query under each. That is one new database
+// version and its first reads: the LP grounding and well-founded core,
+// and the SO budget probe and run root.
+func BenchmarkDatabaseVersion(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	c := func(prefix string, n int) ntgd.Term { return ntgd.C(fmt.Sprintf("%s%d", prefix, rng.Intn(n))) }
+	db := ntgd.NewDatabase()
+	var facts []ntgd.Atom
+	for i := 0; i < 10000; i++ {
+		facts = append(facts, ntgd.A("edge", c("n", 1000), c("n", 1000)))
+	}
+	for e := 0; e < 1000; e++ {
+		facts = append(facts, ntgd.A("emp", ntgd.C(fmt.Sprintf("e%d", e)), c("d", 100)))
+	}
+	for h := 0; h < 10; h++ {
+		facts = append(facts, ntgd.A("hub", c("n", 1000)))
+	}
+	for d := 0; d < 30; d++ {
+		facts = append(facts, ntgd.A("mgr", c("d", 100), c("e", 1000)))
+	}
+	if err := db.AddFacts(facts...); err != nil {
+		b.Fatal(err)
+	}
+	db.Freeze()
+	versions := []struct {
+		sem   ntgd.Semantics
+		rules string
+		query string
+	}{
+		{ntgd.SO, `edge(X,Y), hub(Y) -> near(X,Y).
+near(X,Y), edge(Y,Z), hub(Z) -> twohop(X,Z).
+emp(E,D), mgr(D,M) -> reports(E,M).`, "?- twohop(n1, Z)."},
+		{ntgd.LP, `emp(E,D) -> badge(E,B).
+mgr(D,M) -> boss(M).
+emp(E,D), not boss(E) -> staff(E).
+edge(X,Y), not edge(Y,X) -> oneway(X,Y).`, "?- staff(e1)."},
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, v := range versions {
+			p := ntgd.MustParse(v.rules + "\n" + v.query)
+			s, err := ntgd.Compile(p, ntgd.CompileOptions{Semantics: v.sem, Database: db})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res, err := s.Entails(context.Background(), p.Queries[0], ntgd.Cautious); err != nil || res.Exhausted {
+				b.Fatalf("%s: Entails = (%+v, %v)", v.sem, res, err)
+			}
 		}
 	}
 }

@@ -362,12 +362,12 @@ func cmdGround(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 	// The grounding keeps no atom names; print with the original atoms.
-	g.Prog.Names = make([]string, len(g.Atoms))
-	for i, a := range g.Atoms {
+	g.Prog.Names = make([]string, g.Base.Len())
+	for i, a := range g.Base.Atoms() {
 		g.Prog.Names[i] = a.String()
 	}
 	fmt.Fprint(stdout, g.Prog.String())
-	fmt.Fprintf(stdout, "%% %d atoms, %d ground rules\n", len(g.Atoms), len(g.Prog.Rules))
+	fmt.Fprintf(stdout, "%% %d atoms, %d ground rules\n", g.Base.Len(), len(g.Prog.Rules))
 	return exitOK
 }
 

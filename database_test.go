@@ -2,6 +2,7 @@ package ntgd_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -110,16 +111,20 @@ func TestDatabaseLifecycle(t *testing.T) {
 }
 
 // TestDatabaseSharedAcrossSolvers compiles several different programs
-// against one Database concurrently and checks each sees exactly the
-// shared facts plus its own rules' consequences — the snapshot layers
-// keep the solvers isolated while the root is shared.
+// against one Database concurrently, under every semantics, and checks
+// each sees exactly the shared facts plus its own rules' consequences:
+// its one model equals the model of the same rules compiled over the
+// facts alone. The snapshot layers keep the solvers isolated while the
+// root is shared; LP compiles ground and build their models as layers
+// over it, so under -race this also pins their concurrent reads.
 func TestDatabaseSharedAcrossSolvers(t *testing.T) {
-	db := ntgd.NewDatabase()
-	if err := db.AddFacts(
+	facts := []ntgd.Atom{
 		ntgd.A("e", ntgd.C("a"), ntgd.C("b")),
 		ntgd.A("e", ntgd.C("b"), ntgd.C("c")),
 		ntgd.A("u", ntgd.C("a")),
-	); err != nil {
+	}
+	db := ntgd.NewDatabase()
+	if err := db.AddFacts(facts...); err != nil {
 		t.Fatalf("AddFacts: %v", err)
 	}
 	rules := []string{
@@ -127,28 +132,48 @@ func TestDatabaseSharedAcrossSolvers(t *testing.T) {
 		"e(X,Y), not u(X) -> w(X).",
 		"u(X), e(X,Y) -> both(X).",
 	}
-	var wg sync.WaitGroup
-	errs := make(chan error, len(rules)*4)
-	for i := 0; i < 4; i++ {
+	sems := []ntgd.Semantics{ntgd.SO, ntgd.LP, ntgd.Operational}
+	// The model of each program over its own facts, without a Database.
+	want := map[string]string{}
+	for _, sem := range sems {
 		for _, r := range rules {
-			wg.Add(1)
-			go func(r string) {
-				defer wg.Done()
-				prog := ntgd.MustParse(r)
-				s, err := ntgd.Compile(prog, ntgd.CompileOptions{Database: db})
-				if err != nil {
-					errs <- err
-					return
-				}
-				models, err := collectModels(context.Background(), s)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if len(models) != 1 {
-					errs <- context.DeadlineExceeded // any sentinel: count mismatch
-				}
-			}(r)
+			prog := ntgd.MustParse(r)
+			prog.Facts = facts
+			models, err := collectModels(context.Background(), ntgd.MustCompile(prog, ntgd.CompileOptions{Semantics: sem}))
+			if err != nil || len(models) != 1 {
+				t.Fatalf("%s %s over its own facts: %d models, %v", sem, r, len(models), err)
+			}
+			want[sem.String()+r] = models[0].CanonicalString()
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(sems)*len(rules)*4)
+	for i := 0; i < 4; i++ {
+		for _, sem := range sems {
+			for _, r := range rules {
+				wg.Add(1)
+				go func(sem ntgd.Semantics, r string) {
+					defer wg.Done()
+					prog := ntgd.MustParse(r)
+					s, err := ntgd.Compile(prog, ntgd.CompileOptions{Semantics: sem, Database: db})
+					if err != nil {
+						errs <- err
+						return
+					}
+					models, err := collectModels(context.Background(), s)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if len(models) != 1 {
+						errs <- fmt.Errorf("%s %s: %d models, want 1", sem, r, len(models))
+						return
+					}
+					if got := models[0].CanonicalString(); got != want[sem.String()+r] {
+						errs <- fmt.Errorf("%s %s: model %s, want %s", sem, r, got, want[sem.String()+r])
+					}
+				}(sem, r)
+			}
 		}
 	}
 	wg.Wait()

@@ -77,9 +77,13 @@
 // database) and the frozen run root, the database plus the closure of
 // its existential-free Horn rules (Lemma 7), which every stable model
 // contains; under LP the store of the well-founded true atoms every
-// model shares. When the ground program's well-founded model is total
-// (a stratified program, say), it is the only stable model, and an LP
-// run hands out a snapshot of that store without searching. Such an
+// model shares. LP copies nothing of the database: the grounding's
+// derivable base is a snapshot of it with the derived atoms on its own
+// layer, and that store and every LP model are snapshots of the
+// database holding their derived atoms, added by packed key. When the
+// ground program's well-founded model is total (a stratified program,
+// say), it is the only stable model, and an LP run hands out a
+// snapshot of that store without searching. Such an
 // artifact is published only when complete, so a run that is
 // cancelled, panics or hits a budget while building it leaves the next
 // run to build it again. The three semantics run on two engines, the SO
@@ -217,11 +221,15 @@
 // tables. A layer allocates its index on its first write, so a
 // snapshot that never writes costs one small struct. Add inserts into
 // the writing layer's index incrementally, and reads merge the layers.
-// AddAll on a root bulk-loads the batch: one interner lock for the
-// whole batch, dedup against the pre-reserved key table, and posting
-// lists built by counting sort over the dense ids. A batch that is
-// small next to the symbol table goes through Add instead.
-// BenchmarkBulkLoad compares the two paths on a 10⁶-fact base.
+// AddAll and its packed-key form AddKeys bulk-load a batch into any
+// layer, root or snapshot: one interner lock for the whole batch,
+// dedup against the ancestors and the pre-reserved key table, and
+// posting lists of global store indices built by counting sort over
+// the dense ids. A batch that is small next to the symbol table goes
+// through Add instead. BenchmarkBulkLoad compares the two paths on a
+// 10⁶-fact base. AddFrom adds atoms another store of the same table
+// already holds, by their packed keys, so a new layer over the
+// database never re-interns or re-materializes an atom.
 // Pre-loaded fact bases are passed as an ntgd.Database, built once and
 // shared across compiles. A randomized differential suite and
 // FuzzStorage pin every build path to the per-fact reference build.

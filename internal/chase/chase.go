@@ -95,7 +95,9 @@ func Run(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Result, error)
 // RunCtx is Run with cancellation: the chase checks ctx between rounds
 // and periodically between trigger applications, returning ctx.Err()
 // alongside the partial instance when the context is cancelled or its
-// deadline expires.
+// deadline expires. The instance is a copy-on-write snapshot of db
+// holding the derived atoms on its own layer, so db is neither copied
+// nor written.
 func RunCtx(ctx context.Context, db *logic.FactStore, rules []*logic.Rule, opt Options) (*Result, error) {
 	for _, r := range rules {
 		if !r.IsTGD() {
@@ -112,7 +114,7 @@ func RunCtx(ctx context.Context, db *logic.FactStore, rules []*logic.Rule, opt O
 		opt.NullPrefix = "n"
 	}
 
-	res := &Result{Instance: db.Clone()}
+	res := &Result{Instance: db.Snapshot()}
 	inst := res.Instance
 	nullCtr := 0
 	from := 0 // delta low-water mark: atoms ≥ from are new

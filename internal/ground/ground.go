@@ -2,6 +2,8 @@ package ground
 
 import (
 	"fmt"
+	"hash/maphash"
+	"sort"
 
 	"ntgd/internal/asp"
 	"ntgd/internal/engine"
@@ -30,23 +32,30 @@ type Options struct {
 
 // Grounding is a ground program together with its atom table.
 type Grounding struct {
-	// Atoms maps atom id -> ground atom.
-	Atoms []logic.Atom
 	// Prog is the propositional program (facts included as rules with
 	// empty bodies). Its Names are left empty: nothing reads them after
 	// compile, so a caller that prints the program fills them from
-	// Atoms.
+	// Base.
 	Prog *asp.Program
+	// Base is the derivable Herbrand base, and atom id i is its atom
+	// with store index i: a snapshot of the database, whose store
+	// indices 0..|D|-1 are the facts, with the derived atoms on its own
+	// top layer. It must not be written.
+	Base *logic.FactStore
+	// db is the grounding's view of the database, frozen at |D| atoms.
+	db *logic.FactStore
 }
 
 // ModelStore converts a propositional model back to a fact store over
-// the original vocabulary.
+// the original vocabulary: a snapshot of the database with the model's
+// derived atoms added by packed key on its own layer, so neither the
+// database nor a derived atom is copied or interned again. Every model
+// of the program contains its facts, so m's ids below |D| are not
+// read.
 func (g *Grounding) ModelStore(m asp.Model) *logic.FactStore {
-	atoms := make([]logic.Atom, len(m))
-	for i, id := range m {
-		atoms[i] = g.Atoms[id]
-	}
-	return logic.StoreOf(atoms...)
+	s := g.db.Snapshot()
+	s.AddFrom(g.Base, m[sort.SearchInts(m, g.db.Len()):])
+	return s
 }
 
 // Ground instantiates a Skolemized (existential-free) program over its
@@ -69,6 +78,11 @@ func (g *Grounding) ModelStore(m asp.Model) *logic.FactStore {
 // lists the facts first (atom ids 0..|D|-1), then each rule's instances
 // in program order. Rules identical up to variable names ground to
 // duplicate instances, which do not change the stable models.
+//
+// The base is a copy-on-write snapshot of db: the facts keep their
+// store indices as atom ids, and the derived atoms are bulk-indexed on
+// the snapshot's own layer, so db is neither copied nor written. db
+// must not be written while the grounding is in use.
 func Ground(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Grounding, error) {
 	if !IsSkolemized(rules) {
 		return nil, fmt.Errorf("ground: rules must be Skolemized first (existential head variables present)")
@@ -104,17 +118,17 @@ func Ground(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Grounding, 
 	// the previous round (FindHomsFrom), so a round costs O(new facts)
 	// instead of re-scanning the whole base, and each homomorphism is
 	// found in exactly one round. Head instances are built and
-	// deduplicated as packed keys and added as one batch once the
-	// round's joins are done (FactStore.AddKeys): the batch's k-th key
-	// becomes store index mark+k. Atom ids are base store indices, and
-	// base is a clone of the database (which keeps its store indices),
-	// so the facts are ids 0..|D|-1.
-	base := db.Clone()
+	// deduplicated as packed keys (roundKeys) and added as one batch
+	// once the round's joins are done (FactStore.AddKeys): the batch's
+	// k-th key becomes store index mark+k. d fixes the grounding's view
+	// of db at |D| atoms for ModelStore; base layers the derived atoms
+	// over the same view.
+	d := db.Snapshot()
+	base := d.Snapshot()
+	var pending roundKeys
 	for from := 0; ; {
 		mark := base.Len()
-		var additions []byte
-		ends := []int32{0}
-		pending := make(map[string]int)
+		pending.reset()
 		var overflow error
 		for i, c := range comp {
 			in := &insts[i]
@@ -131,18 +145,14 @@ func Ground(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Grounding, 
 						kb = key[:0]
 						id, ok := base.IndexOfKey(key)
 						if !ok {
-							id, ok = pending[string(key)]
-							if !ok {
-								id = mark + len(ends) - 1
-								pending[string(key)] = id
-								additions = append(additions, key...)
-								ends = append(ends, int32(len(additions)))
-								// Only a new atom can hold a new term.
-								if syms.KeyBytes() > maxKeyBytes {
-									overflow = fmt.Errorf("%w: the grounding's term keys exceed %d bytes (%d per Options.MaxAtoms)",
-										ErrBudget, keyLimit, keyBytesPerAtom)
-									return false
-								}
+							var isNew bool
+							id, isNew = pending.add(key)
+							id += mark
+							// Only a new atom can hold a new term.
+							if isNew && syms.KeyBytes() > maxKeyBytes {
+								overflow = fmt.Errorf("%w: the grounding's term keys exceed %d bytes (%d per Options.MaxAtoms)",
+									ErrBudget, keyLimit, keyBytesPerAtom)
+								return false
 							}
 						}
 						in.heads = append(in.heads, id)
@@ -150,7 +160,7 @@ func Ground(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Grounding, 
 				}
 				in.n++
 				total++
-				if base.Len()+len(ends)-1 > opt.MaxAtoms || total > opt.MaxInstances {
+				if mark+pending.len() > opt.MaxAtoms || total > opt.MaxInstances {
 					overflow = ErrBudget
 					return false
 				}
@@ -161,8 +171,8 @@ func Ground(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Grounding, 
 			}
 		}
 		from = mark
-		added := len(ends) - 1
-		if base.AddKeys(additions, ends) != added {
+		added := pending.len()
+		if base.AddKeys(pending.blob, pending.ends) != added {
 			return nil, fmt.Errorf("ground: a round's new atoms were not all appended")
 		}
 		if added == 0 {
@@ -173,8 +183,8 @@ func Ground(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Grounding, 
 		}
 	}
 
-	g := &Grounding{Atoms: base.Atoms()}
-	prog := &asp.Program{NAtoms: len(g.Atoms), Rules: make([]asp.Rule, 0, total)}
+	g := &Grounding{Base: base, db: d}
+	prog := &asp.Program{NAtoms: base.Len(), Rules: make([]asp.Rule, 0, total)}
 	// Facts: one shared backing array for their heads.
 	facts, factHeads := make([]int, db.Len()), make([][]int, db.Len())
 	for id := range facts {
@@ -187,6 +197,65 @@ func Ground(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Grounding, 
 	}
 	g.Prog = prog
 	return g, nil
+}
+
+// roundKeys is one round's batch of new head atoms as packed keys: key
+// k is blob[ends[k]:ends[k+1]], deduplicated by an open-addressed table
+// of key numbers over the blob (linear probing, no deletions), so a
+// head found again costs a hash and a compare and no key is copied
+// into a string.
+type roundKeys struct {
+	blob  []byte
+	ends  []int32
+	slots []int32 // key number + 1; 0 = empty
+}
+
+var roundSeed = maphash.MakeSeed()
+
+// reset empties the batch for the next round, keeping its storage.
+func (r *roundKeys) reset() {
+	if r.slots == nil {
+		r.slots = make([]int32, 64)
+	}
+	r.blob = r.blob[:0]
+	r.ends = append(r.ends[:0], 0)
+	clear(r.slots)
+}
+
+// len returns the number of keys in the batch.
+func (r *roundKeys) len() int { return len(r.ends) - 1 }
+
+// add returns the key's number in the batch, appending it if it is new.
+func (r *roundKeys) add(key []byte) (int, bool) {
+	mask := uint64(len(r.slots) - 1)
+	for s := maphash.Bytes(roundSeed, key) & mask; ; s = (s + 1) & mask {
+		v := r.slots[s]
+		if v == 0 {
+			r.blob = append(r.blob, key...)
+			r.ends = append(r.ends, int32(len(r.blob)))
+			r.slots[s] = int32(r.len())
+			if 4*r.len() >= 3*len(r.slots) {
+				r.grow()
+			}
+			return r.len() - 1, true
+		}
+		if string(r.blob[r.ends[v-1]:r.ends[v]]) == string(key) {
+			return int(v - 1), false
+		}
+	}
+}
+
+// grow doubles the table and reinserts every key.
+func (r *roundKeys) grow() {
+	r.slots = make([]int32, 2*len(r.slots))
+	mask := uint64(len(r.slots) - 1)
+	for k := 0; k < r.len(); k++ {
+		s := maphash.Bytes(roundSeed, r.blob[r.ends[k]:r.ends[k+1]]) & mask
+		for r.slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		r.slots[s] = int32(k + 1)
+	}
 }
 
 // instances are the ground instances of one rule in discovery order,

@@ -23,6 +23,8 @@ import (
 // reference, which merged identical instances of different rules; and
 // the instances as a multiset against the reference run rule by rule
 // over the final base, which merges nothing the one-pass grounder keeps.
+// Each program is grounded over a root store of its facts and over a
+// two-layer chain of them (twoLayerDatabase).
 func TestGroundMatchesTwoPassRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	const programs = 240
@@ -32,56 +34,16 @@ func TestGroundMatchesTwoPassRandomized(t *testing.T) {
 		src := randSkolemProgram(rng)
 		prog := parser.MustParse(src)
 		db, rules := prog.Database(), Skolemize(prog.Rules)
-		opt := Options{MaxAtoms: 200, MaxInstances: 4000}
-		got, errGot := Ground(db, rules, opt)
-		want, errWant := groundTwoPass(db, rules, opt)
-		if errGot != nil && !errors.Is(errGot, ErrBudget) || errWant != nil && !errors.Is(errWant, ErrBudget) {
-			t.Fatalf("trial %d: one-pass %v, two-pass %v on\n%s", trial, errGot, errWant, src)
+		got := checkAgainstTwoPass(t, fmt.Sprintf("trial %d", trial), src, db, rules)
+		layered := checkAgainstTwoPass(t, fmt.Sprintf("trial %d, two-layer database", trial), src, twoLayerDatabase(prog.Facts), rules)
+		if (got == nil) != (layered == nil) {
+			t.Fatalf("trial %d: the budget verdict depends on the database's layers on\n%s", trial, src)
 		}
-		// The base is computed alike, and the one-pass grounder counts
-		// at least the reference's instances: it may hit the instance
-		// budget where the reference does not, never the other way.
-		if errGot == nil && errWant != nil {
-			t.Fatalf("trial %d: only the reference hit the budget: %v on\n%s", trial, errWant, src)
-		}
-		if errGot != nil {
+		if got == nil {
 			skipped++
 			continue
 		}
-		if err := got.Prog.Validate(); err != nil {
-			t.Fatalf("trial %d: %v on\n%s", trial, err, src)
-		}
-		if g, w := atomNames(got), atomNames(want); strings.Join(g, " ") != strings.Join(w, " ") {
-			t.Fatalf("trial %d: atoms differ\none-pass: %v\ntwo-pass: %v\non\n%s", trial, g, w, src)
-		}
 		nf := db.Len()
-		gotFacts, gotInst := renderRules(got, got.Prog.Rules[:nf]), renderRules(got, got.Prog.Rules[nf:])
-		wantFacts, wantInst := renderRules(want, want.Prog.Rules[:nf]), renderRules(want, want.Prog.Rules[nf:])
-		if !equalMultisets(gotFacts, wantFacts) {
-			t.Fatalf("trial %d: facts differ\none-pass: %v\ntwo-pass: %v", trial, gotFacts, wantFacts)
-		}
-		if g, w := distinct(gotInst), distinct(wantInst); strings.Join(g, "\n") != strings.Join(w, "\n") {
-			t.Fatalf("trial %d: instance sets differ\none-pass:\n%s\ntwo-pass:\n%s\non\n%s",
-				trial, strings.Join(g, "\n"), strings.Join(w, "\n"), src)
-		}
-		// Rule by rule over the final base: every rule's instances, and
-		// identical instances of different rules each kept once per rule.
-		final := logic.StoreOf(got.Atoms...)
-		var perRule []string
-		for _, r := range rules {
-			one, err := groundTwoPass(final, []*logic.Rule{r}, opt)
-			if err != nil {
-				t.Fatalf("trial %d: two-pass over the final base: %v", trial, err)
-			}
-			if one.Prog.NAtoms != len(got.Atoms) {
-				t.Fatalf("trial %d: the final base is not closed under %v", trial, r)
-			}
-			perRule = append(perRule, renderRules(one, one.Prog.Rules[final.Len():])...)
-		}
-		if !equalMultisets(gotInst, perRule) {
-			t.Fatalf("trial %d: instance multisets differ\none-pass:\n%s\nrule by rule:\n%s\non\n%s",
-				trial, strings.Join(sorted(gotInst), "\n"), strings.Join(sorted(perRule), "\n"), src)
-		}
 		for _, r := range got.Prog.Rules[nf:] {
 			if len(r.Neg) > 0 {
 				negs++
@@ -90,11 +52,12 @@ func TestGroundMatchesTwoPassRandomized(t *testing.T) {
 				disjs++
 			}
 		}
-		for _, a := range got.Atoms {
+		for _, a := range got.Base.Atoms() {
 			if strings.Contains(a.String(), "sk_") {
 				funcs++
 			}
 		}
+		gotInst := renderRules(got, got.Prog.Rules[nf:])
 		dups += len(gotInst) - len(distinct(gotInst))
 	}
 	t.Logf("%d of %d programs over budget; %d instances with negative literals, %d disjunctive instances, %d Skolem atoms, %d cross-rule duplicates",
@@ -105,6 +68,75 @@ func TestGroundMatchesTwoPassRandomized(t *testing.T) {
 	if 4*skipped > programs {
 		t.Fatalf("%d of %d programs skipped; the property was barely checked", skipped, programs)
 	}
+}
+
+// checkAgainstTwoPass grounds the rules over db with Ground and with
+// groundTwoPass and compares the two as TestGroundMatchesTwoPassRandomized
+// describes. It returns Ground's grounding, or nil when the program is
+// over budget.
+func checkAgainstTwoPass(t *testing.T, label, src string, db *logic.FactStore, rules []*logic.Rule) *Grounding {
+	t.Helper()
+	opt := Options{MaxAtoms: 200, MaxInstances: 4000}
+	got, errGot := Ground(db, rules, opt)
+	want, errWant := groundTwoPass(db, rules, opt)
+	if errGot != nil && !errors.Is(errGot, ErrBudget) || errWant != nil && !errors.Is(errWant, ErrBudget) {
+		t.Fatalf("%s: one-pass %v, two-pass %v on\n%s", label, errGot, errWant, src)
+	}
+	// The base is computed alike, and the one-pass grounder counts at
+	// least the reference's instances: it may hit the instance budget
+	// where the reference does not, never the other way.
+	if errGot == nil && errWant != nil {
+		t.Fatalf("%s: only the reference hit the budget: %v on\n%s", label, errWant, src)
+	}
+	if errGot != nil {
+		return nil
+	}
+	if err := got.Prog.Validate(); err != nil {
+		t.Fatalf("%s: %v on\n%s", label, err, src)
+	}
+	if g, w := atomNames(got), atomNames(want); strings.Join(g, " ") != strings.Join(w, " ") {
+		t.Fatalf("%s: atoms differ\none-pass: %v\ntwo-pass: %v\non\n%s", label, g, w, src)
+	}
+	nf := db.Len()
+	gotFacts, gotInst := renderRules(got, got.Prog.Rules[:nf]), renderRules(got, got.Prog.Rules[nf:])
+	wantFacts, wantInst := renderRules(want, want.Prog.Rules[:nf]), renderRules(want, want.Prog.Rules[nf:])
+	if !equalMultisets(gotFacts, wantFacts) {
+		t.Fatalf("%s: facts differ\none-pass: %v\ntwo-pass: %v", label, gotFacts, wantFacts)
+	}
+	if g, w := distinct(gotInst), distinct(wantInst); strings.Join(g, "\n") != strings.Join(w, "\n") {
+		t.Fatalf("%s: instance sets differ\none-pass:\n%s\ntwo-pass:\n%s\non\n%s",
+			label, strings.Join(g, "\n"), strings.Join(w, "\n"), src)
+	}
+	// Rule by rule over the final base: every rule's instances, and
+	// identical instances of different rules each kept once per rule.
+	final := logic.StoreOf(got.Base.Atoms()...)
+	var perRule []string
+	for _, r := range rules {
+		one, err := groundTwoPass(final, []*logic.Rule{r}, opt)
+		if err != nil {
+			t.Fatalf("%s: two-pass over the final base: %v", label, err)
+		}
+		if one.Prog.NAtoms != got.Base.Len() {
+			t.Fatalf("%s: the final base is not closed under %v", label, r)
+		}
+		perRule = append(perRule, renderRules(one, one.Prog.Rules[final.Len():])...)
+	}
+	if !equalMultisets(gotInst, perRule) {
+		t.Fatalf("%s: instance multisets differ\none-pass:\n%s\nrule by rule:\n%s\non\n%s",
+			label, strings.Join(sorted(gotInst), "\n"), strings.Join(sorted(perRule), "\n"), src)
+	}
+	return got
+}
+
+// twoLayerDatabase loads facts as a two-layer chain: a root bulk-loaded
+// with the first half and a snapshot layer holding the rest, the shape
+// ntgd.Compile builds for a program compiled against a Database.
+func twoLayerDatabase(facts []logic.Atom) *logic.FactStore {
+	root := logic.NewFactStore()
+	root.AddAll(facts[:len(facts)/2])
+	db := root.Snapshot()
+	db.AddAll(facts[len(facts)/2:])
+	return db
 }
 
 // randSkolemProgram returns a random program over the constants c0..c3:
@@ -205,8 +237,8 @@ func randSkolemProgram(rng *rand.Rand) string {
 
 // atomNames returns the grounding's atoms rendered and sorted.
 func atomNames(g *Grounding) []string {
-	out := make([]string, len(g.Atoms))
-	for i, a := range g.Atoms {
+	out := make([]string, g.Base.Len())
+	for i, a := range g.Base.Atoms() {
 		out[i] = a.String()
 	}
 	slices.Sort(out)
@@ -218,7 +250,7 @@ func renderRules(g *Grounding, rules []asp.Rule) []string {
 	names := func(ids []int) string {
 		parts := make([]string, len(ids))
 		for i, id := range ids {
-			parts[i] = g.Atoms[id].String()
+			parts[i] = g.Base.AtomAt(id).String()
 		}
 		return strings.Join(parts, ",")
 	}
@@ -322,8 +354,8 @@ func groundTwoPass(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Grou
 	// (which keeps its store indices), so the facts are ids 0..|D|-1,
 	// and phase 2 reads the body's ids from the match and resolves the
 	// negative and head instances by one key probe each into base.
-	g := &Grounding{Atoms: base.Atoms()}
-	prog := &asp.Program{NAtoms: len(g.Atoms)}
+	g := &Grounding{Base: base, db: db}
+	prog := &asp.Program{NAtoms: base.Len()}
 
 	// Facts.
 	for id := 0; id < db.Len(); id++ {

@@ -65,8 +65,8 @@ q(X), not r(X) -> s(X).
 		t.Fatalf("Ground: %v", err)
 	}
 	// Base: p(a), p(b), q(a), q(b), s(a), s(b) — r is never derivable.
-	if len(g.Atoms) != 6 {
-		t.Fatalf("derivable base = %d atoms, want 6", len(g.Atoms))
+	if g.Base.Len() != 6 {
+		t.Fatalf("derivable base = %d atoms, want 6", g.Base.Len())
 	}
 	// r(X) never derivable → the negative literal is dropped.
 	for _, r := range g.Prog.Rules {
@@ -161,10 +161,5 @@ p(X) -> q(X).
 
 // atomID finds a ground atom's id in the grounding's atom table.
 func atomID(g *ground.Grounding, a logic.Atom) (int, bool) {
-	for id, b := range g.Atoms {
-		if b.Equal(a) {
-			return id, true
-		}
-	}
-	return 0, false
+	return g.Base.IndexOfAtom(a)
 }

@@ -578,11 +578,37 @@ func (s *FactStore) addBulk(atoms []Atom) int {
 // AddKeys inserts the atoms with the given packed keys — key i is
 // keys[offs[i]:offs[i+1]], every id interned in the chain's table — and
 // returns the number that were new; only new atoms are materialized.
-// It is AddKey for a batch: a root store takes the bulk loader's
-// indexing pass unless the batch is small next to the symbol table (see
-// AddAll), so a caller building head instances as keys, such as the
-// grounder, keeps exactly sized posting lists.
+// It is AddKey for a batch: any layer, root or snapshot, takes the
+// bulk loader's indexing pass for its own atoms unless the batch is
+// small next to the symbol table (see AddAll), so a caller building
+// head instances as keys, such as the grounder, keeps exactly sized
+// posting lists.
 func (s *FactStore) AddKeys(keys []byte, offs []int32) int {
+	return s.addKeys(keys, offs, nil)
+}
+
+// AddFrom inserts the atoms of src with the given store indices and
+// returns the number that were new. src shares s's Symbols table (a
+// store of the same chain, or of the same ntgd.Database). It is
+// AddKeys for atoms src already holds: their packed keys are read from
+// src's index and the atoms themselves are reused, so nothing is
+// interned, rendered or materialized again.
+func (s *FactStore) AddFrom(src *FactStore, idx []int) int {
+	if len(idx) == 0 {
+		return 0
+	}
+	var keys []byte
+	offs := make([]int32, 1, len(idx)+1)
+	for _, i := range idx {
+		keys = append(keys, src.keyAt(i)...)
+		offs = append(offs, int32(len(keys)))
+	}
+	return s.addKeys(keys, offs, func(i int) Atom { return src.atomAt(idx[i]) })
+}
+
+// addKeys is AddKeys with the batch's atoms given by atomOf, or
+// materialized from the Symbols table when atomOf is nil.
+func (s *FactStore) addKeys(keys []byte, offs []int32, atomOf func(i int) Atom) int {
 	n := len(offs) - 1
 	if n <= 0 {
 		return 0
@@ -590,11 +616,18 @@ func (s *FactStore) AddKeys(keys []byte, offs []int32) int {
 	if !s.bulkBatch(len(keys)/4 - n) {
 		added := 0
 		for i := 0; i < n; i++ {
-			if s.AddKey(keys[offs[i]:offs[i+1]]) {
+			var a Atom
+			if atomOf != nil {
+				a = atomOf(i)
+			}
+			if s.insert(keys[offs[i]:offs[i+1]], a, atomOf != nil) {
 				added++
 			}
 		}
 		return added
+	}
+	if atomOf == nil {
+		atomOf = func(i int) Atom { return s.syms.atomOf(keys[offs[i]:offs[i+1]]) }
 	}
 	// The domain ids of every key, as phase 1 of addBulk would render
 	// them: a constant or null is its own domain term, a function term
@@ -615,23 +648,26 @@ func (s *FactStore) AddKeys(keys []byte, offs []int32) int {
 	}
 	numTerms, numPreds := len(s.syms.terms), len(s.syms.predNames)
 	s.syms.mu.RUnlock()
-	return s.indexBulk(keys, offs, domFlat, domOffs, numTerms, numPreds, func(i int) Atom {
-		return s.syms.atomOf(keys[offs[i]:offs[i+1]])
-	})
+	return s.indexBulk(keys, offs, domFlat, domOffs, numTerms, numPreds, atomOf)
 }
 
-// indexBulk is the indexing pass of the root bulk loader: it dedups the
-// batch of packed keys (key i is keys[offs[i]:offs[i+1]], with domain
-// ids domFlat[domOffs[i]:domOffs[i+1]]) against the key table and
+// indexBulk is the indexing pass of the bulk loader, for the own atoms
+// of any layer: it dedups the batch of packed keys (key i is
+// keys[offs[i]:offs[i+1]], with domain ids
+// domFlat[domOffs[i]:domOffs[i+1]]) against the ancestors under the
+// layer's visibility bound and against the layer's key table, and
 // builds the per-predicate lists, posting lists and domain of the new
 // atoms by counting sort over the numTerms term and numPreds predicate
-// ids. atomOf materializes batch atom i once it is accepted.
+// ids. Lists hold global store indices, and a domain term an ancestor
+// already introduced stays the ancestor's (first wins across layers,
+// as in insert). atomOf materializes batch atom i once it is accepted.
 func (s *FactStore) indexBulk(keys []byte, offs []int32, domFlat []uint32, domOffs []int32, numTerms, numPreds int, atomOf func(i int) Atom) int {
 	n := len(offs) - 1
 	ix := s.index()
 	// Reserve everything up front: no insert below ever rehashes the
-	// key table or regrows the atom slice or key blob.
-	base := len(s.atoms)
+	// key table or regrows the atom slice or key blob. The j-th
+	// accepted atom has local offset local+j and store index first+j.
+	local, first := len(s.atoms), s.Len()
 	ix.keys.reserve(n, len(keys))
 	if cap(s.atoms)-len(s.atoms) < n {
 		// Doubling keeps repeated batches amortized O(1) per atom; a
@@ -645,15 +681,19 @@ func (s *FactStore) indexBulk(keys []byte, offs []int32, domFlat []uint32, domOf
 		s.atoms = grown
 	}
 
-	// Phase 2: dedup against the key table, assigning dense indices.
-	// Every new fact costs exactly one hash-and-probe traversal: the
-	// miss hands back the slot the insert fills, and no insert ever
-	// rehashes. srcOf maps the j-th accepted atom (store index base+j)
-	// back to its batch position, for the domain pass below.
+	// Phase 2: dedup against the ancestors (a root has none) and the
+	// key table, assigning dense indices. Every new fact costs one
+	// probe per ancestor layer and one hash-and-probe traversal of its
+	// own table: the miss hands back the slot the insert fills, and no
+	// insert ever rehashes. srcOf maps the j-th accepted atom back to
+	// its batch position, for the domain pass below.
 	srcOf := make([]int32, 0, n)
 	nPairs := 0
 	for i := 0; i < n; i++ {
 		k := keys[offs[i]:offs[i+1]]
+		if _, below := s.parent.lookupPacked(k, s.base); below {
+			continue
+		}
 		slot, _, dup := ix.keys.findSlotBytes(k)
 		if dup {
 			continue
@@ -665,10 +705,10 @@ func (s *FactStore) indexBulk(keys []byte, offs []int32, domFlat []uint32, domOf
 		nPairs += len(k)/4 - 1
 	}
 
-	// The accepted atoms are exactly store indices base..base+added;
+	// The accepted atoms are exactly store indices first..first+added;
 	// their packed keys are read back, zero-copy, from the key blob.
-	added := len(s.atoms) - base
-	key := func(j int) []byte { return ix.keys.keyBytes(base + j) }
+	added := len(s.atoms) - local
+	key := func(j int) []byte { return ix.keys.keyBytes(local + j) }
 
 	// Phase 3: index construction. byPred: counting sort over dense
 	// predicate ids. One backing array holds every new entry; iterating
@@ -685,7 +725,7 @@ func (s *FactStore) indexBulk(keys []byte, offs []int32, domFlat []uint32, domOf
 	copy(predCur, predOff)
 	for j := 0; j < added; j++ {
 		pid := binary.LittleEndian.Uint32(key(j))
-		predBack[predCur[pid]] = uint32(base + j)
+		predBack[predCur[pid]] = uint32(first + j)
 		predCur[pid]++
 	}
 	for p := 0; p < numPreds; p++ {
@@ -724,7 +764,7 @@ func (s *FactStore) indexBulk(keys []byte, offs []int32, domFlat []uint32, domOf
 		pid := binary.LittleEndian.Uint32(k)
 		for p := 0; 4+4*p < len(k); p++ {
 			tid := binary.LittleEndian.Uint32(k[4+4*p:])
-			entries[cur[tid]] = pairEntry{pred: pid, idx: uint32(base + j), pos: int32(p)}
+			entries[cur[tid]] = pairEntry{pred: pid, idx: uint32(first + j), pos: int32(p)}
 			cur[tid]++
 		}
 	}
@@ -768,14 +808,16 @@ func (s *FactStore) indexBulk(keys []byte, offs []int32, domFlat []uint32, domOf
 
 	// Domain: first-wins inserts, iterating accepted atoms in index
 	// order; a dense seen array short-circuits the repeats, so the
-	// table is probed once per distinct term.
+	// ancestors and the table are probed once per distinct term.
 	seen := make([]bool, numTerms)
 	for j := 0; j < added; j++ {
 		src := srcOf[j]
 		for _, d := range domFlat[domOffs[src]:domOffs[src+1]] {
 			if !seen[d] {
 				seen[d] = true
-				ix.dom.setIfAbsent(d, base+j)
+				if !s.parent.hasDomainID(d, s.base) {
+					ix.dom.setIfAbsent(d, first+j)
+				}
 			}
 		}
 	}

@@ -133,6 +133,91 @@ func keysLoad(s *FactStore, atoms []Atom, batch int, rng *rand.Rand) *FactStore 
 	return s
 }
 
+// withRepeats returns atoms with, after each one, a repeat of an
+// earlier atom of the list with probability 1/3; first occurrences keep
+// their order.
+func withRepeats(atoms []Atom, pick func(n int) int) []Atom {
+	var out []Atom
+	for i, a := range atoms {
+		out = append(out, a)
+		if pick(3) == 0 {
+			out = append(out, atoms[pick(i+1)])
+		}
+	}
+	return out
+}
+
+// layeredKeys builds a chain whose top layer takes batch as packed keys:
+// below it a root bulk-loaded with atoms[:cuts[0]] and, for each further
+// cut, a snapshot layer holding the next run of atoms, added fact by
+// fact. The top layer, a snapshot, gets the whole batch through one
+// AddKeys call, or through one AddKey call per key when perKey is set.
+func layeredKeys(atoms []Atom, cuts []int, batch []Atom, perKey bool) *FactStore {
+	s := NewFactStore()
+	s.AddAll(atoms[:cuts[0]])
+	for i := 1; i < len(cuts); i++ {
+		s = s.Snapshot()
+		for _, a := range atoms[cuts[i-1]:cuts[i]] {
+			s.Add(a)
+		}
+	}
+	s = s.Snapshot()
+	if !perKey {
+		return keysLoad(s, batch, 0, nil)
+	}
+	for _, a := range batch {
+		key, _ := s.syms.appendAtomKey(a, nil, true)
+		s.AddKey(key)
+	}
+	return s
+}
+
+// keyBatchArms returns the snapshot builds whose top layer takes the
+// tail of atoms as one AddKeys batch — over a bulk-loaded root, and over
+// a three-layer chain — each beside the same keys added one AddKey at a
+// time. The batch starts below the last cut, so it repeats keys the
+// layers below hold, and it repeats keys within itself.
+func keyBatchArms(atoms []Atom, pick func(n int) int) map[string]*FactStore {
+	arms := map[string]*FactStore{}
+	n := len(atoms)
+	a := pick(n + 1)
+	b := a + pick(n-a+1)
+	for _, arm := range []struct {
+		name string
+		cuts []int
+	}{{"bulk root", []int{b}}, {"three-layer chain", []int{a, b}}} {
+		batch := withRepeats(atoms[pick(b+1):], pick)
+		arms["key batch on "+arm.name] = layeredKeys(atoms, arm.cuts, batch, false)
+		arms["per-key on "+arm.name] = layeredKeys(atoms, arm.cuts, batch, true)
+	}
+	return arms
+}
+
+// checkLayerDomains pins the domain's first-wins rule across layers:
+// every layer of the batch build records exactly the domain terms, at
+// exactly the store indices, that the same layer of the per-key build
+// records.
+func checkLayerDomains(t *testing.T, label string, batch, perKey *FactStore) {
+	t.Helper()
+	doms := func(s *FactStore) []string {
+		var out []string
+		for st := s; st != nil; st = st.parent {
+			var layer []string
+			if st.ix != nil {
+				for _, e := range st.ix.dom.entries {
+					layer = append(layer, fmt.Sprintf("%s@%d", s.syms.TermOf(e.term), e.idx))
+				}
+			}
+			sort.Strings(layer)
+			out = append(out, fmt.Sprint(layer))
+		}
+		return out
+	}
+	if got, want := doms(batch), doms(perKey); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%s: layer domains differ from the per-key build:\n%v\n%v", label, got, want)
+	}
+}
+
 // checkStoresAgree pins every read surface of each store against the
 // per-fact reference build.
 func checkStoresAgree(t *testing.T, iter int, atoms []Atom, perFact *FactStore, stores map[string]*FactStore) {
@@ -235,8 +320,10 @@ func collectHomSet(pos, neg []Atom, s *FactStore, from int, init Subst) []string
 // TestStorageDifferential is the randomized pin: N random fact sets,
 // each built several ways and probed across every read surface plus
 // the hom search (full and delta windows) against the naive oracle.
-// The last iterations take the padded builds, whose writes land on a
-// symbol table of more than 1,024 terms.
+// The unpadded builds include AddKeys batches on a snapshot's top layer
+// (keyBatchArms), whose sequence ends with an atom of terms nothing
+// else uses. The last iterations take the padded builds, whose writes
+// land on a symbol table of more than 1,024 terms.
 func TestStorageDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	flattened := 0
@@ -266,9 +353,16 @@ func TestStorageDifferential(t *testing.T) {
 			stores = map[string]*FactStore{"padded per-fact": pf, "padded batches": batches, "padded flattened": flat,
 				"padded key batches": keysLoad(padKeys, atoms, 3, rand.New(rand.NewSource(int64(iter))))}
 		} else {
+			atoms = append(atoms, A("q", C("fresh"), F("f", N("n7"))))
 			var bulk, chain *FactStore
 			perFact, bulk, chain = buildThreeWays(rng, atoms)
 			stores = map[string]*FactStore{"bulk": bulk, "chain": chain, "keys": keysLoad(NewFactStore(), atoms, 0, nil)}
+			for name, s := range keyBatchArms(atoms, rng.Intn) {
+				stores[name] = s
+			}
+			for _, name := range []string{"bulk root", "three-layer chain"} {
+				checkLayerDomains(t, fmt.Sprintf("iter %d: %s", iter, name), stores["key batch on "+name], stores["per-key on "+name])
+			}
 		}
 		stores["per-fact"] = perFact
 		checkStoresAgree(t, iter, atoms, perFact, stores)
@@ -315,12 +409,19 @@ func TestStorageDifferential(t *testing.T) {
 
 // FuzzStorage replays the PR 6 fuzz vocabulary against the storage
 // layer: an arbitrary byte string decodes into a fact sequence and a
-// body; the per-fact, bulk, and snapshot-chain builds must agree with
-// each other and with the naive hom oracle.
+// body; the per-fact, bulk, and snapshot-chain builds, and AddKeys
+// batches on a snapshot's top layer with their per-key twins
+// (keyBatchArms, cut and repeated at byte-chosen points), must agree
+// with each other and with the naive hom oracle, over full joins and a
+// byte-chosen delta window.
 func FuzzStorage(f *testing.F) {
 	f.Add([]byte("\x05\x01\x00\x01\x01\x01\x02\x01\x02\x03\x00\x00\x02\x00\x02\x01\x01\x00\x02\x01\x02\x04\x01\x00\x00\x00"))
 	f.Add([]byte("\x18\x03\x00\x00\x01\x03\x00\x01\x01\x03\x01\x01\x01\x01\x00\x00\x01\x03"))
 	f.Add([]byte("\x00\x00\x01\x01\x03\x00\x00"))
+	// Key batches on a snapshot over a three-layer chain that hold
+	// keys present below, repeats and terms new to the domain.
+	f.Add([]byte("72020000020100010\x16000001"))
+	f.Add([]byte("720200000201000100000001"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
 		nFacts := int(r.next()) % 25
@@ -350,21 +451,36 @@ func FuzzStorage(f *testing.F) {
 			chain.Add(a)
 		}
 
-		for name, s := range map[string]*FactStore{"bulk": bulk, "chain": chain} {
-			if s.Len() != perFact.Len() || !s.Equal(perFact) {
-				t.Fatalf("%s build differs: len %d vs %d", name, s.Len(), perFact.Len())
-			}
-			if s.CanonicalString() != perFact.CanonicalString() {
-				t.Fatalf("%s canonical form differs", name)
-			}
+		stores := map[string]*FactStore{"per-fact": perFact, "bulk": bulk, "chain": chain}
+		arms := keyBatchArms(atoms, func(n int) int { return int(r.next()) % n })
+		for name, s := range arms {
+			stores[name] = s
 		}
+		for _, name := range []string{"bulk root", "three-layer chain"} {
+			checkLayerDomains(t, name, arms["key batch on "+name], arms["per-key on "+name])
+		}
+		checkStoresAgree(t, 0, atoms, perFact, stores)
 		want := fuzzCollectHoms(func(fn HomVisitor) bool {
 			return naiveFindHoms(pos, nil, perFact, Subst{}, fn)
 		})
-		for name, s := range map[string]*FactStore{"per-fact": perFact, "bulk": bulk, "chain": chain} {
+		from := int(r.next()) % (perFact.Len() + 1)
+		dwant := fuzzCollectHoms(func(fn HomVisitor) bool {
+			return naiveFindHoms(pos, nil, perFact, Subst{}, func(h Subst) bool {
+				for _, a := range pos {
+					if idx, ok := perFact.IndexOfAtom(h.ApplyAtom(a)); ok && idx >= from {
+						return fn(h)
+					}
+				}
+				return true
+			})
+		})
+		for name, s := range stores {
 			sameHoms(t, "FuzzStorage "+name, fuzzCollectHoms(func(fn HomVisitor) bool {
 				return FindHoms(pos, nil, s, Subst{}, fn)
 			}), want)
+			sameHoms(t, fmt.Sprintf("FuzzStorage %s from %d", name, from), fuzzCollectHoms(func(fn HomVisitor) bool {
+				return FindHomsFrom(pos, nil, s, from, Subst{}, fn)
+			}), dwant)
 		}
 	})
 }

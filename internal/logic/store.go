@@ -23,8 +23,8 @@ import (
 // tuples, and the posting lists are []uint32 of store indices. Every
 // layer of a chain, root included, holds its own atoms in one packed
 // index (see layerIndex in storage.go), allocated on the layer's first
-// write: Add inserts into it incrementally, and AddAll on a root
-// bulk-loads large batches by counting sort.
+// write: Add inserts into it incrementally, and AddAll and AddKeys
+// bulk-load large batches into any layer by counting sort.
 //
 // A store may be a copy-on-write snapshot layer (see Snapshot): it then
 // holds a pointer to its parent chain plus only its own additions, and
@@ -272,11 +272,11 @@ func (s *FactStore) HasDomainID(id uint32) bool { return s.hasDomainID(id, math.
 // the same thing in every store of the chain.
 func (s *FactStore) Symbols() *Symbols { return s.syms }
 
-// AddAll inserts every atom, returning the number that were new. A root
-// store bulk-loads the batch (see addBulk) unless the batch is small
+// AddAll inserts every atom, returning the number that were new. The
+// batch is bulk-loaded into this layer (see addBulk) unless it is small
 // next to the chain's symbol table, where the bulk loader's
-// O(symbol table) counting arrays would dwarf the work; such batches,
-// and every batch on a snapshot layer, go through Add.
+// O(symbol table) counting arrays would dwarf the work; such batches go
+// through Add.
 func (s *FactStore) AddAll(atoms []Atom) int {
 	pairs := 0
 	for _, a := range atoms {
@@ -295,10 +295,10 @@ func (s *FactStore) AddAll(atoms []Atom) int {
 }
 
 // bulkBatch reports whether a batch with the given number of
-// (atom, argument) pairs takes the bulk loader: only roots do, and only
-// when the batch is not small next to the symbol table.
+// (atom, argument) pairs takes the bulk loader: it does unless the
+// batch is small next to the symbol table.
 func (s *FactStore) bulkBatch(pairs int) bool {
-	return s.parent == nil && s.syms.NumTerms() <= 4*pairs+1024
+	return s.syms.NumTerms() <= 4*pairs+1024
 }
 
 // lookupPacked resolves a packed fact key (in a scratch buffer) through
@@ -478,6 +478,16 @@ func (s *FactStore) atomAt(i int) Atom {
 		st = st.parent
 	}
 	return st.atoms[i-st.base]
+}
+
+// keyAt returns the packed key of the atom with store index i, aliasing
+// its layer's key blob.
+func (s *FactStore) keyAt(i int) []byte {
+	st := s
+	for i < st.base {
+		st = st.parent
+	}
+	return st.ix.keys.keyBytes(i - st.base)
 }
 
 // predIndices returns the store indices of atoms with the given

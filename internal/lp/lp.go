@@ -35,7 +35,9 @@ type Options struct {
 // program through the ASP solver without re-grounding. When the ground
 // program's well-founded model is total (a stratified program, say),
 // it is the only stable model: a run emits it without searching, as a
-// snapshot of the frozen store of its true atoms. Compiled implements
+// snapshot of the frozen store of its true atoms. Compiled holds the
+// database it was compiled against (through its grounding), and every
+// store it builds is a copy-on-write layer over it. Compiled implements
 // the engine.Engine interface and is safe for concurrent use.
 type Compiled struct {
 	g *ground.Grounding
@@ -46,9 +48,11 @@ type Compiled struct {
 	solve asp.SolveOptions
 
 	mu sync.Mutex
-	// core is the frozen store of the well-founded true atoms, built by
-	// the first run that materializes a model and published only once
-	// complete; every run's models are snapshots of it.
+	// core is the frozen store of the well-founded true atoms, a
+	// snapshot of the database with the true derived atoms on its own
+	// layer, built by the first run that materializes a model and
+	// published only once complete; every run's models are snapshots
+	// of it.
 	core *logic.FactStore
 }
 
@@ -74,34 +78,35 @@ func Compile(db *logic.FactStore, rules []*logic.Rule, opt Options) (*Compiled, 
 	return &Compiled{g: g, solve: solveOpt}, nil
 }
 
-// modelStores returns the model materializer of one run. Without a
-// well-founded model every model is a fresh store; with one, each model
-// is a snapshot of the Compiled's frozen store of the well-founded true
-// atoms plus the model's other atoms, so all models share their common
-// part instead of each holding a full copy. Every stable model contains
-// the true atoms, so a model of the same size is exactly them.
+// modelStores returns the model materializer of one run. Every model is
+// a layer over the database (see ground.Grounding.ModelStore). With a
+// well-founded model, each model is a snapshot of the Compiled's frozen
+// store of the well-founded true atoms plus the model's other atoms, so
+// all models share their common part instead of each holding a full
+// copy. Every stable model contains the true atoms, so a model of the
+// same size is exactly them.
 func (c *Compiled) modelStores() func(asp.Model) *logic.FactStore {
 	wfs := c.solve.WFS
 	if wfs == nil {
 		return c.g.ModelStore
 	}
 	var core *logic.FactStore
-	var rest []logic.Atom
+	var rest []int
 	return func(m asp.Model) *logic.FactStore {
 		if core == nil {
 			core = c.wfsCore()
 		}
+		s := core.Snapshot()
 		if len(m) == len(wfs.True) {
-			return core.Snapshot()
+			return s
 		}
 		rest = rest[:0]
 		for _, id := range m {
 			if !wfs.IsTrue(id) {
-				rest = append(rest, c.g.Atoms[id])
+				rest = append(rest, id)
 			}
 		}
-		s := core.Snapshot()
-		s.AddAll(rest)
+		s.AddFrom(c.g.Base, rest)
 		return s
 	}
 }
@@ -117,11 +122,7 @@ func (c *Compiled) wfsCore() *logic.FactStore {
 	if core != nil {
 		return core
 	}
-	atoms := make([]logic.Atom, len(c.solve.WFS.True))
-	for i, id := range c.solve.WFS.True {
-		atoms[i] = c.g.Atoms[id]
-	}
-	core = logic.StoreOf(atoms...)
+	core = c.g.ModelStore(c.solve.WFS.True)
 	c.mu.Lock()
 	if c.core == nil {
 		c.core = core

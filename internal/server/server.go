@@ -40,6 +40,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -351,11 +352,15 @@ func (s *Server) run(ctx context.Context, req *Request, fn func(context.Context,
 
 // requestContext derives the run context: the client's connection
 // context (disconnects cancel the run) plus the per-request deadline,
-// clamped by the server maximum.
+// clamped by the server maximum. A timeout_ms past what time.Duration
+// holds (about 292 years) saturates instead of wrapping.
 func (s *Server) requestContext(parent context.Context, req *Request) (context.Context, context.CancelFunc) {
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+		timeout = time.Duration(math.MaxInt64)
+		if req.TimeoutMS <= math.MaxInt64/int64(time.Millisecond) {
+			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+		}
 	}
 	if s.cfg.MaxTimeout > 0 && (timeout <= 0 || timeout > s.cfg.MaxTimeout) {
 		timeout = s.cfg.MaxTimeout

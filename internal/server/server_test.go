@@ -276,6 +276,45 @@ func TestServerTimeoutClamp(t *testing.T) {
 	}
 }
 
+// TestServerTimeoutSaturates pins that a timeout_ms too large for
+// time.Duration saturates instead of wrapping to a tiny deadline: with
+// no MaxTimeout, 18446744073710 ms (about 584 years, which wraps to
+// about 0.45 ms) answers what 60000 ms answers, byte for byte. The
+// request enumerates all 2^8 models of a subset choice, which takes
+// longer than the wrapped deadline. Each request goes to a fresh
+// daemon, so both runs compile and search alike.
+func TestServerTimeoutSaturates(t *testing.T) {
+	var src bytes.Buffer
+	for i := 0; i < 8; i++ {
+		fmt.Fprintf(&src, "item(i%d).\n", i)
+	}
+	src.WriteString("item(X), not out(X) -> in(X).\nitem(X), not in(X) -> out(X).\n")
+	body := func(timeoutMS int64) (int, string) {
+		_, hs := newTestServer(t, Config{Options: ntgd.Options{Workers: 1}})
+		req, err := json.Marshal(Request{Program: src.String(), Query: "?- item(i0).", Mode: "cautious", TimeoutMS: timeoutMS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(hs.URL+"/v1/entails", "application/json", bytes.NewReader(req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var b bytes.Buffer
+		if _, err := b.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, b.String()
+	}
+	wantCode, want := body(60000)
+	if wantCode != http.StatusOK {
+		t.Fatalf("timeout_ms 60000: status %d, body %s", wantCode, want)
+	}
+	if code, got := body(18446744073710); code != wantCode || got != want {
+		t.Fatalf("timeout_ms 18446744073710: status %d, body %s; want %d, %s", code, got, wantCode, want)
+	}
+}
+
 // TestServerAdmission holds the daemon's only admission slot directly
 // and asserts a queued request whose deadline expires first is refused
 // with 429/admission — and that the identical request succeeds once the

@@ -27,9 +27,11 @@ benchtime="${BENCH_TIME:-300ms}"
 # the search: cached delta joins of a 9-atom body over a depth-16
 # snapshot chain. GroundBulkLP pins the LP write path: one-pass
 # grounding of bulkdb's LP rules over a database of its shape.
+# DatabaseVersion pins a whole write: both bulkdb solvers compiled
+# against a frozen Database of that shape, and their first reads.
 # Names must stay unique across packages — cmd/benchdiff and benchstat
 # aggregate on the bare benchmark name.
-pattern='StableSearchChoiceWide|ParallelSearch|StabilitySession|SolveAssumptions|SolverReuse|SolverQueryDB|StoreBranch|JoinOrderAdversarial|HomDeltaLayered|BulkLoad|StoreProbe|GroundBulkLP'
+pattern='StableSearchChoiceWide|ParallelSearch|StabilitySession|SolveAssumptions|SolverReuse|SolverQueryDB|StoreBranch|JoinOrderAdversarial|HomDeltaLayered|BulkLoad|StoreProbe|GroundBulkLP|DatabaseVersion'
 
 go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "$count" \
   ./ ./internal/core/ ./internal/logic/ ./internal/sat/ ./internal/ground/ | tee "$out"
