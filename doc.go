@@ -340,17 +340,19 @@
 //   - Stability checking is session-based: the Proposition 11 check
 //     (no J with D ⊆ J ⊊ M⁺ satisfies the τ-translation) is encoded
 //     into CNF incrementally along the search tree instead of from
-//     scratch per candidate model. A per-state stability session
-//     mirrors the snapshot chain — each layer owns the clauses and
-//     atom variables of its store window, keyed by global store index,
-//     and a child extends its parent by encoding only the delta:
-//     FindHomsFrom above the parent's high-water mark for new body
-//     homomorphisms, plus completion joins that chain newly visible
-//     head witnesses onto existing clauses through extension-tail
-//     literals. Encoding is on demand: a layer is pending at its
-//     branch point, encoded on first need — a candidate check or a
-//     worker fork below it — and frozen once encoded, so the windows
-//     of subtrees that reach neither are never encoded. A check loads
+//     scratch per candidate model. A stability session is a chain of
+//     layers, one per branch point on the search path: each layer owns
+//     the clauses and atom variables of the store window since the
+//     previous branch point, keyed by global store index, and every
+//     state below the branch point shares it. A layer encodes only its
+//     delta: FindHomsFrom above the parent layer's high-water mark for
+//     new body homomorphisms, plus completion joins that chain newly
+//     visible head witnesses onto existing clauses through
+//     extension-tail literals. Encoding is on demand: a branch point's
+//     layer is encoded on first need — a candidate check or a worker
+//     fork below it — and frozen once encoded, so the windows of
+//     subtrees that reach neither are never encoded; a candidate's own
+//     window is encoded in its worker's scratch layer. A check loads
 //     the clauses of its own root-to-leaf chain into the worker's
 //     reusable CDCL SAT solver (internal/sat: solve-under-assumptions,
 //     first-UIP clause learning, Reset for the next formula); the

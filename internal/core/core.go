@@ -32,6 +32,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -95,7 +96,11 @@ type Options struct {
 	// ExtraConstants extends the witness pool, typically with the
 	// constants of the query being answered.
 	ExtraConstants []logic.Term
-	// MaxModels stops enumeration after this many models (0 = all).
+	// MaxModels bounds the models a run delivers (0 = all). It is
+	// enforced by the Solver layer: Solver.Models stops its stream and
+	// Solver.Collect its result after this many models. The search
+	// itself does not read it, so Compiled.Enumerate and the entailment
+	// and answer queries, which need every model, ignore it.
 	MaxModels int
 	// Workers bounds the worker pool of the search: sibling branch
 	// subtrees are explored concurrently by up to Workers goroutines,
@@ -103,8 +108,7 @@ type Options struct {
 	// runtime.GOMAXPROCS(0); 1 forces the sequential depth-first
 	// search. The canonical stable-model set is identical for every
 	// setting (see parallel.go); enumeration order is deterministic
-	// only when the effective worker count is 1. Overridable per run
-	// via engine.Params.Workers.
+	// only when the effective worker count is 1.
 	Workers int
 	// MaxWallClock bounds each run's wall-clock time (0 = unbounded).
 	// It is enforced by the Solver layer (engine.Guard drives the run
@@ -139,17 +143,19 @@ type Options struct {
 	// only the differential tests set it.
 	stabOracle *atomic.Int64
 	// stabCounts, when non-nil, receives the number of stability
-	// session windows the run encoded, of session forks it made, and
-	// the most variables any check's solver held, merged per worker on
-	// exit. Package-private: only the session tests set it.
+	// session layers the run allocated, of session windows it encoded,
+	// of session forks it made, and the most variables any check's
+	// solver held, merged per worker on exit. Package-private: only the
+	// session tests set it.
 	stabCounts *stabCounts
 }
 
 // stabCounts is the tally behind Options.stabCounts.
-type stabCounts struct{ windows, forks, maxVars atomic.Int64 }
+type stabCounts struct{ layers, windows, forks, maxVars atomic.Int64 }
 
 // add merges one worker's tally.
-func (c *stabCounts) add(windows, forks, maxVars int64) {
+func (c *stabCounts) add(layers, windows, forks, maxVars int64) {
+	c.layers.Add(layers)
 	c.windows.Add(windows)
 	c.forks.Add(forks)
 	for {
@@ -400,12 +406,7 @@ func (c *Compiled) enumerate(ctx context.Context, p engine.Params, visit func(*l
 			r.hasNulls = true
 		}
 	}
-	root := &state{
-		mustIn:   map[logic.FactKey]struct{}{},
-		mustOut:  map[logic.FactKey]struct{}{},
-		deferred: map[string]bool{},
-		owns:     ownsMustIn | ownsMustOut | ownsDeferred,
-	}
+	root := &state{}
 	// The naive oracle always starts from D; every other run starts from
 	// the frozen root, or builds it in its own root node (dfs).
 	fr := c.frozen()
@@ -432,7 +433,7 @@ func (c *Compiled) enumerate(ctx context.Context, p engine.Params, visit func(*l
 		root.agenda = fr.agenda.clone()
 		r.rootLen = fr.store.Len()
 	}
-	return r.execute(root, resolveWorkers(opt.Workers, p.Workers, naive), visit)
+	return r.execute(root, resolveWorkers(opt.Workers, naive), visit)
 }
 
 // enumStableModelsNaive runs the search with the full-rescan trigger
@@ -460,89 +461,49 @@ func enumStableModels(db *logic.FactStore, rules []*logic.Rule, opt Options, vis
 // assumptions made when firing rules through their negative literals
 // (mustOut: atoms that must never be derived), the positive promises
 // made when deferring a trigger (mustIn: atoms that must eventually be
-// derived), the set of deferred trigger keys (naive oracle only: the
-// agenda never meets a deferred trigger again, see refreshAgenda), and
-// the trigger agenda.
+// derived), the deferred trigger keys (naive oracle only: the agenda
+// never meets a deferred trigger again, see refreshAgenda), and the
+// trigger agenda.
+//
+// A state shares everything with its parent until it writes, and a
+// write never touches the parent's arrays: the store is a snapshot
+// layer, the agenda is copied by clone, and the assumption sets — a
+// handful of keys along a path — are short slices extended only by
+// extend, which copies.
 type state struct {
-	A *logic.FactStore
-	// mustIn/mustOut/deferred are shared copy-on-write with the parent
-	// state: clone hands the child the parent's maps read-only, and the
-	// ensure* helpers copy on the first write (owns tracks which maps
-	// this state owns). Reads need no chain walk — a state always sees
-	// one complete map.
-	mustIn   map[logic.FactKey]struct{}
-	mustOut  map[logic.FactKey]struct{}
-	deferred map[string]bool
-	owns     ownedMaps
+	A        *logic.FactStore
+	mustIn   []logic.FactKey
+	mustOut  []logic.FactKey
+	deferred []string
 	nullCtr  int
 	agenda   agenda
-	// sess is the state's stability-session layer, mirroring the store
-	// snapshot chain (see stability.go): pending at the state's branch
-	// point, encoded on first need (a candidate check or a fork below
-	// it), and frozen once encoded. nil until the first branch point (and always
-	// nil in naive mode, which uses the full-rebuild oracle instead).
+	// sess is the stability-session layer of the state's nearest branch
+	// point at or above it (see stability.go): a child shares its
+	// parent's, and branch gives the state its own. nil until the first
+	// branch point (and always nil in naive mode, which uses the
+	// full-rebuild oracle instead).
 	sess *stabSession
 }
 
-// ownedMaps flags which assumption maps a state owns (may write).
-type ownedMaps uint8
-
-const (
-	ownsMustIn ownedMaps = 1 << iota
-	ownsMustOut
-	ownsDeferred
-)
-
 func (st *state) clone() *state {
-	c := &state{
-		A:        st.A.Snapshot(),
-		mustIn:   st.mustIn,
-		mustOut:  st.mustOut,
-		deferred: st.deferred,
-		nullCtr:  st.nullCtr,
-		agenda:   st.agenda.clone(),
-	}
-	if st.sess != nil {
-		c.sess = st.sess.child()
-	}
-	return c
+	c := *st
+	c.A = st.A.Snapshot()
+	c.agenda = st.agenda.clone()
+	return &c
 }
 
-// ensureMustIn/ensureMustOut/ensureDeferred make the state's map
-// private before a write: the parent's map is copied once, then owned.
-// The parent is frozen while children run (the same discipline the
-// store snapshots rely on), so sharing the maps read-only is safe.
-func (st *state) ensureMustIn() {
-	if st.owns&ownsMustIn == 0 {
-		m := make(map[logic.FactKey]struct{}, len(st.mustIn)+1)
-		for k, v := range st.mustIn {
-			m[k] = v
-		}
-		st.mustIn = m
-		st.owns |= ownsMustIn
-	}
-}
+// extend returns set with k appended, in a new array: the full slice
+// expression makes append copy, so states sharing set never see k.
+func extend[T any](set []T, k T) []T { return append(set[:len(set):len(set)], k) }
 
-func (st *state) ensureMustOut() {
-	if st.owns&ownsMustOut == 0 {
-		m := make(map[logic.FactKey]struct{}, len(st.mustOut)+1)
-		for k, v := range st.mustOut {
-			m[k] = v
+// holds reports whether the assumption set holds the packed key.
+func holds(set []logic.FactKey, key []byte) bool {
+	for _, k := range set {
+		if string(k) == string(key) {
+			return true
 		}
-		st.mustOut = m
-		st.owns |= ownsMustOut
 	}
-}
-
-func (st *state) ensureDeferred() {
-	if st.owns&ownsDeferred == 0 {
-		m := make(map[string]bool, len(st.deferred)+1)
-		for k := range st.deferred {
-			m[k] = true
-		}
-		st.deferred = m
-		st.owns |= ownsDeferred
-	}
+	return false
 }
 
 // agenda is the per-state queue of candidate triggers. It is seeded
@@ -591,11 +552,11 @@ type searcher struct {
 	// stab holds the worker-local scratch buffers of the stability
 	// session encoder and solver (stability.go).
 	stab stabScratch
-	// stabWindows and stabForks count the session windows this worker
-	// encoded and the session forks it made, and stabMaxVars is the most
-	// variables one of its checks loaded, reported through
-	// Options.stabCounts when the worker exits.
-	stabWindows, stabForks, stabMaxVars int64
+	// stabLayers, stabWindows and stabForks count the session layers
+	// this worker allocated, the windows it encoded and the forks it
+	// made, and stabMaxVars is the most variables one of its checks
+	// loaded, reported through Options.stabCounts when the worker exits.
+	stabLayers, stabWindows, stabForks, stabMaxVars int64
 }
 
 // ruleSet is a program's rules with everything the hot trigger paths
@@ -891,7 +852,7 @@ func (s *searcher) findTriggerNaive(st *state, det bool) *trigger {
 				}
 			}
 			t := &trigger{ruleIdx: idx, ids: s.idsOf(idx, h)}
-			if len(st.deferred) > 0 && st.deferred[s.triggerKey(t)] {
+			if len(st.deferred) > 0 && slices.Contains(st.deferred, s.triggerKey(t)) {
 				return true
 			}
 			if det {
@@ -980,11 +941,11 @@ func (s *searcher) dfs(st *state) bool {
 func (s *searcher) branch(st *state, t *trigger) bool {
 	s.stats.Branches++
 	if !s.naive {
-		// Freeze discipline: the state's session layer goes pending
-		// before any child snapshots the chain. Its window is encoded
-		// only if a candidate check or a fork below needs it, and is
-		// then shared by every model emitted below.
-		s.sessionFor(st).pending = st.A
+		// The state's own session layer owes the window of its frozen
+		// store, which every child shares. The window is encoded only
+		// if a candidate check or a fork below needs it.
+		st.sess = new(stabSession).above(st.sess, st.A)
+		s.stabLayers++
 	}
 	rule, nb := s.rules[t.ruleIdx], len(t.ids)
 	for d := range rule.Heads {
@@ -1023,25 +984,23 @@ func (s *searcher) branch(st *state, t *trigger) bool {
 		return true
 	}
 	body, npos := s.plans[t.ruleIdx].Body, len(s.plans[t.ruleIdx].Pos)
-	seenNeg := map[logic.FactKey]bool{}
+	var seenNeg []logic.FactKey
 	for j := range negBody {
-		key, _ := body.AppendKey(st.A, nil, npos+j, t.ids, true)
+		key, _ := body.AppendKey(st.A, s.probeBuf[:0], npos+j, t.ids, true)
+		s.probeBuf = key[:0]
+		if holds(seenNeg, key) || holds(st.mustOut, key) {
+			continue // a repeated instance, or one assumed absent
+		}
 		k := logic.FactKey(key)
-		if seenNeg[k] {
-			continue
-		}
-		seenNeg[k] = true
+		seenNeg = append(seenNeg, k)
 		child := st.clone()
-		if _, conflict := child.mustOut[k]; conflict {
-			continue
+		if !holds(child.mustIn, key) {
+			child.mustIn = extend(child.mustIn, k)
 		}
-		child.ensureMustIn()
-		child.mustIn[k] = struct{}{}
 		if s.naive {
 			// The full rescan finds the trigger again; the agenda
 			// removed it for good in nextBranch.
-			child.ensureDeferred()
-			child.deferred[s.triggerKey(t)] = true
+			child.deferred = extend(child.deferred, s.triggerKey(t))
 		}
 		if !s.explore(child) {
 			return false
@@ -1144,23 +1103,19 @@ func (s *searcher) applyTo(st *state, t *trigger, disjunct int, vals []uint32) b
 	for j := range s.plans[t.ruleIdx].Neg {
 		key, _ := body.AppendKey(st.A, s.probeBuf[:0], npos+j, t.ids, true)
 		s.probeBuf = key[:0]
-		if _, in := st.A.IndexOfKey(key); in {
-			return false
+		if _, in := st.A.IndexOfKey(key); in || holds(st.mustIn, key) {
+			return false // derived already, or promised by a deferral
 		}
-		if _, promised := st.mustIn[logic.FactKey(key)]; promised {
-			return false
-		}
-		if _, have := st.mustOut[logic.FactKey(key)]; !have {
-			st.ensureMustOut()
-			st.mustOut[logic.FactKey(key)] = struct{}{}
+		if !holds(st.mustOut, key) {
+			st.mustOut = extend(st.mustOut, logic.FactKey(key))
 		}
 	}
 	head := s.plans[t.ruleIdx].Heads[disjunct]
 	for k := range rule.Heads[disjunct] {
 		key, _ := head.AppendKey(st.A, s.probeBuf[:0], k, vals, true)
 		s.probeBuf = key[:0]
-		if _, banned := st.mustOut[logic.FactKey(key)]; banned {
-			return false
+		if holds(st.mustOut, key) {
+			return false // banned
 		}
 		st.A.AddKey(key)
 	}
@@ -1184,12 +1139,12 @@ func (s *searcher) applyTo(st *state, t *trigger, disjunct int, vals []uint32) b
 // surface any violation as a model-set mismatch.
 func (s *searcher) complete(st *state) bool {
 	s.stats.Completed++
-	for k := range st.mustIn {
+	for _, k := range st.mustIn {
 		if !st.A.HasFactKey(k) {
 			return true // a deferral promise was never fulfilled
 		}
 	}
-	for k := range st.mustOut {
+	for _, k := range st.mustOut {
 		if st.A.HasFactKey(k) {
 			return true // a negative assumption was violated
 		}
@@ -1211,8 +1166,7 @@ func (s *searcher) complete(st *state) bool {
 		// ranges over contains the root (see stability.go).
 		stable = true
 	default:
-		s.extendStability(st)
-		stable = s.stableSession(st)
+		stable = s.stableSession(s.encodeLeaf(st), st.A)
 	}
 	if !s.naive && s.opt.stabOracle != nil && stable != stableAgainstSubsetsNaive(s.db, s.rules, st.A) {
 		s.opt.stabOracle.Add(1)

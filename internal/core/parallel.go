@@ -136,14 +136,9 @@ type run struct {
 	emitted int64
 }
 
-// resolveWorkers picks the pool size: an explicit per-run override
-// wins over the compiled option, 0 defaults to GOMAXPROCS, and the
-// naive differential oracle is always sequential.
-func resolveWorkers(compiled, perRun int, naive bool) int {
-	w := compiled
-	if perRun != 0 {
-		w = perRun
-	}
+// resolveWorkers picks the pool size: 0 defaults to GOMAXPROCS, and
+// the naive differential oracle is always sequential.
+func resolveWorkers(w int, naive bool) int {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
@@ -240,7 +235,7 @@ func (r *run) runWorker(st *state) {
 		}
 		r.mergeStats(w.stats)
 		if c := r.opt.stabCounts; c != nil {
-			c.add(w.stabWindows, w.stabForks, w.stabMaxVars)
+			c.add(w.stabLayers, w.stabWindows, w.stabForks, w.stabMaxVars)
 		}
 	}()
 	failpoint.Inject(failpoint.CoreFork)
@@ -346,12 +341,12 @@ func (r *run) consume(visit func(*logic.FactStore) bool) {
 // its siblings. Forked subtrees report failure through the shared
 // stop flag rather than the return value.
 //
-// Before a fork, the forking state's pending session layers are
-// encoded, so the ancestor chain both goroutines share is frozen: each
-// worker then only reads it, loading the chain's clauses into its own
-// solver for its checks, and the fork copies nothing. The encoding
-// happens before the goroutine spawn, on the parent's goroutine, so
-// the spawn's happens-before edge covers it.
+// Before a fork, the session chain the child shares with its parent is
+// encoded, so every layer both goroutines reach is frozen: each worker
+// then only reads it, loading the chain's clauses into its own solver
+// for its checks, and the fork copies nothing. The encoding happens
+// before the goroutine spawn, on the parent's goroutine, so the spawn's
+// happens-before edge covers it.
 func (s *searcher) explore(child *state) bool {
 	r := s.run
 	if r.stop.Load() {
@@ -361,7 +356,7 @@ func (s *searcher) explore(child *state) bool {
 		select {
 		case r.tokens <- struct{}{}:
 			if child.sess != nil {
-				s.encodePending(child.sess.parent)
+				s.encodeChain(child.sess)
 				s.stabForks++
 			}
 			r.wg.Add(1)

@@ -169,34 +169,3 @@ func TestParallelBudgetExhaustion(t *testing.T) {
 	}
 	awaitNoExtraGoroutines(t, baseline)
 }
-
-// TestParallelWorkersParamOverride pins the per-run engine.Params
-// override: a Compiled built sequential can run parallel (and back)
-// without recompiling, emitting the same canonical set.
-func TestParallelWorkersParamOverride(t *testing.T) {
-	prog := choiceProgram(t, 6) // 64 models
-	c, err := Compile(prog.Database(), prog.Rules, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := func(p engine.Params) int {
-		n := 0
-		_, _, err := c.Enumerate(context.Background(), p, func(m *logic.FactStore) bool {
-			n++
-			return true
-		})
-		if err != nil {
-			t.Fatalf("enumerate %+v: %v", p, err)
-		}
-		return n
-	}
-	if n := count(engine.Params{}); n != 64 {
-		t.Fatalf("sequential: %d models, want 64", n)
-	}
-	if n := count(engine.Params{Workers: 4}); n != 64 {
-		t.Fatalf("workers=4 override: %d models, want 64", n)
-	}
-	if n := count(engine.Params{Workers: 1}); n != 64 {
-		t.Fatalf("workers=1 override: %d models, want 64", n)
-	}
-}

@@ -13,15 +13,18 @@ package core
 //     for one candidate model, exactly as the pre-session engine did. It
 //     is kept verbatim as the differential-test oracle.
 //   - The stability session (stabSession) builds the same encoding
-//     incrementally along the search tree, mirroring the copy-on-write
-//     store snapshots (logic.FactStore.Snapshot): a session layer owns
-//     the clauses and variables derived from its state's store window,
-//     and a child layer extends the chain by encoding only the new index
-//     window. A check decides its candidate on the clauses of its own
-//     root-to-leaf chain alone, loaded into the worker's reusable SAT
-//     solver; the per-model conditions (which body homomorphisms are
-//     unblocked in M, and the latest witness set of each homomorphism)
-//     are assumptions, and the proper-subset requirement is one more
+//     incrementally along the search tree. A session layer exists only
+//     where the search branches: it owns the clauses and variables
+//     derived from the store window between its branch point and the
+//     previous one on the path, and every state below the branch point
+//     shares it until it branches itself. A candidate's own window, the
+//     atoms its path added after the last branch point, is encoded in
+//     the worker's scratch layer, which the candidate's check alone
+//     reads. A check decides its candidate on the clauses of its own
+//     root-to-leaf chain, loaded into the worker's reusable SAT solver;
+//     the per-model conditions (which body homomorphisms are unblocked
+//     in M, and the latest witness set of each homomorphism) are
+//     assumptions, and the proper-subset requirement is one more
 //     clause, so no layer clause is ever rebuilt.
 //
 // Encoding invariants of the session (see also the package docs):
@@ -29,8 +32,9 @@ package core
 //   - Root atoms are exactly the store indices < rootLen (the root state
 //     snapshots the database store or the frozen root), so "fixed true
 //     in J" is an index comparison, not a key-map lookup. Every atom of
-//     the prefix above the root has one subset variable, registered in
-//     the layer that encoded its window.
+//     the prefix above the root has one subset variable, allocated in
+//     index order by the layer that encoded its window, so a layer's
+//     subset variables are one consecutive range.
 //   - An encoded layer owns three things, all immutable: a flat list of
 //     its clauses, a variable range that continues its parent's, and
 //     the homomorphisms it registered. Sibling layers reuse the same
@@ -56,15 +60,14 @@ package core
 //     one check.
 //
 // Sessions respect the search's freeze discipline, with encoding
-// deferred to first need: a state's layer is pending at its branch
-// point (it records the frozen store whose window it owes), is encoded
-// on first need — a fixpoint candidate's check below it, or a fork of
-// a subtree below it — top-down along the chain, and is frozen once
-// encoded. Windows that no candidate solves and no fork hands off are
-// never encoded. A subtree handed to another goroutine has its pending
-// chain encoded before the spawn (see searcher.explore), so every layer
-// reachable from two goroutines is encoded and frozen, and only read:
-// forks copy nothing.
+// deferred to first need: a branch point's layer records the frozen
+// store whose window it owes, is encoded on first need — a fixpoint
+// candidate's check below it, or a fork of a subtree below it —
+// top-down along the chain, and is frozen once encoded. Windows that no
+// candidate solves and no fork hands off are never encoded. A subtree
+// handed to another goroutine has its chain encoded before the spawn
+// (see searcher.explore), so every layer reachable from two goroutines
+// is encoded and frozen, and only read: forks copy nothing.
 
 import (
 	"sort"
@@ -74,9 +77,9 @@ import (
 	"ntgd/internal/sat"
 )
 
-// maxStabSessionDepth bounds a session chain: sessionFor starts a fresh
-// root layer (one full re-encode of the current prefix, if it is ever
-// needed) once the chain would exceed it, so per-lookup chain walks
+// maxStabSessionDepth bounds a session chain: a layer that would extend
+// it further starts a fresh root layer instead (one full re-encode of
+// the current prefix, if it is ever needed), so per-lookup chain walks
 // stay O(1) amortized — the same discipline as logic.FactStore
 // snapshots.
 const maxStabSessionDepth = 32
@@ -125,31 +128,30 @@ type headOcc struct {
 	groundKey logic.FactKey
 }
 
-// stabSession is one layer of a session chain, mirroring a search
-// state's store layer: it records the clauses, subset variables,
-// homomorphisms and head occurrences its window introduced, plus the
-// path-latest extension tails it overrode. A layer is live while its
-// state grows, pending from its state's branch point, encoded on first
-// need, and frozen once encoded; every read merges the chain.
+// stabSession is one layer of a session chain: the layer of a branch
+// point, or the worker's scratch layer of a candidate. It records the
+// clauses, subset variables, homomorphisms and head occurrences its
+// window introduced, plus the path-latest extension tails it overrode.
+// A layer is encoded on first need and frozen once encoded; every read
+// merges the chain.
 type stabSession struct {
 	parent *stabSession
 	depth  int
-	// hi is the store prefix [0, hi) encoded by the chain up to and
-	// including this layer; for a live or pending layer, the start of
-	// the window it still owes.
-	hi int
-	// pending, when non-nil, is the frozen store of the layer's branch
-	// point: the layer owes the window [hi, pending.Len()), which
-	// encodePending fills on first need.
-	pending *logic.FactStore
+	// store is the frozen store of the layer's branch point (the
+	// candidate's store, for a scratch layer): the layer owes the window
+	// [parent.store.Len(), store.Len()), from 0 for a chain root.
+	store *logic.FactStore
+	// encoded records that the window is encoded.
+	encoded bool
 	// nv is the number of variables of the chain up to and including
 	// this layer: the layer's own variables are (parent.nv, nv].
 	nv int
 	// clauses lists this layer's clauses flat, each ended by a 0.
 	clauses []int
-	// vars maps global store index -> subset variable for the
-	// atoms of this layer's window above the root.
-	vars map[int]int
+	// The window's atoms above the root, store indices [varIdx,
+	// varIdx+nvars), have the subset variables varFirst, varFirst+1, …
+	// in index order.
+	varIdx, varFirst, nvars int
 	// ext maps homomorphism -> latest extension tail var for chains
 	// this layer extended (0 marks a homomorphism permanently satisfied
 	// along this path).
@@ -161,15 +163,15 @@ type stabSession struct {
 	occ map[string][]headOcc
 }
 
-// child returns a fresh empty layer extending ss, created when a search
-// state is cloned; ss must be pending or encoded, and the child's
-// window starts where ss's ends.
-func (ss *stabSession) child() *stabSession {
-	hi := ss.hi
-	if ss.pending != nil {
-		hi = ss.pending.Len()
+// above sets the empty layer ss up to owe store's window above parent,
+// and returns it. Without a parent, or once the chain would exceed
+// maxStabSessionDepth, ss is a fresh chain root owing the whole prefix.
+func (ss *stabSession) above(parent *stabSession, store *logic.FactStore) *stabSession {
+	if parent != nil && parent.depth+1 < maxStabSessionDepth {
+		ss.parent, ss.depth = parent, parent.depth+1
 	}
-	return &stabSession{parent: ss, depth: ss.depth + 1, hi: hi}
+	ss.store = store
+	return ss
 }
 
 // newVar allocates the layer's next variable.
@@ -187,8 +189,8 @@ func (ss *stabSession) addClause(lits ...int) {
 // through the chain.
 func (ss *stabSession) varOf(idx int) int {
 	for s := ss; s != nil; s = s.parent {
-		if v, ok := s.vars[idx]; ok {
-			return v
+		if i := idx - s.varIdx; i >= 0 && i < s.nvars {
+			return s.varFirst + i
 		}
 	}
 	return 0
@@ -207,9 +209,11 @@ func (ss *stabSession) latestExt(hm *stabHom) (int, bool) {
 
 // stabScratch holds the reusable buffers of session encoding and
 // solving; each searcher owns one. solver is the worker's one SAT
-// solver: every check resets it and loads its own chain.
+// solver: every check resets it and loads its own chain. leaf is the
+// scratch layer of the candidate being checked.
 type stabScratch struct {
 	solver   *sat.Solver
+	leaf     stabSession
 	chain    []*stabSession
 	assumps  []int
 	clause   []int
@@ -220,49 +224,39 @@ type stabScratch struct {
 	occSeen  map[headOcc]bool
 }
 
-// sessionFor returns st's session layer, first replacing a missing
-// chain or one past maxStabSessionDepth with a fresh root layer that
-// owes the whole prefix. It is called at a branch point, which marks
-// the layer pending, and at a fixpoint candidate, which encodes it.
-func (s *searcher) sessionFor(st *state) *stabSession {
-	if ss := st.sess; ss != nil && ss.depth < maxStabSessionDepth {
-		return ss
-	}
-	st.sess = &stabSession{}
-	return st.sess
+// encodeLeaf encodes the session chain of the fixpoint candidate st for
+// its check and returns the chain's leaf: the unencoded layers of st's
+// branch points first, top-down, then st's own window in the worker's
+// scratch layer. The candidate is terminal, so no other state reads
+// that window and the next check reuses the layer.
+func (s *searcher) encodeLeaf(st *state) *stabSession {
+	leaf := &s.stab.leaf
+	clear(leaf.ext)
+	clear(leaf.occ)
+	*leaf = stabSession{clauses: leaf.clauses[:0], homs: leaf.homs[:0], ext: leaf.ext, occ: leaf.occ}
+	s.encodeChain(leaf.above(st.sess, st.A))
+	return leaf
 }
 
-// extendStability encodes st's session chain up to the state's current
-// store length for a fixpoint candidate's check: the pending ancestor
-// layers first, top-down, then the leaf's own window.
-func (s *searcher) extendStability(st *state) {
-	ss := s.sessionFor(st)
-	s.encodePending(ss.parent)
-	s.encodeWindow(ss, st.A)
-}
-
-// encodePending encodes the pending layers of the chain ending at ss,
-// top-down, each over the frozen store of its branch point. An encoded
-// layer's ancestors are all encoded, so the walk stops at the first
-// layer that is not pending.
-func (s *searcher) encodePending(ss *stabSession) {
-	if ss == nil || ss.pending == nil {
+// encodeChain encodes the unencoded layers of the chain ending at ss,
+// top-down. An encoded layer's ancestors are all encoded, so the walk
+// stops at the first encoded layer.
+func (s *searcher) encodeChain(ss *stabSession) {
+	if ss == nil || ss.encoded {
 		return
 	}
-	s.encodePending(ss.parent)
-	s.encodeWindow(ss, ss.pending)
-	ss.pending = nil
+	s.encodeChain(ss.parent)
+	s.encodeWindow(ss)
 }
 
-// encodeWindow encodes ss's window up to store's length and counts it.
-// The layer's clause list counts against the run's memory watermark
-// alongside the facts themselves (see run.chargeMem), at litBytes per
-// entry; a check's solver is scratch and is not charged.
-func (s *searcher) encodeWindow(ss *stabSession, store *logic.FactStore) {
-	before := len(ss.clauses)
+// encodeWindow encodes ss's window and counts it. The layer's clause
+// list counts against the run's memory watermark alongside the facts
+// themselves (see run.chargeMem), at litBytes per entry; a check's
+// solver is scratch and is not charged.
+func (s *searcher) encodeWindow(ss *stabSession) {
 	s.stabWindows++
-	s.extendSession(ss, store)
-	s.chargeMem(int64(len(ss.clauses)-before) * litBytes)
+	s.extendSession(ss)
+	s.chargeMem(int64(len(ss.clauses)) * litBytes)
 }
 
 // litBytes is the watermark charge per entry of a layer's clause list
@@ -270,37 +264,33 @@ func (s *searcher) encodeWindow(ss *stabSession, store *logic.FactStore) {
 // retained bytes (see Options.MaxMemory), and an entry is one int.
 const litBytes = 8
 
-// extendSession encodes the window [ss.hi, store.Len()) into the
-// session: new subset variables, completion joins of ancestor
-// homomorphisms against the window, and the window's new body
-// homomorphisms. A root layer (parent == nil, hi == 0) always runs its
-// sweep even over an empty store, because rules with empty positive
-// bodies have homomorphisms no delta would ever cover.
-func (s *searcher) extendSession(ss *stabSession, store *logic.FactStore) {
-	// The layer's variables continue its parent's, which is encoded and
-	// frozen by now.
-	if ss.parent != nil && ss.nv < ss.parent.nv {
-		ss.nv = ss.parent.nv
+// extendSession encodes ss's window into the layer: new subset
+// variables, completion joins of ancestor homomorphisms against the
+// window, and the window's new body homomorphisms. A chain root always
+// runs its sweep even over an empty store, because rules with empty
+// positive bodies have homomorphisms no delta would ever cover.
+func (s *searcher) extendSession(ss *stabSession) {
+	store, from, to := ss.store, 0, ss.store.Len()
+	if ss.parent != nil {
+		// The window and the variables continue the parent's, which is
+		// encoded and frozen by now.
+		from, ss.nv = ss.parent.store.Len(), ss.parent.nv
 	}
-	from, to := ss.hi, store.Len()
-	if from >= to && !(ss.parent == nil && from == 0 && ss.vars == nil) {
-		ss.hi = to
+	ss.encoded = true
+	if from >= to && ss.parent != nil {
 		return
-	}
-	if ss.vars == nil {
-		ss.vars = make(map[int]int)
 	}
 	// New subset variables, and the window's predicate set for the
 	// completion joins.
+	ss.varIdx, ss.varFirst = max(from, s.rootLen), ss.nv+1
+	ss.nvars = max(to-ss.varIdx, 0)
+	ss.nv += ss.nvars
 	sc := &s.stab
 	sc.preds = sc.preds[:0]
 	if sc.predSeen == nil {
 		sc.predSeen = make(map[string]bool)
 	}
-	store.EachAtomIn(from, to, func(idx int, a logic.Atom) bool {
-		if idx >= s.rootLen {
-			ss.vars[idx] = ss.newVar()
-		}
+	store.EachAtomIn(from, to, func(_ int, a logic.Atom) bool {
 		if !sc.predSeen[a.Pred] {
 			sc.predSeen[a.Pred] = true
 			sc.preds = append(sc.preds, a.Pred)
@@ -318,7 +308,7 @@ func (s *searcher) extendSession(ss *stabSession, store *logic.FactStore) {
 	// (Homomorphisms registered in this very call search the full
 	// prefix below and need no completion. A rebuilt or true root layer
 	// has no ancestors; note the gate must be on ancestry, not on
-	// from > 0 — an empty database leaves ancestor layers at hi == 0.)
+	// from > 0 — an empty database leaves ancestor windows empty.)
 	if ss.parent != nil {
 		if sc.occSeen == nil {
 			sc.occSeen = make(map[headOcc]bool)
@@ -357,7 +347,6 @@ func (s *searcher) extendSession(ss *stabSession, store *logic.FactStore) {
 			return true
 		})
 	}
-	ss.hi = to
 }
 
 // witLit compiles one witness extension — a match of a head disjunct
@@ -550,9 +539,10 @@ func (s *searcher) completeHom(ss *stabSession, store *logic.FactStore, from int
 	ss.ext[hm] = eNew
 }
 
-// stableSession decides the stability of the fixpoint candidate st.A on
-// the clauses of its session chain alone. The worker's solver is reset
-// and loaded with the chain's clause lists, root first. Enforced
+// stableSession decides the stability of the fixpoint candidate m on
+// the clauses of its session chain, which ends at ss, alone. The
+// worker's solver is reset and loaded with the chain's clause lists,
+// root first. Enforced
 // homomorphisms of the chain — those with every negative instance
 // absent from M — get their activation literal assumed and their
 // path-latest extension tail assumed false, which switches the full
@@ -560,9 +550,8 @@ func (s *searcher) completeHom(ss *stabSession, store *logic.FactStore, from int
 // false. One proper-subset clause over the chain's atoms above the root
 // completes the query; UNSAT means no J with D ⊆ J ⊊ M⁺ satisfies the
 // τ-translation — M is stable.
-func (s *searcher) stableSession(st *state) bool {
+func (s *searcher) stableSession(ss *stabSession, m *logic.FactStore) bool {
 	failpoint.Inject(failpoint.CoreStability)
-	ss := st.sess
 	sc := &s.stab
 	if sc.solver == nil {
 		sc.solver = sat.New()
@@ -589,7 +578,7 @@ func (s *searcher) stableSession(st *state) bool {
 			sv.AddClause(cls[:end]...)
 			cls = cls[end+1:]
 		}
-		for _, v := range layer.vars {
+		for v := layer.varFirst; v < layer.varFirst+layer.nvars; v++ {
 			subset = append(subset, -v)
 		}
 		// Deeper layers override shallower ones.
@@ -606,7 +595,7 @@ func (s *searcher) stableSession(st *state) bool {
 			} else if e == 0 {
 				continue // permanently satisfied along this path
 			}
-			if hm.blockedIn(st.A) {
+			if hm.blockedIn(m) {
 				// Negatives are fixed to M: the clause is off.
 				if hm.act != 0 {
 					assumps = append(assumps, -hm.act)
@@ -637,16 +626,16 @@ func (s *searcher) stableSession(st *state) bool {
 // standalone candidate via a throwaway session: the candidate is
 // re-rooted over a copy of the database so that the database is exactly
 // the store prefix the session encoder keys on. The search itself never
-// calls this — it extends per-state sessions instead.
+// calls this — it encodes its session chains instead.
 func stableAgainstSubsets(db *logic.FactStore, rules []*logic.Rule, m *logic.FactStore) bool {
 	store := db.Clone()
 	for _, a := range m.Atoms() {
 		store.Add(a)
 	}
 	s := &searcher{run: &run{ruleSet: newRuleSet(rules), db: db, rootLen: db.Len(), syms: db.Symbols()}}
-	sess := &stabSession{}
-	s.extendSession(sess, store)
-	return s.stableSession(&state{A: store, sess: sess})
+	sess := new(stabSession).above(nil, store)
+	s.extendSession(sess)
+	return s.stableSession(sess, store)
 }
 
 // stableAgainstSubsetsNaive is the pre-session check kept verbatim as

@@ -215,8 +215,8 @@ func guardedChoiceProgram(t *testing.T, n, free int, poison bool) *logic.Program
 }
 
 // sessionCounts runs the session search and returns its stats and its
-// session tally: windows encoded, forks made, and the most variables
-// one check's solver held.
+// session tally: layers allocated, windows encoded, forks made, and the
+// most variables one check's solver held.
 func sessionCounts(t *testing.T, prog *logic.Program, workers int) (Stats, *stabCounts) {
 	t.Helper()
 	var counts stabCounts
@@ -291,6 +291,21 @@ func TestStabilitySessionChecksLoadOnlyThePath(t *testing.T) {
 		if f, m := few.maxVars.Load(), many.maxVars.Load(); f == 0 || m != f {
 			t.Fatalf("workers=%d: checks held up to %d variables after 4 checks and %d after 64, want equal and nonzero",
 				workers, f, m)
+		}
+	}
+}
+
+// TestStabilitySessionLayersOnlyAtBranchPoints pins that a session
+// layer exists only where the search branches: a run allocates at most
+// one layer per branch point, and its children share it. Every branch
+// point of the guarded choice has a head child and a deferral child, so
+// a layer per branch child would make about two per branch point.
+func TestStabilitySessionLayersOnlyAtBranchPoints(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		st, c := sessionCounts(t, guardedChoiceProgram(t, 6, 2, false), workers)
+		if layers := c.layers.Load(); layers == 0 || layers > st.Branches {
+			t.Fatalf("workers=%d: %d session layers for %d branch points, want 1..%d",
+				workers, layers, st.Branches, st.Branches)
 		}
 	}
 }

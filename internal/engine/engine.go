@@ -38,12 +38,6 @@ type Params struct {
 	// witness space is fixed at compile time (the LP pipeline) ignore
 	// it.
 	ExtraConstants []logic.Term
-	// Workers overrides the compiled worker-pool size of the stable
-	// model search for this run (see core.Options.Workers): 0 keeps
-	// the compiled setting, 1 forces the sequential search, n > 1
-	// bounds the pool at n. Engines without a parallel search (the LP
-	// pipeline) ignore it.
-	Workers int
 }
 
 // Stats is the uniform search-effort report shared by all engines.

@@ -490,12 +490,6 @@ func (s *FactStore) keyAt(i int) []byte {
 	return st.ix.keys.keyBytes(i - st.base)
 }
 
-// predIndices returns the store indices of atoms with the given
-// predicate id, ascending. Shared with the store: callers must not
-// modify. Valid only for root stores; snapshot layers use
-// appendPredIndices.
-func (s *FactStore) predIndices(pid uint32) []uint32 { return s.ix.pred(pid) }
-
 // appendPredIndices appends the store indices of atoms with the given
 // predicate id in [lo, hi) onto buf, ascending.
 func (s *FactStore) appendPredIndices(pid uint32, lo, hi int, buf []uint32) []uint32 {

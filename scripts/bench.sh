@@ -29,9 +29,16 @@ benchtime="${BENCH_TIME:-300ms}"
 # grounding of bulkdb's LP rules over a database of its shape.
 # DatabaseVersion pins a whole write: both bulkdb solvers compiled
 # against a frozen Database of that shape, and their first reads.
+# Experiments/E8 runs the Section 5.3 2-QBF∃ encoding through the SO
+# search and fails on a wrong verdict: refutations of that shape are
+# where the perfbench search workload spends most of its time.
 # Names must stay unique across packages — cmd/benchdiff and benchstat
 # aggregate on the bare benchmark name.
 pattern='StableSearchChoiceWide|ParallelSearch|StabilitySession|SolveAssumptions|SolverReuse|SolverQueryDB|StoreBranch|JoinOrderAdversarial|HomDeltaLayered|BulkLoad|StoreProbe|GroundBulkLP|DatabaseVersion'
 
 go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count "$count" \
   ./ ./internal/core/ ./internal/logic/ ./internal/sat/ ./internal/ground/ | tee "$out"
+# A '/' in the shared pattern would apply per sub-benchmark level and
+# drop the other benchmarks' sub-benchmarks, so E8 gets its own run.
+go test -run '^$' -bench 'Experiments/E8$' -benchtime "$benchtime" -count "$count" \
+  ./cmd/smsbench/ | tee -a "$out"
